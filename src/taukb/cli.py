@@ -47,19 +47,10 @@ def _close(ctx) -> engine.ClosureResult:
     except engine.Contradiction as e:
         click.echo(f"contradiction: {e.src.name} vs {e.dst.name}", err=True)
         click.echo("-- implies trace --", err=True)
-        click.echo(_render_trace(e.implies_trace), err=True)
+        click.echo(engine.render_trace(e.implies_trace), err=True)
         click.echo("-- does-not-imply trace --", err=True)
-        click.echo(_render_trace(e.notimplies_trace), err=True)
+        click.echo(engine.render_trace(e.notimplies_trace), err=True)
         sys.exit(EXIT_CONTRADICTION)
-
-
-def _render_trace(trace) -> str:
-    lines = []
-    for i, step in enumerate(trace.steps):
-        src = " from " + ", ".join(f"S{k}" for k in step.premises) if step.premises else ""
-        note = f" [model {step.note}]" if step.rule == "R4" else (f" [{step.note}]" if step.note else "")
-        lines.append(f"S{i} {step.rule}{note}: {step.conclusion.render()}{src}")
-    return "\n".join(lines)
 
 
 def _serial(ctx, n: int):

@@ -15,6 +15,7 @@ currency of the inference engine; they are all immutable.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 
@@ -32,6 +33,12 @@ class UnknownSerial(TaukbError):
 
 class UnknownProperty(TaukbError):
     """Reference to a property that is not registered."""
+
+
+class BadShape(TaukbError):
+    """Data does not have the expected shape: a table that is not 22x22, a
+    selector or diagonalizer that does not fit its family, a family whose
+    members disagree."""
 
 
 # ---------------------------------------------------------------------------
@@ -234,48 +241,36 @@ class Property:
         return f"Property({self.name})"
 
 
-# (serial, kind, source, target, critical cardinality or None) for the 22
-# diagram nodes.  Serials 6 and 7 carry no known value: their cardinality is
-# the named unknown od, kept out of the display label on purpose.
-_FIGURE_ROWS: list[tuple[int, SelectorKind, CoverKind, CoverKind, str | None]] = [
-    (0, SelectorKind.S1, CoverKind.GAMMA, CoverKind.GAMMA, "b"),
-    (1, SelectorKind.S1, CoverKind.GAMMA, CoverKind.TAU, "b"),
-    (2, SelectorKind.S1, CoverKind.GAMMA, CoverKind.OMEGA, "d"),
-    (3, SelectorKind.S1, CoverKind.GAMMA, CoverKind.O, "d"),
-    (4, SelectorKind.S1, CoverKind.TAU, CoverKind.GAMMA, "t"),
-    (5, SelectorKind.S1, CoverKind.TAU, CoverKind.TAU, "t"),
-    (6, SelectorKind.S1, CoverKind.TAU, CoverKind.OMEGA, None),
-    (7, SelectorKind.S1, CoverKind.TAU, CoverKind.O, None),
-    (8, SelectorKind.S1, CoverKind.OMEGA, CoverKind.GAMMA, "p"),
-    (9, SelectorKind.S1, CoverKind.OMEGA, CoverKind.TAU, "p"),
-    (10, SelectorKind.S1, CoverKind.OMEGA, CoverKind.OMEGA, "covM"),
-    (11, SelectorKind.S1, CoverKind.O, CoverKind.O, "covM"),
-    (12, SelectorKind.SFIN, CoverKind.GAMMA, CoverKind.TAU, "b"),
-    (13, SelectorKind.SFIN, CoverKind.GAMMA, CoverKind.OMEGA, "d"),
-    (14, SelectorKind.SFIN, CoverKind.TAU, CoverKind.TAU, "min{s,b}"),
-    (15, SelectorKind.SFIN, CoverKind.TAU, CoverKind.OMEGA, "d"),
-    (16, SelectorKind.SFIN, CoverKind.OMEGA, CoverKind.TAU, "p"),
-    (17, SelectorKind.SFIN, CoverKind.OMEGA, CoverKind.OMEGA, "d"),
-    (18, SelectorKind.UFIN, CoverKind.GAMMA, CoverKind.GAMMA, "b"),
-    (19, SelectorKind.UFIN, CoverKind.GAMMA, CoverKind.TAU, "max{b,s}"),
-    (20, SelectorKind.UFIN, CoverKind.GAMMA, CoverKind.OMEGA, "d"),
-    (21, SelectorKind.UFIN, CoverKind.GAMMA, CoverKind.O, "d"),
-]
-
 SERIAL_COUNT = 22
 
-FIGURE_PROPERTIES: tuple[Property, ...] = tuple(
-    Property(kind, src, tgt, CoverVariant.OPEN, serial=n,
-             non=parse_expr(label) if label is not None else None)
-    for (n, kind, src, tgt, label) in _FIGURE_ROWS
-)
+
+@functools.cache
+def _figure_properties() -> tuple[Property, ...]:
+    # The property lines of the embedded fact file are the one statement of
+    # the 22 nodes and their labels.  They are read on first use, so that
+    # importing the package reads no file.
+    from .formats import PropertyDecl, load_default_facts
+
+    decls = sorted((d for d in load_default_facts().decls if isinstance(d, PropertyDecl)),
+                   key=lambda d: d.serial)
+    if [d.serial for d in decls] != list(range(SERIAL_COUNT)):
+        raise TaukbError(f"embedded facts must declare each serial 0..{SERIAL_COUNT - 1} once")
+    return tuple(d.to_property() for d in decls)
+
+
+def __getattr__(name: str):
+    # FIGURE_PROPERTIES: the 22 diagram properties in serial order
+    if name == "FIGURE_PROPERTIES":
+        return _figure_properties()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def property_by_serial(n: int) -> Property:
-    """The unique open-variant diagram property with serial n (0..21)."""
+    """The unique open-variant diagram property with serial n (0..21), as
+    declared in the embedded fact file."""
     if not isinstance(n, int) or n < 0 or n >= SERIAL_COUNT:
         raise UnknownSerial(f"serial must be in 0..{SERIAL_COUNT - 1}, got {n!r}")
-    return FIGURE_PROPERTIES[n]
+    return _figure_properties()[n]
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +356,6 @@ class Claim:
             return f"{self.subject.name} -/-> {self.object.name}"
         op = {"lower": ">=", "upper": "<=", "exact": "="}[self.kind]
         return f"non({self.subject.name}) {op} {render_expr(self.expr)}"
-
-    def sort_key(self) -> tuple:
-        return (
-            self.kind,
-            self.subject.key,
-            self.object.key if self.object is not None else (),
-            render_expr(self.expr) if self.expr is not None else "",
-        )
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from . import formats
 from .core import (
     Arrow,
-    Atom,
-    CardinalAtom,
     CardinalExpr,
     Claim,
     Fact,
@@ -44,7 +42,6 @@ from .core import (
     Verdict,
     expr_sort_key,
     normalize_expr,
-    property_by_serial,
     render_expr,
 )
 from .models import ModelRegistry, UnknownAtom, eval_expr, load_default_registry
@@ -80,22 +77,20 @@ class KnowledgeBase:
     facts: tuple[Fact, ...]
     registry: ModelRegistry
 
-    def property_for(self, key: Property) -> Property:
-        for p in self.properties:
-            if p == key:
-                return p
-        raise UnknownProperty(f"{key.name} is not registered")
-
 
 def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -> KnowledgeBase:
-    """Resolve a parsed fact file against a registry into a validated KB."""
+    """Resolve a parsed fact file against a registry into a validated KB.
+
+    Include declarations must already be resolved, as load_facts does.
+    """
     props: dict[Property, Property] = {}
     by_serial: dict[int, Property] = {}
+    models = {m.name for m in registry}
     errors: list[str] = []
 
     for d in fact_file.decls:
         if isinstance(d, formats.PropertyDecl):
-            p = Property(d.kind, d.source, d.target, serial=d.serial, non=d.non)
+            p = d.to_property()
             if p in props or d.serial in by_serial:
                 errors.append(f"line {d.line}: duplicate property {p.name} / serial {d.serial}")
                 continue
@@ -107,6 +102,8 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
                 errors.append(f"line {d.line}: duplicate variant {p.name}")
                 continue
             props[p] = p
+        elif isinstance(d, formats.IncludeDecl):
+            errors.append(f"line {d.line}: include {d.path} is not resolved; read the file with load_facts")
 
     def resolve(ref: formats.Ref, line: int) -> Property | None:
         if isinstance(ref, formats.SerialRef):
@@ -132,6 +129,9 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
         elif isinstance(d, formats.NonImpDecl):
             src, dst = resolve(d.src, d.line), resolve(d.dst, d.line)
             if src is None or dst is None:
+                continue
+            if d.model is not None and d.model not in models:
+                errors.append(f"line {d.line}: model {d.model} is not registered")
                 continue
             witness = d.model if d.model is not None else d.cite
             facts.append(NonImp(src, dst, witness, d.cite or f"model {d.model}"))
@@ -453,16 +453,15 @@ def explain(result: ClosureResult, p: Property, q: Property) -> str:
     j = query(result, p, q)
     if j.verdict is Verdict.UNKNOWN:
         raise NothingToExplain(f"{p.name} vs {q.name} is unsettled; nothing to explain")
+    return render_trace(j.trace)
+
+
+def render_trace(trace: ProofTrace) -> str:
+    """One line per step: index, rule, citation or witnessing model, conclusion, premises."""
     lines = []
-    for i, step in enumerate(j.trace.steps):
-        src = ""
-        if step.premises:
-            src = " from " + ", ".join(f"S{k}" for k in step.premises)
-        note = ""
-        if step.rule == "R4":
-            note = f" [model {step.note}]"
-        elif step.note:
-            note = f" [{step.note}]"
+    for i, step in enumerate(trace.steps):
+        src = " from " + ", ".join(f"S{k}" for k in step.premises) if step.premises else ""
+        note = f" [model {step.note}]" if step.rule == "R4" else (f" [{step.note}]" if step.note else "")
         lines.append(f"S{i} {step.rule}{note}: {step.conclusion.render()}{src}")
     return "\n".join(lines)
 
@@ -499,8 +498,8 @@ def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
     concluded: list[Claim] = []
     for idx, step in enumerate(trace.steps):
         for p in step.premises:
-            if p >= idx:
-                raise ReplayError(f"step {idx} uses a premise that comes later ({p})")
+            if not 0 <= p < idx:
+                raise ReplayError(f"step {idx} uses premise {p}, which is not an earlier step")
         premises = [concluded[p] for p in step.premises]
         _check_step(step, premises, kb)
         concluded.append(step.conclusion)
@@ -527,6 +526,11 @@ def _check_step(step: RuleInstance, premises: list[Claim], kb: KnowledgeBase) ->
     def fail(msg: str):
         raise ReplayError(f"{rule} step concluding {c.render()}: {msg}")
 
+    if rule not in _RULE_RANK:
+        fail(f"unknown rule id {rule!r}")
+    arity = 0 if rule in ("fact", "R1") else 2
+    if len(premises) != arity:
+        fail(f"needs {arity} premises, got {len(premises)}")
     if rule == "fact":
         if not any(_claim_matches_fact(c, f) for f in kb.facts):
             fail("no matching base fact in the knowledge base")
@@ -534,8 +538,6 @@ def _check_step(step: RuleInstance, premises: list[Claim], kb: KnowledgeBase) ->
         if not (c.kind == "implies" and c.subject == c.object):
             fail("conclusion is not reflexive")
     elif rule == "R2":
-        if len(premises) != 2:
-            fail("needs two premises")
         a, b = premises
         ok = (a.kind == b.kind == "implies" and a.object == b.subject
               and c.kind == "implies" and c.subject == a.subject and c.object == b.object)
@@ -559,8 +561,12 @@ def _check_step(step: RuleInstance, premises: list[Claim], kb: KnowledgeBase) ->
               and c.subject == b.subject and c.object == a.subject)
         if not ok:
             fail("does not match R4 shape")
-        model = kb.registry.get(step.note)
-        if eval_expr(a.expr, model) >= eval_expr(b.expr, model):
+        try:
+            model = kb.registry.get(step.note)
+            witnessed = eval_expr(a.expr, model) < eval_expr(b.expr, model)
+        except TaukbError as e:  # no such model, or it leaves an atom unassigned
+            fail(str(e))
+        if not witnessed:
             fail(f"model {model.name} does not witness {render_expr(a.expr)} < {render_expr(b.expr)}")
     elif rule == "R5":
         a, b = premises
@@ -580,8 +586,6 @@ def _check_step(step: RuleInstance, premises: list[Claim], kb: KnowledgeBase) ->
               and a.expr == b.expr == c.expr and c.kind == "exact")
         if not ok:
             fail("does not match R6")
-    else:
-        fail(f"unknown rule id {rule!r}")
 
 
 def replay_all(result: ClosureResult, kb: KnowledgeBase) -> int:

@@ -27,10 +27,12 @@ import re
 from dataclasses import dataclass, field
 
 from .core import (
+    BadShape,
     CardinalExpr,
     CoverKind,
     CoverVariant,
     MalformedExpr,
+    Property,
     SelectorKind,
     SERIAL_COUNT,
     TaukbError,
@@ -85,6 +87,9 @@ class PropertyDecl:
     @property
     def name(self) -> str:
         return f"{self.kind.label}({self.source.label},{self.target.label})"
+
+    def to_property(self) -> Property:
+        return Property(self.kind, self.source, self.target, serial=self.serial, non=self.non)
 
 
 @dataclass(frozen=True)
@@ -336,13 +341,24 @@ def load_facts(path) -> FactFile:
     from pathlib import Path
 
     path = Path(path)
+    return _load_facts(path, (path.resolve(),))
+
+
+def _load_facts(path, chain: tuple) -> FactFile:
+    # chain: the resolved paths of the files being read, to refuse include cycles
     ff = parse_facts(path.read_text(encoding="utf-8"))
     decls: list[Decl] = []
     for d in ff.decls:
-        if isinstance(d, IncludeDecl):
-            decls.extend(load_facts(path.parent / d.path).decls)
-        else:
+        if not isinstance(d, IncludeDecl):
             decls.append(d)
+            continue
+        target = path.parent / d.path
+        if target.resolve() in chain:
+            raise FactParseError([(d.line, 1, f"include {d.path} forms a cycle")])
+        try:
+            decls.extend(_load_facts(target, chain + (target.resolve(),)).decls)
+        except OSError as e:
+            raise FactParseError([(d.line, 1, f"include {d.path}: {e.strerror}")]) from None
     return FactFile(tuple(decls))
 
 
@@ -358,10 +374,6 @@ def load_default_facts() -> FactFile:
 
 
 class BadSymbol(TaukbError):
-    pass
-
-
-class BadShape(TaukbError):
     pass
 
 

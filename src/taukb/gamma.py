@@ -23,14 +23,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
-from .core import TaukbError
-
-
-class BadShape(TaukbError):
-    """Selector does not fit the family (wrong length or column out of range)."""
+from .core import BadShape, TaukbError
 
 
 class SearchSpaceTooLarge(TaukbError):
@@ -131,6 +127,47 @@ def _members(fam) -> tuple[GammaArray, ...]:
     return tuple(fam)
 
 
+def _mask(columns) -> int:
+    return sum(1 << m for m in columns)
+
+
+def _row_masks(members, rows: int, col_bound: int) -> list[tuple[int, ...]]:
+    """Each member as one int per row: bit m is set iff entry (n, m) is 1, m < col_bound."""
+    return [tuple(_mask(m for m in range(col_bound) if a.entry(n, m)) for n in range(rows))
+            for a in members]
+
+
+def _selector_ok(masks, sets: tuple[int, ...], hit_quota: int, exceptions: int) -> bool:
+    """Conditions (a) and (b) for member row masks and one column-set mask per row."""
+    # (a): each member hits a selected column in at least hit_quota rows
+    for a in masks:
+        if sum(1 for r, f in zip(a, sets) if r & f) < hit_quota:
+            return False
+    # (b): each ordered pair is comparable on F_n in one direction, with at
+    # most `exceptions` bad rows for that direction.  The test reads the same
+    # for (a, b) and (b, a), so each unordered pair, a member with itself
+    # included, is checked once
+    for a, b in combinations_with_replacement(masks, 2):
+        if (sum(1 for ra, rb, f in zip(a, b, sets) if ra & ~rb & f) > exceptions
+                and sum(1 for ra, rb, f in zip(a, b, sets) if rb & ~ra & f) > exceptions):
+            return False
+    return True
+
+
+def _hitters(masks, rows: int, col_bound: int) -> list[tuple[int, ...]]:
+    """Per row and column, the members with a 1 there, as a bitmask over members."""
+    return [tuple(_mask(i for i, a in enumerate(masks) if a[n] >> c & 1) for c in range(col_bound))
+            for n in range(rows)]
+
+
+def _diagonalizes(hitters, choices: tuple[int, ...], everyone: int) -> bool:
+    """True iff the members hit at (n, choices[n]) over all rows n are all of them."""
+    hit = 0
+    for row, c in zip(hitters, choices):
+        hit |= row[c]
+    return hit == everyone
+
+
 def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
     """Check conditions (a) and (b) for the selector against the family."""
     members = _members(fam)
@@ -141,25 +178,8 @@ def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
         for m in f:
             if not (0 <= m < col_bound):
                 raise BadShape(f"column {m} outside bound {col_bound}")
-    # (a): each member hits a selected column in at least hit_quota rows
-    for a in members:
-        hits = sum(1 for n in range(rows) if any(a.entry(n, m) for m in selector.sets[n]))
-        if hits < selector.hit_quota:
-            return False
-    # (b): each ordered pair is comparable on F_n in one direction, with at
-    # most `exceptions` bad rows for that direction
-    for a in members:
-        for b in members:
-            bad_ab = bad_ba = 0
-            for n in range(rows):
-                cells = [(a.entry(n, m), b.entry(n, m)) for m in selector.sets[n]]
-                if any(x > y for x, y in cells):
-                    bad_ab += 1
-                if any(y > x for x, y in cells):
-                    bad_ba += 1
-            if bad_ab > selector.exceptions and bad_ba > selector.exceptions:
-                return False
-    return True
+    return _selector_ok(_row_masks(members, rows, col_bound), tuple(map(_mask, selector.sets)),
+                        selector.hit_quota, selector.exceptions)
 
 
 def verify_diagonalizer(fam, g: Diagonalizer, col_bound: int) -> bool:
@@ -170,20 +190,8 @@ def verify_diagonalizer(fam, g: Diagonalizer, col_bound: int) -> bool:
     for c in g.choices:
         if not (0 <= c < col_bound):
             raise BadShape(f"column {c} outside bound {col_bound}")
-    return all(any(a.entry(n, g.choices[n]) for n in range(rows)) for a in members)
-
-
-def _subsets_upto(col_bound: int, size_bound: int) -> list[frozenset[int]]:
-    out: list[frozenset[int]] = []
-    for size in range(min(size_bound, col_bound) + 1):
-        for combo in combinations(range(col_bound), size):
-            out.append(frozenset(combo))
-    return out
-
-
-def _entry_table(members, rows: int, col_bound: int):
-    return [tuple(tuple(m.entry(n, c) for c in range(col_bound)) for n in range(rows))
-            for m in members]
+    hitters = _hitters(_row_masks(members, rows, col_bound), rows, col_bound)
+    return _diagonalizes(hitters, g.choices, (1 << len(members)) - 1)
 
 
 def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
@@ -196,42 +204,13 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
     per_row = sum(comb(col_bound, i) for i in range(min(size_bound, col_bound) + 1))
     if per_row ** rows > budget:
         raise SearchSpaceTooLarge(f"{per_row}^{rows} selector tuples exceed budget {budget}")
-    pool = [tuple(sorted(s)) for s in _subsets_upto(col_bound, size_bound)]
-    table = _entry_table(members, rows, col_bound)
-    ordered_pairs = [(a, b) for a in table for b in table if a is not b]
-
-    def passes(sets) -> bool:
-        for a in table:
-            hits = 0
-            for n in range(rows):
-                row = a[n]
-                if any(row[m] for m in sets[n]):
-                    hits += 1
-            if hits < hit_quota:
-                return False
-        for a, b in ordered_pairs:
-            bad_ab = bad_ba = 0
-            for n in range(rows):
-                ra, rb, f = a[n], b[n], sets[n]
-                if any(ra[m] > rb[m] for m in f):
-                    bad_ab += 1
-                    if bad_ab > exceptions:
-                        break
-            for n in range(rows):
-                ra, rb, f = a[n], b[n], sets[n]
-                if any(rb[m] > ra[m] for m in f):
-                    bad_ba += 1
-                    if bad_ba > exceptions:
-                        break
-            if bad_ab > exceptions and bad_ba > exceptions:
-                return False
-        return True
-
+    # column-set mask -> column set, in size-then-lex order
+    pool = {_mask(c): frozenset(c) for size in range(min(size_bound, col_bound) + 1)
+            for c in combinations(range(col_bound), size)}
+    masks = _row_masks(members, rows, col_bound)
     for sets in product(pool, repeat=rows):
-        if passes(sets):
-            witness = Selector(tuple(frozenset(s) for s in sets), hit_quota, exceptions)
-            assert verify_selector(members, witness, col_bound)
-            return witness
+        if _selector_ok(masks, sets, hit_quota, exceptions):
+            return Selector(tuple(pool[f] for f in sets), hit_quota, exceptions)
     return None
 
 
@@ -246,12 +225,11 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
     rows = members[0].row_count if members else 0
     if col_bound ** rows > budget:
         raise SearchSpaceTooLarge(f"{col_bound}^{rows} choice vectors exceed budget {budget}")
-    table = _entry_table(members, rows, col_bound)
+    hitters = _hitters(_row_masks(members, rows, col_bound), rows, col_bound)
+    everyone = (1 << len(members)) - 1
     for choices in product(range(col_bound), repeat=rows):
-        if all(any(a[n][choices[n]] for n in range(rows)) for a in table):
-            witness = Diagonalizer(choices)
-            assert verify_diagonalizer(members, witness, col_bound)
-            return witness
+        if _diagonalizes(hitters, choices, everyone):
+            return Diagonalizer(choices)
     return None
 
 

@@ -128,3 +128,16 @@ def test_budget_flag_guards_search(runner, tmp_path):
     fam.write_text("\n".join(["1/1"] * 20) + "\n", encoding="utf-8")
     result = invoke(runner, "--budget", "10", "odiag", str(fam), "--col-bound", "4")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("extra", ["include self.txt", "include other.txt", "include missing.txt",
+                                   "nonimp 0 15 model=ghost"])
+def test_bad_fact_input_exits_2(runner, tmp_path, extra):
+    from importlib.resources import files
+
+    text = files("taukb.data").joinpath("base_facts.txt").read_text(encoding="utf-8")
+    (tmp_path / "self.txt").write_text(text + extra + "\n", encoding="utf-8")
+    (tmp_path / "other.txt").write_text("include self.txt\n", encoding="utf-8")
+    result = invoke(runner, "--facts", str(tmp_path / "self.txt"), "table")
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)

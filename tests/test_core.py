@@ -135,3 +135,19 @@ def test_variant_changes_identity():
     borel_p = Property(SelectorKind.S1, CoverKind.TAU, CoverKind.TAU, CoverVariant.BOREL)
     assert open_p != borel_p
     assert borel_p.name == "S1(T,T)[borel]"
+
+
+def test_figure_properties_read_from_fact_file_on_first_use():
+    import subprocess
+    import sys
+
+    code = "\n".join([
+        "import sys",
+        "opened = []",
+        "sys.addaudithook(lambda e, a: opened.append(str(a[0])) if e == 'open' else None)",
+        "import taukb.cli",
+        "assert not any(p.endswith('base_facts.txt') for p in opened), opened",
+        "from taukb.core import FIGURE_PROPERTIES",
+        "assert any(p.endswith('base_facts.txt') for p in opened), opened",
+    ])
+    subprocess.run([sys.executable, "-c", code], check=True)

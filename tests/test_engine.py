@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from taukb.core import (
     Atom,
     CardinalAtom,
     NonImp,
+    ProofTrace,
+    RuleInstance,
     Verdict,
     atom,
     parse_expr,
@@ -212,3 +215,44 @@ def test_legacy_facts_are_exactly_the_documented_eight():
     for d in ff.decls:
         if isinstance(d, NonImpDecl):
             assert d.cite == "legacy:Table1"
+
+
+def test_unresolved_include_is_refused(default_kb):
+    ff = formats.load_default_facts().with_decls([formats.IncludeDecl("extra.txt", 99)])
+    with pytest.raises(engine.TaukbError, match="load_facts"):
+        build_knowledge_base(ff, default_kb.registry)
+
+
+def _tampered_trace(closure, case):
+    def steps(i, j):
+        return list(query(closure, serial(i), serial(j)).trace.steps)
+
+    def with_last(trace_steps, **changes):
+        return ProofTrace(tuple(trace_steps[:-1]) + (dataclasses.replace(trace_steps[-1], **changes),))
+
+    fact = steps(0, 18)[0]  # S0 fact: S1(Gamma,Gamma) -> Ufin(Gamma,Gamma)
+    chain = steps(0, 19)  # two arrow facts, then R2 from S0, S1
+    r4 = steps(18, 8)  # ends with R4 [model laver] on p < b
+    if case.endswith("-one-premise"):
+        rule = case.split("-")[0]
+        return ProofTrace((fact, RuleInstance(rule, (0,), fact.conclusion)))
+    return {
+        "R4-unknown-model": with_last(r4, note="ghost"),
+        # odsmall assigns no level to p
+        "R4-model-lacks-atom": with_last(r4, note="odsmall"),
+        "fact-with-premise": ProofTrace((fact, dataclasses.replace(fact, premises=(0,)))),
+        "negative-premise-first-step": ProofTrace((dataclasses.replace(chain[2], premises=(-1, -1)),)),
+        # counted from the end, -2 and -1 name the right steps
+        "negative-premise-later-step": with_last(chain, premises=(-2, -1)),
+        "premise-from-later-step": with_last(chain, premises=(2, 3)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "R4-unknown-model", "R4-model-lacks-atom", "fact-with-premise",
+    "negative-premise-first-step", "negative-premise-later-step", "premise-from-later-step",
+    *(f"{rule}-one-premise" for rule in ("R2", "R3a", "R3b", "R4", "R5", "R6")),
+])
+def test_replay_refuses_tampered_step(default_kb, closure, case):
+    with pytest.raises(engine.ReplayError):
+        engine.replay_trace(_tampered_trace(closure, case), default_kb)

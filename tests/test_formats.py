@@ -223,3 +223,12 @@ def test_problems_in_issue_order():
     issues = [p.issue for p in list_problems()]
     assert issues == sorted(issues)
     assert "cov(M) = od" in list_problems()[-1].statement
+
+
+def test_load_facts_refuses_include_cycle(tmp_path):
+    from taukb.formats import load_facts
+
+    (tmp_path / "a.txt").write_text("arrow 0 1\ninclude b.txt\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("include ../" + tmp_path.name + "/a.txt\n", encoding="utf-8")
+    with pytest.raises(FactParseError, match="cycle"):
+        load_facts(tmp_path / "a.txt")
