@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 non-empty diff, 2 usage or parse errors,
-3 contradiction in the fact base.  stdout carries payload only; diagnostics
-go to stderr.
+Exit codes: 0 success, 1 non-empty diff, 2 usage or parse errors (bad
+input files included), 3 contradiction in the fact base.  stdout carries
+payload only; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -15,42 +15,39 @@ import click
 from . import engine, formats, gamma
 from .core import Atom, CardinalAtom, TaukbError, render_expr
 from .models import load_default_registry, load_registry
-from pathlib import Path
 
 EXIT_DIFF = 1
 EXIT_PARSE = 2
 EXIT_CONTRADICTION = 3
 
 
-def _fail(code: int, message: str):
-    click.echo(message, err=True)
-    sys.exit(code)
+class _Group(click.Group):
+    """The one error boundary: a contradiction exits 3, any other TaukbError 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except engine.Contradiction as e:
+            click.echo(f"contradiction: {e.src.name} vs {e.dst.name}", err=True)
+            click.echo("-- implies trace --", err=True)
+            click.echo(engine.render_trace(e.implies_trace), err=True)
+            click.echo("-- does-not-imply trace --", err=True)
+            click.echo(engine.render_trace(e.notimplies_trace), err=True)
+            sys.exit(EXIT_CONTRADICTION)
+        except TaukbError as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(EXIT_PARSE)
 
 
 def _load(ctx) -> engine.KnowledgeBase:
     cfg = ctx.obj
-    try:
-        facts = formats.load_facts(cfg["facts"]) if cfg["facts"] else formats.load_default_facts()
-        if cfg["models"]:
-            registry = load_registry(Path(cfg["models"]).read_text(encoding="utf-8"))
-        else:
-            registry = load_default_registry()
-        return engine.build_knowledge_base(facts, registry)
-    except TaukbError as e:
-        _fail(EXIT_PARSE, f"error: {e}")
+    facts = formats.load_facts(cfg["facts"]) if cfg["facts"] else formats.load_default_facts()
+    registry = load_registry(formats.read_text(cfg["models"])) if cfg["models"] else load_default_registry()
+    return engine.build_knowledge_base(facts, registry)
 
 
 def _close(ctx) -> engine.ClosureResult:
-    kb = _load(ctx)
-    try:
-        return engine.close(kb)
-    except engine.Contradiction as e:
-        click.echo(f"contradiction: {e.src.name} vs {e.dst.name}", err=True)
-        click.echo("-- implies trace --", err=True)
-        click.echo(engine.render_trace(e.implies_trace), err=True)
-        click.echo("-- does-not-imply trace --", err=True)
-        click.echo(engine.render_trace(e.notimplies_trace), err=True)
-        sys.exit(EXIT_CONTRADICTION)
+    return engine.close(_load(ctx))
 
 
 def _serial(ctx, n: int):
@@ -58,10 +55,10 @@ def _serial(ctx, n: int):
     for p in result.properties:
         if p.serial == n:
             return p
-    _fail(EXIT_PARSE, f"error: no property with serial {n}")
+    raise TaukbError(f"no property with serial {n}")
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.option("--facts", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Fact file (defaults to the embedded base facts).")
 @click.option("--models", type=click.Path(exists=True, dir_okay=False), default=None,
@@ -113,10 +110,7 @@ def query(ctx, i, j):
 def explain(ctx, i, j):
     """Proof trace for the (I, J) cell."""
     ctx.obj["result"] = _close(ctx)
-    try:
-        text = engine.explain(ctx.obj["result"], _serial(ctx, i), _serial(ctx, j))
-    except engine.NothingToExplain as e:
-        _fail(EXIT_PARSE, f"error: {e}")
+    text = engine.explain(ctx.obj["result"], _serial(ctx, i), _serial(ctx, j))
     steps = [{"step": k, "line": line} for k, line in enumerate(text.splitlines())]
     _emit(ctx, text + "\n", steps)
 
@@ -152,13 +146,10 @@ def diff(ctx, path):
     ctx.obj["result"] = _close(ctx)
     grid = ctx.obj["result"].serial_grid()
     if path:
-        ref_grid, _ = formats.parse_table(Path(path).read_text(encoding="utf-8"))
+        ref_grid, _ = formats.parse_table(formats.read_text(path))
     else:
         ref_grid = [list(r) for r in formats.load_reference_table().grid]
-    try:
-        delta = engine.diff(grid, ref_grid)
-    except engine.ShapeMismatch as e:
-        _fail(EXIT_PARSE, f"error: {e}")
+    delta = engine.diff(grid, ref_grid)
     if not delta:
         _emit(ctx, "identical\n", [{"identical": True}])
         return
@@ -199,17 +190,10 @@ def problems(ctx):
 @click.pass_context
 def diag(ctx, family_file, col_bound, size_bound, hit_quota, exceptions):
     """Search a finite tau-diagonalization of the family in FAMILY_FILE."""
-    try:
-        arrays = gamma.parse_family_file(Path(family_file).read_text(encoding="utf-8"))
-        fam = gamma.GammaFamily(tuple(arrays))
-    except TaukbError as e:
-        _fail(EXIT_PARSE, f"error: {e}")
+    fam = gamma.GammaFamily(tuple(gamma.parse_family_file(formats.read_text(family_file))))
     bound = col_bound if col_bound is not None else fam.max_word_length() + 1
-    try:
-        witness = gamma.finitely_tau_diagonalizable(
-            fam, bound, size_bound, hit_quota, exceptions, budget=ctx.obj["budget"])
-    except gamma.SearchSpaceTooLarge as e:
-        _fail(EXIT_PARSE, f"error: {e}")
+    witness = gamma.finitely_tau_diagonalizable(
+        fam, bound, size_bound, hit_quota, exceptions, budget=ctx.obj["budget"])
     if witness is None:
         _emit(ctx, "not finitely tau-diagonalizable within the bounds\n", [{"diagonalizable": False}])
     else:
@@ -224,15 +208,9 @@ def diag(ctx, family_file, col_bound, size_bound, hit_quota, exceptions):
 @click.pass_context
 def odiag(ctx, family_file, col_bound):
     """Search an o-diagonalization of the arrays in FAMILY_FILE."""
-    try:
-        arrays = gamma.parse_family_file(Path(family_file).read_text(encoding="utf-8"))
-    except TaukbError as e:
-        _fail(EXIT_PARSE, f"error: {e}")
+    arrays = gamma.parse_family_file(formats.read_text(family_file))
     bound = col_bound if col_bound is not None else max((a.max_word_length() for a in arrays), default=0) + 1
-    try:
-        witness = gamma.o_diagonalizable(arrays, bound, budget=ctx.obj["budget"])
-    except gamma.SearchSpaceTooLarge as e:
-        _fail(EXIT_PARSE, f"error: {e}")
+    witness = gamma.o_diagonalizable(arrays, bound, budget=ctx.obj["budget"])
     if witness is None:
         _emit(ctx, "not o-diagonalizable within the bounds\n", [{"diagonalizable": False}])
     else:

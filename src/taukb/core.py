@@ -172,11 +172,6 @@ def normalize_expr(e: CardinalExpr) -> CardinalExpr:
     return cls(tuple(unique))
 
 
-def expr_sort_key(e: CardinalExpr) -> str:
-    """Stable ordering key for deterministic iteration over expressions."""
-    return render_expr(e)
-
-
 def parse_expr(text: str) -> CardinalExpr:
     """Parse 'b', 'min{s,b}', 'max{b,s}', nested forms allowed. Normalizes."""
     expr, rest = _parse_expr_prefix(text.strip())

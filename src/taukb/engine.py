@@ -22,6 +22,7 @@ depend on the order of the input fact list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import formats
 from .core import (
@@ -40,11 +41,10 @@ from .core import (
     TaukbError,
     UnknownProperty,
     Verdict,
-    expr_sort_key,
     normalize_expr,
     render_expr,
 )
-from .models import ModelRegistry, UnknownAtom, eval_expr, load_default_registry
+from .models import ModelRegistry, eval_expr, load_default_registry
 
 
 class Contradiction(TaukbError):
@@ -76,6 +76,11 @@ class KnowledgeBase:
     properties: tuple[Property, ...]
     facts: tuple[Fact, ...]
     registry: ModelRegistry
+
+    @cached_property
+    def _claims(self) -> frozenset[Claim]:
+        # what the base facts assert; replay checks fact steps against it
+        return frozenset(c for f in self.facts for c, _ in _asserts(f))
 
 
 def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -> KnowledgeBase:
@@ -160,18 +165,26 @@ def load_default_kb() -> KnowledgeBase:
 # ---------------------------------------------------------------------------
 # Closure
 
-# Internal statement encoding: ("imp", i, j), ("non", i, j),
-# ("low", i, expr), ("up", i, expr), ("ex", i, expr) with i, j property
-# indices in canonical order.  Rule ranks break ties between derivations of
-# the same statement inside one round.
+# Internal statement encoding: a tuple (kind, i, x) with kind a Claim kind
+# (implies, notimplies, lower, upper, exact), i a property index and x a
+# property index or, for the bound kinds, an expression index.  Properties
+# are indexed in canonical order and expressions in rendered order, so the
+# tuples sort the way their claims render.  Rule ranks break ties between
+# derivations of the same statement inside one round.
 
 _RULE_RANK = {"fact": 0, "R1": 1, "R2": 2, "R3a": 3, "R3b": 4, "R4": 5, "R5": 6, "R6": 7}
+_EDGE_KINDS = ("implies", "notimplies")
 
 
-def _stmt_key(s: tuple) -> tuple:
-    if s[0] in ("imp", "non"):
-        return (s[0], s[1], s[2], "")
-    return (s[0], s[1], -1, expr_sort_key(s[2]))
+def _asserts(f: Fact) -> list[tuple[Claim, str]]:
+    """The claims a base fact asserts, each with the citation its trace step carries."""
+    if isinstance(f, Arrow):
+        return [(Claim("implies", f.src, f.dst), f.source)]
+    if isinstance(f, NonImp):
+        return [(Claim("notimplies", f.src, f.dst), f"{f.source} [{f.witness}]")]
+    kinds = {NonValue: ("lower", "upper"), NonLower: ("lower",), NonUpper: ("upper",)}[type(f)]
+    e = normalize_expr(f.expr)
+    return [(Claim(k, f.prop, expr=e), f.source) for k in kinds]
 
 
 @dataclass(frozen=True)
@@ -220,66 +233,57 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     if bad:
         raise TaukbError(f"registry failed validation: {sorted(bad)}")
 
-    props = kb.properties
-    n = len(props)
-    index = {p: i for i, p in enumerate(props)}
-
-    prov: dict[tuple, tuple] = {}  # stmt -> (rule, premises, note)
-    imp: set[tuple[int, int]] = set()
-    non: set[tuple[int, int]] = set()
-    low: list[set] = [set() for _ in range(n)]
-    up: list[set] = [set() for _ in range(n)]
-    exact: set[tuple] = set()
-
     def fact_key(f: Fact) -> tuple:
         order = {Arrow: 0, NonImp: 1, NonValue: 2, NonLower: 3, NonUpper: 4}
         if isinstance(f, (Arrow, NonImp)):
             return (order[type(f)], f.src.key, f.dst.key, "", f.source)
         return (order[type(f)], f.prop.key, (), render_expr(f.expr), f.source)
 
-    base: list[tuple[tuple, str]] = []  # (stmt, citation)
-    for f in sorted(kb.facts, key=fact_key):
-        if isinstance(f, Arrow):
-            if f.src not in index or f.dst not in index:
-                raise UnknownProperty(f"arrow endpoint {f.src.name} or {f.dst.name} unregistered")
-            base.append((("imp", index[f.src], index[f.dst]), f.source))
-        elif isinstance(f, NonImp):
-            base.append((("non", index[f.src], index[f.dst]), f"{f.source} [{f.witness}]"))
-        elif isinstance(f, NonValue):
-            e = normalize_expr(f.expr)
-            base.append((("low", index[f.prop], e), f.source))
-            base.append((("up", index[f.prop], e), f.source))
-        elif isinstance(f, NonLower):
-            base.append((("low", index[f.prop], normalize_expr(f.expr)), f.source))
-        elif isinstance(f, NonUpper):
-            base.append((("up", index[f.prop], normalize_expr(f.expr)), f.source))
+    base = [a for f in sorted(kb.facts, key=fact_key) for a in _asserts(f)]
+    props = kb.properties
+    n = len(props)
+    index = {p: i for i, p in enumerate(props)}
+    # the closure moves and marks only the expressions the base facts name
+    exprs = sorted({c.expr for c, _ in base if c.expr is not None}, key=render_expr)
+    eindex = {e: k for k, e in enumerate(exprs)}
+    # (u, l) -> first registered model with u < l: R4's premise and the
+    # interval guard's refutation
+    less = {(u, l): w for u, x in enumerate(exprs) for l, y in enumerate(exprs)
+            if (w := registry.consistently_less(x, y)) is not None}
+
+    prov: dict[tuple, tuple] = {}  # stmt -> (rule, premises, note)
+    imp: set[tuple[int, int]] = set()
+    non: set[tuple[int, int]] = set()
+    low: list[set[int]] = [set() for _ in range(n)]
+    up: list[set[int]] = [set() for _ in range(n)]
+    exact: set[tuple[int, int]] = set()
+    edges = {"implies": imp, "notimplies": non}
+    bounds = {"lower": low, "upper": up}
 
     def install(stmt: tuple, rule: str, premises: tuple, note: str) -> None:
-        kind = stmt[0]
-        if kind == "imp":
-            imp.add((stmt[1], stmt[2]))
-        elif kind == "non":
-            non.add((stmt[1], stmt[2]))
-        elif kind == "low":
-            low[stmt[1]].add(stmt[2])
-        elif kind == "up":
-            up[stmt[1]].add(stmt[2])
+        kind, i, x = stmt
+        if kind in edges:
+            edges[kind].add((i, x))
+        elif kind in bounds:
+            bounds[kind][i].add(x)
         else:
-            exact.add((stmt[1], stmt[2]))
+            exact.add((i, x))
         prov[stmt] = (rule, premises, note)
 
-    for stmt, cite in base:
+    for c, cite in base:
+        try:
+            x = index[c.object] if c.kind in _EDGE_KINDS else eindex[c.expr]
+            stmt = (c.kind, index[c.subject], x)
+        except KeyError:
+            raise UnknownProperty(f"fact names an unregistered property: {c.render()}") from None
         if stmt not in prov:
             install(stmt, "fact", (), cite)
 
     def claim_of(stmt: tuple) -> Claim:
-        kind = stmt[0]
-        if kind == "imp":
-            return Claim("implies", props[stmt[1]], props[stmt[2]])
-        if kind == "non":
-            return Claim("notimplies", props[stmt[1]], props[stmt[2]])
-        name = {"low": "lower", "up": "upper", "ex": "exact"}[kind]
-        return Claim(name, props[stmt[1]], expr=stmt[2])
+        kind, i, x = stmt
+        if kind in _EDGE_KINDS:
+            return Claim(kind, props[i], props[x])
+        return Claim(kind, props[i], expr=exprs[x])
 
     def trace_of(stmt: tuple) -> ProofTrace:
         order: list[tuple] = []
@@ -301,140 +305,121 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             steps.append(RuleInstance(rule, tuple(pos[p] for p in premises), claim_of(s), note))
         return ProofTrace(tuple(steps))
 
-    def contradiction(i: int, j: int) -> Contradiction:
-        return Contradiction(props[i], props[j], trace_of(("imp", i, j)), trace_of(("non", i, j)))
+    def check_contradiction() -> None:
+        if both := imp & non:
+            i, j = min(both)
+            raise Contradiction(props[i], props[j], trace_of(("implies", i, j)),
+                                trace_of(("notimplies", i, j)))
 
-    for (i, j) in sorted(imp & non):
-        raise contradiction(i, j)
+    def first_less(ups: set[int], lows: set[int]) -> tuple[int, int] | None:
+        # the least (u, l) in rendered order that some model puts strictly apart
+        return min(((u, l) for u in ups for l in lows if (u, l) in less), default=None)
 
-    sorted_low: list[list] = [sorted(s, key=expr_sort_key) for s in low]
-    sorted_up: list[list] = [sorted(s, key=expr_sort_key) for s in up]
-
+    check_contradiction()
     iterations = 0
     max_rounds = n * n + 2
     while True:
         iterations += 1
         if iterations > max_rounds:
             raise TaukbError(f"fixpoint did not settle within {max_rounds} rounds")
+        # stmt -> (rank, premises, rule, note); the least (rank, premises)
+        # wins, so the order in which a round visits its sets does not matter
         new: dict[tuple, tuple] = {}
 
         def propose(stmt: tuple, rule: str, premises: tuple, note: str = "") -> None:
             if stmt in prov:
                 return
-            cand = (_RULE_RANK[rule], tuple(_stmt_key(p) for p in premises), rule, premises, note)
+            cand = (_RULE_RANK[rule], premises, rule, note)
             cur = new.get(stmt)
             if cur is None or cand[:2] < cur[:2]:
                 new[stmt] = cand
 
         if iterations == 1:
             for i in range(n):
-                propose(("imp", i, i), "R1", ())
+                propose(("implies", i, i), "R1", ())
 
-        imp_sorted = sorted(imp)
         out: dict[int, list[int]] = {}
-        for (i, j) in imp_sorted:
+        into: dict[int, list[int]] = {}
+        for (i, j) in imp:
             out.setdefault(i, []).append(j)
+            into.setdefault(j, []).append(i)
 
         # R2: compose implications
-        for (i, j) in imp_sorted:
+        for (i, j) in imp:
             for k in out.get(j, ()):
                 if (i, k) not in imp:
-                    propose(("imp", i, k), "R2", (("imp", i, j), ("imp", j, k)))
+                    propose(("implies", i, k), "R2", (("implies", i, j), ("implies", j, k)))
 
         # R3a / R3b: push non-implications against implications
-        for (knode, q) in sorted(non):
-            for (p, q2) in imp_sorted:
-                if q2 == q and (knode, p) not in non:
-                    propose(("non", knode, p), "R3a", (("imp", p, q), ("non", knode, q)))
-        for (p, r) in sorted(non):
+        for (knode, q) in non:
+            for p in into.get(q, ()):
+                if (knode, p) not in non:
+                    propose(("notimplies", knode, p), "R3a", (("implies", p, q), ("notimplies", knode, q)))
+        for (p, r) in non:
             for q in out.get(p, ()):
                 if (q, r) not in non:
-                    propose(("non", q, r), "R3b", (("imp", p, q), ("non", p, r)))
+                    propose(("notimplies", q, r), "R3b", (("implies", p, q), ("notimplies", p, r)))
 
         # R4: consistent strict inequality between bound sets
         for q in range(n):
-            if not sorted_low[q]:
+            if not low[q]:
                 continue
             for p in range(n):
-                if p == q or (q, p) in non or not sorted_up[p]:
+                if p == q or (q, p) in non or not up[p]:
                     continue
-                hit = None
-                for u in sorted_up[p]:
-                    for l in sorted_low[q]:
-                        witness = registry.consistently_less(u, l)
-                        if witness is not None:
-                            hit = (u, l, witness)
-                            break
-                    if hit:
-                        break
+                hit = first_less(up[p], low[q])
                 if hit:
-                    u, l, witness = hit
-                    propose(("non", q, p), "R4", (("up", p, u), ("low", q, l)), note=witness)
+                    u, l = hit
+                    propose(("notimplies", q, p), "R4", (("upper", p, u), ("lower", q, l)), less[hit])
 
         # R5: bounds ride along implications
-        for (i, j) in imp_sorted:
+        for (i, j) in imp:
             if i == j:
                 continue
-            for e in sorted_low[i]:
-                if e not in low[j]:
-                    propose(("low", j, e), "R5", (("imp", i, j), ("low", i, e)))
-            for e in sorted_up[j]:
-                if e not in up[i]:
-                    propose(("up", i, e), "R5", (("imp", i, j), ("up", j, e)))
+            for e in low[i] - low[j]:
+                propose(("lower", j, e), "R5", (("implies", i, j), ("lower", i, e)))
+            for e in up[j] - up[i]:
+                propose(("upper", i, e), "R5", (("implies", i, j), ("upper", j, e)))
 
         # R6: collapse coinciding bounds to an exact value
         for i in range(n):
-            for e in sorted_low[i]:
-                if e in up[i] and (i, e) not in exact:
-                    propose(("ex", i, e), "R6", (("low", i, e), ("up", i, e)))
+            for e in low[i] & up[i]:
+                if (i, e) not in exact:
+                    propose(("exact", i, e), "R6", (("lower", i, e), ("upper", i, e)))
 
         if not new:
             break
-        for stmt in sorted(new, key=_stmt_key):
-            rank, pk, rule, premises, note = new[stmt]
+        for stmt, (_, premises, rule, note) in new.items():
             install(stmt, rule, premises, note)
-        for (i, j) in sorted(imp & non):
-            raise contradiction(i, j)
-        sorted_low = [sorted(s, key=expr_sort_key) for s in low]
-        sorted_up = [sorted(s, key=expr_sort_key) for s in up]
+        check_contradiction()
 
-    _check_intervals(props, low, up, registry)
+    # soundness guard: no model may put an upper bound of non(P) strictly
+    # below a lower bound of it
+    for i, p in enumerate(props):
+        hit = first_less(up[i], low[i])
+        if hit:
+            u, l = hit
+            raise TaukbError(f"interval for {p.name} is inconsistent in model {less[hit]}: "
+                             f"{render_expr(exprs[l])} > {render_expr(exprs[u])}")
 
     matrix: dict[tuple[Property, Property], Judgment] = {}
     for i, a in enumerate(props):
         for j, b in enumerate(props):
             if (i, j) in imp:
-                matrix[(a, b)] = Judgment(Verdict.IMPLIES, trace_of(("imp", i, j)))
+                matrix[(a, b)] = Judgment(Verdict.IMPLIES, trace_of(("implies", i, j)))
             elif (i, j) in non:
-                matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, trace_of(("non", i, j)))
+                matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, trace_of(("notimplies", i, j)))
             else:
                 matrix[(a, b)] = Judgment(Verdict.UNKNOWN)
 
-    lower = {p: tuple(sorted(low[i], key=expr_sort_key)) for i, p in enumerate(props)}
-    upper = {p: tuple(sorted(up[i], key=expr_sort_key)) for i, p in enumerate(props)}
+    lower = {p: tuple(exprs[k] for k in sorted(low[i])) for i, p in enumerate(props)}
+    upper = {p: tuple(exprs[k] for k in sorted(up[i])) for i, p in enumerate(props)}
     exacts: dict[Property, tuple] = {p: () for p in props}
     exact_traces: dict[tuple[Property, CardinalExpr], ProofTrace] = {}
-    for (i, e) in sorted(exact, key=lambda t: (t[0], expr_sort_key(t[1]))):
-        exacts[props[i]] = exacts[props[i]] + (e,)
-        exact_traces[(props[i], e)] = trace_of(("ex", i, e))
+    for (i, k) in sorted(exact):
+        exacts[props[i]] = exacts[props[i]] + (exprs[k],)
+        exact_traces[(props[i], exprs[k])] = trace_of(("exact", i, k))
     return ClosureResult(props, matrix, lower, upper, exacts, exact_traces, iterations)
-
-
-def _check_intervals(props, low, up, registry: ModelRegistry) -> None:
-    # soundness guard: every lower bound must sit at or below every upper
-    # bound in every model that can evaluate both
-    for i, p in enumerate(props):
-        for l in low[i]:
-            for u in up[i]:
-                for m in registry:
-                    try:
-                        lv, uv = eval_expr(l, m), eval_expr(u, m)
-                    except UnknownAtom:
-                        continue
-                    if lv > uv:
-                        raise TaukbError(
-                            f"interval for {p.name} is inconsistent in model {m.name}: "
-                            f"{render_expr(l)} > {render_expr(u)}")
 
 
 # ---------------------------------------------------------------------------
@@ -505,20 +490,6 @@ def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
         concluded.append(step.conclusion)
 
 
-def _claim_matches_fact(c: Claim, f: Fact) -> bool:
-    if isinstance(f, Arrow):
-        return c.kind == "implies" and c.subject == f.src and c.object == f.dst
-    if isinstance(f, NonImp):
-        return c.kind == "notimplies" and c.subject == f.src and c.object == f.dst
-    if isinstance(f, NonValue):
-        return c.kind in ("lower", "upper") and c.subject == f.prop and c.expr == normalize_expr(f.expr)
-    if isinstance(f, NonLower):
-        return c.kind == "lower" and c.subject == f.prop and c.expr == normalize_expr(f.expr)
-    if isinstance(f, NonUpper):
-        return c.kind == "upper" and c.subject == f.prop and c.expr == normalize_expr(f.expr)
-    return False
-
-
 def _check_step(step: RuleInstance, premises: list[Claim], kb: KnowledgeBase) -> None:
     c = step.conclusion
     rule = step.rule
@@ -532,7 +503,7 @@ def _check_step(step: RuleInstance, premises: list[Claim], kb: KnowledgeBase) ->
     if len(premises) != arity:
         fail(f"needs {arity} premises, got {len(premises)}")
     if rule == "fact":
-        if not any(_claim_matches_fact(c, f) for f in kb.facts):
+        if c not in kb._claims:
             fail("no matching base fact in the knowledge base")
     elif rule == "R1":
         if not (c.kind == "implies" and c.subject == c.object):

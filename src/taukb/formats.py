@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .core import (
     BadShape,
@@ -336,17 +337,23 @@ def render_facts(ff: FactFile) -> str:
     return "\n".join(render_decl(d) for d in ff.decls) + "\n"
 
 
+def read_text(path) -> str:
+    """A UTF-8 input file's text; a file that does not decode is a TaukbError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise TaukbError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
 def load_facts(path) -> FactFile:
     """Read a fact file from disk, resolving include declarations."""
-    from pathlib import Path
-
     path = Path(path)
     return _load_facts(path, (path.resolve(),))
 
 
 def _load_facts(path, chain: tuple) -> FactFile:
     # chain: the resolved paths of the files being read, to refuse include cycles
-    ff = parse_facts(path.read_text(encoding="utf-8"))
+    ff = parse_facts(read_text(path))
     decls: list[Decl] = []
     for d in ff.decls:
         if not isinstance(d, IncludeDecl):

@@ -133,6 +133,9 @@ def _mask(columns) -> int:
 
 def _row_masks(members, rows: int, col_bound: int) -> list[tuple[int, ...]]:
     """Each member as one int per row: bit m is set iff entry (n, m) is 1, m < col_bound."""
+    counts = {a.row_count for a in members}
+    if counts - {rows}:
+        raise BadShape(f"members disagree on row count: {sorted(counts)}")
     return [tuple(_mask(m for m in range(col_bound) if a.entry(n, m)) for n in range(rows))
             for a in members]
 

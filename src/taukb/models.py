@@ -25,7 +25,6 @@ from .core import (
     Min,
     TaukbError,
     atom,
-    normalize_expr,
     parse_expr,
     render_expr,
 )
@@ -90,15 +89,6 @@ def eval_expr(e: CardinalExpr, model: Model) -> int:
     return min(vals) if isinstance(e, Min) else max(vals)
 
 
-def _mentioned_atoms(e: CardinalExpr) -> set[CardinalAtom]:
-    if isinstance(e, Atom):
-        return {e.atom}
-    out: set[CardinalAtom] = set()
-    for c in e.args:
-        out |= _mentioned_atoms(c)
-    return out
-
-
 def constraint_list() -> list[ZfcConstraint]:
     """The shipped ZFC inequality list used to vet every registered model."""
     def c(lhs: str, rhs: str, cite: str) -> ZfcConstraint:
@@ -113,6 +103,7 @@ def constraint_list() -> list[ZfcConstraint]:
         c("cov(M)", "od", "o-diagonalization number bounds"),
         c("od", "d", "o-diagonalization number bounds"),
         c("g", "d", "Handbook of Set Theory survey"),
+        c("s", "d", "Blass, Handbook of Set Theory, 2010"),
         # t <= add(M) <= cov(M); guards the registry against models that would
         # wrongly settle open table cells comparing t with cov(M).
         c("t", "cov(M)", "Piotrowski-Szymanski, via add(M)"),
@@ -146,10 +137,10 @@ def validate_model(model: Model, constraints: list[ZfcConstraint] | None = None)
         out.append(Violation(model.name, "c must sit at the maximum level",
                              model.level(CardinalAtom.C), top))
     for con in constraints:
-        needed = _mentioned_atoms(con.lhs) | _mentioned_atoms(con.rhs)
-        if not all(model.has(a) for a in needed):
+        try:
+            lv, rv = eval_expr(con.lhs, model), eval_expr(con.rhs, model)
+        except UnknownAtom:
             continue
-        lv, rv = eval_expr(con.lhs, model), eval_expr(con.rhs, model)
         if lv > rv:
             out.append(Violation(model.name, f"violates {con.render()} ({con.citation})", lv, rv))
     return out
@@ -161,19 +152,18 @@ class ModelRegistry:
     def __init__(self, models: list[Model], constraints: list[ZfcConstraint] | None = None):
         self.models = tuple(models)
         self.constraints = tuple(constraints if constraints is not None else DEFAULT_CONSTRAINTS)
-        names = [m.name for m in self.models]
-        if len(set(names)) != len(names):
-            raise TaukbError(f"duplicate model names in registry: {names}")
-        self._less_cache: dict[tuple[CardinalExpr, CardinalExpr], str | None] = {}
+        self._by_name = {m.name: m for m in self.models}
+        if len(self._by_name) != len(self.models):
+            raise TaukbError(f"duplicate model names in registry: {[m.name for m in self.models]}")
 
     def __iter__(self):
         return iter(self.models)
 
     def get(self, name: str) -> Model:
-        for m in self.models:
-            if m.name == name:
-                return m
-        raise TaukbError(f"no registered model named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise TaukbError(f"no registered model named {name!r}") from None
 
     def validate(self) -> dict[str, list[Violation]]:
         return {m.name: validate_model(m, list(self.constraints)) for m in self.models}
@@ -183,21 +173,13 @@ class ModelRegistry:
 
         Models missing an atom of x or y are unusable for the query.
         """
-        x = normalize_expr(x)
-        y = normalize_expr(y)
-        key = (x, y)
-        if key in self._less_cache:
-            return self._less_cache[key]
-        found = None
         for m in self.models:
             try:
                 if eval_expr(x, m) < eval_expr(y, m):
-                    found = m.name
-                    break
+                    return m.name
             except UnknownAtom:
                 continue
-        self._less_cache[key] = found
-        return found
+        return None
 
 
 # ---------------------------------------------------------------------------

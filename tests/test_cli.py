@@ -141,3 +141,32 @@ def test_bad_fact_input_exits_2(runner, tmp_path, extra):
     result = invoke(runner, "--facts", str(tmp_path / "self.txt"), "table")
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
+
+
+_BAD_INPUTS = {
+    "table.txt": b"x\n",
+    "few_serials.txt": b'property 0 "S1(Gamma,Gamma)" non=b\nproperty 1 "S1(Gamma,T)" non=b\narrow 0 1\n',
+    "not_utf8.txt": b"\xff\xfe",
+    "ragged.fam": b"01/1\n10/1\n\n1/1\n",
+}
+
+
+@pytest.mark.parametrize("args", [
+    ["diff", "table.txt"],
+    ["--facts", "few_serials.txt", "table"],
+    ["--facts", "not_utf8.txt", "table"],
+    ["--models", "not_utf8.txt", "table"],
+    ["diag", "not_utf8.txt"],
+    ["odiag", "not_utf8.txt"],
+    ["diff", "not_utf8.txt"],
+    ["odiag", "ragged.fam"],
+], ids=" ".join)
+def test_bad_input_file_exits_2_without_traceback(tmp_path, monkeypatch, args):
+    for name, data in _BAD_INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.output

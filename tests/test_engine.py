@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,9 @@ from taukb.core import (
     Atom,
     CardinalAtom,
     NonImp,
+    NonLower,
+    NonUpper,
+    NonValue,
     ProofTrace,
     RuleInstance,
     Verdict,
@@ -256,3 +260,49 @@ def _tampered_trace(closure, case):
 def test_replay_refuses_tampered_step(default_kb, closure, case):
     with pytest.raises(engine.ReplayError):
         engine.replay_trace(_tampered_trace(closure, case), default_kb)
+
+
+def test_interval_guard_message_is_independent_of_hash_seed():
+    # two lower and two upper bounds that cross: the guard names the first
+    # (upper, lower) pair in rendered order and the first model separating it
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "from taukb import engine, formats\n"
+        "extra = formats.parse_facts('variant S1 O O borel\\ncard S1:O:O:borel ge d\\n"
+        "card S1:O:O:borel ge c\\ncard S1:O:O:borel le p\\ncard S1:O:O:borel le t\\n').decls\n"
+        "ff = formats.load_default_facts().with_decls(list(extra))\n"
+        "kb = engine.build_knowledge_base(ff, engine.load_default_registry())\n"
+        "try:\n"
+        "    engine.close(kb)\n"
+        "except engine.TaukbError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(engine.__file__).parents[1])
+    messages = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        messages.append(out.stdout)
+    assert messages[0] == messages[1] == (
+        "interval for S1(O,O)[borel] is inconsistent in model cohen: c > p\n")
+
+
+@pytest.mark.parametrize("make_fact", [
+    lambda p, q: Arrow(p, q, "test"),
+    lambda p, q: NonImp(q, p, "ch", "test"),
+    lambda p, q: NonValue(p, atom("b"), "test"),
+    lambda p, q: NonLower(p, atom("b"), "test"),
+    lambda p, q: NonUpper(p, atom("b"), "test"),
+], ids=["Arrow", "NonImp", "NonValue", "NonLower", "NonUpper"])
+def test_fact_on_unregistered_property_is_refused(default_kb, make_fact):
+    from taukb.core import CoverVariant, Property, UnknownProperty
+
+    ghost = Property(serial(0).kind, serial(0).source, serial(0).target, CoverVariant.CLOPEN)
+    kb = engine.KnowledgeBase(default_kb.properties, (make_fact(ghost, serial(0)),), default_kb.registry)
+    with pytest.raises(UnknownProperty):
+        close(kb)

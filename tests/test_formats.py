@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from taukb.core import CoverKind, CoverVariant, SelectorKind, Verdict, parse_expr
+from taukb.core import CoverKind, CoverVariant, SelectorKind, TaukbError, Verdict, parse_expr
 from taukb.formats import (
     ArrowDecl,
     BadShape,
@@ -26,6 +26,8 @@ from taukb.formats import (
     render_facts,
     render_table,
 )
+from taukb.gamma import parse_family_file
+from taukb.models import parse_models
 
 # --- fact DSL -----------------------------------------------------------------
 
@@ -232,3 +234,22 @@ def test_load_facts_refuses_include_cycle(tmp_path):
     (tmp_path / "b.txt").write_text("include ../" + tmp_path.name + "/a.txt\n", encoding="utf-8")
     with pytest.raises(FactParseError, match="cycle"):
         load_facts(tmp_path / "a.txt")
+
+
+# --- fuzz: every parser returns or raises a TaukbError -----------------------
+
+_WORDS = ["property", "variant", "arrow", "nonimp", "card", "include", "model", "level",
+          "cite=", 'cite="x"', "model=ch", "non=", "eq", "ge", "le", "frames", "0", "21", "22",
+          "S1:O:O:borel", '"S1(Gamma,Gamma)"', "min{s,b}", "max{", "covM", "aleph1", "+", "-",
+          "?", "+" * 22, "01/1", "1/0", "/", "#", '"', "\n", " ", "\t", "\u00a0", "\u0661"]
+_texts = st.one_of(st.text(), st.lists(st.sampled_from(_WORDS), max_size=30).map(" ".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts)
+def test_parsers_return_or_raise_taukb_error(text):
+    for parse in (parse_facts, parse_models, parse_family_file, parse_table):
+        try:
+            parse(text)
+        except TaukbError:
+            pass

@@ -238,3 +238,14 @@ def test_family_file_reports_all_bad_lines():
         parse_family_file("01/1\nbogus\n\n2/1\n")
     lines = [l for l, _ in exc.value.errors]
     assert lines == [2, 4]
+
+
+@pytest.mark.parametrize("members", [
+    [array([("01", 1), ("10", 1)]), array([("1", 1)])],
+    [array([("1", 1)]), array([("01", 1), ("10", 1)])],
+])
+def test_ragged_members_are_refused(members):
+    with pytest.raises(BadShape):
+        o_diagonalizable(members, 3)
+    with pytest.raises(BadShape):
+        verify_diagonalizer(members, Diagonalizer((0,) * members[0].row_count), 3)

@@ -125,3 +125,9 @@ def test_parse_models_aggregates_errors():
         parse_models(bad)
     lines = [l for l, _, _ in exc.value.errors]
     assert 1 in lines and 2 in lines
+
+
+def test_validate_flags_s_above_d():
+    m = make_model("bad", {CardinalAtom.ALEPH1: 1, CardinalAtom.D: 1, CardinalAtom.S: 2,
+                           CardinalAtom.C: 2}, "test")
+    assert any("s <= d" in v.description for v in validate_model(m))
