@@ -2,8 +2,9 @@
 
 The expected bytes live in tests/golden/.  cli.txt holds, for each command
 below in both output formats, the exit code, stdout and (when non-empty)
-stderr.  traces.txt holds engine.explain for every settled cell of the
-default closure and the rendering of every exact-value trace.
+stderr; the commands include --help of the group and of every subcommand.
+traces.txt holds engine.explain for every settled cell of the default
+closure and the rendering of every exact-value trace.
 
 After an intended behaviour change, regenerate both files with
 
@@ -63,6 +64,8 @@ COMMANDS = [
     ["odiag", "odiag_early.fam", "--col-bound", "3"],
     ["odiag", "odiag_late.fam", "--col-bound", "3"],
     ["odiag", "odiag_none.fam", "--col-bound", "3"],
+    ["--help"],
+    *[[cmd, "--help"] for cmd in ("table", "query", "explain", "card", "diff", "problems", "diag", "odiag")],
 ]
 
 
@@ -83,7 +86,7 @@ def cli_transcript(workdir: Path) -> str:
     for fmt in ("table", "jsonl"):
         for args in COMMANDS:
             argv = ["--format", fmt] + [str(workdir / a) if (workdir / a).is_file() else a for a in args]
-            result = runner.invoke(main, argv)
+            result = runner.invoke(main, argv, prog_name="taukb")
             out.append(f"### taukb {' '.join(['--format', fmt] + args)} -> exit {result.exit_code}\n")
             out.append(result.stdout)
             if result.stderr:
