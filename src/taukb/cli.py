@@ -50,8 +50,7 @@ def _close(ctx) -> engine.ClosureResult:
     return engine.close(_load(ctx))
 
 
-def _serial(ctx, n: int):
-    result = ctx.obj["result"]
+def _serial(result: engine.ClosureResult, n: int):
     for p in result.properties:
         if p.serial == n:
             return p
@@ -85,9 +84,7 @@ def _emit(ctx, payload_text: str, payload_json: list[dict]):
 @click.pass_context
 def table(ctx):
     """Print the closed 22x22 judgment table."""
-    ctx.obj["result"] = _close(ctx)
-    grid = ctx.obj["result"].serial_grid()
-    text = formats.render_table(grid)
+    text = formats.render_table(_close(ctx).serial_grid())
     rows = [{"serial": i, "row": line} for i, line in enumerate(text.strip().splitlines())]
     _emit(ctx, text, rows)
 
@@ -98,8 +95,8 @@ def table(ctx):
 @click.pass_context
 def query(ctx, i, j):
     """Judgment for: does property I imply property J?"""
-    ctx.obj["result"] = _close(ctx)
-    judgment = engine.query(ctx.obj["result"], _serial(ctx, i), _serial(ctx, j))
+    result = _close(ctx)
+    judgment = engine.query(result, _serial(result, i), _serial(result, j))
     _emit(ctx, f"{judgment.verdict}\n", [{"row": i, "col": j, "verdict": str(judgment.verdict)}])
 
 
@@ -109,8 +106,8 @@ def query(ctx, i, j):
 @click.pass_context
 def explain(ctx, i, j):
     """Proof trace for the (I, J) cell."""
-    ctx.obj["result"] = _close(ctx)
-    text = engine.explain(ctx.obj["result"], _serial(ctx, i), _serial(ctx, j))
+    result = _close(ctx)
+    text = engine.explain(result, _serial(result, i), _serial(result, j))
     steps = [{"step": k, "line": line} for k, line in enumerate(text.splitlines())]
     _emit(ctx, text + "\n", steps)
 
@@ -120,9 +117,9 @@ def explain(ctx, i, j):
 @click.pass_context
 def card(ctx, i):
     """Critical cardinality of property I: exact value or derived bounds."""
-    ctx.obj["result"] = _close(ctx)
-    prop = _serial(ctx, i)
-    report = engine.derive_cardinality(ctx.obj["result"], prop)
+    result = _close(ctx)
+    prop = _serial(result, i)
+    report = engine.derive_cardinality(result, prop)
     named_unknown = Atom(CardinalAtom.OD)
     if report.exact is not None and (prop.non is not None or report.exact != named_unknown):
         text = f"non({prop.name}) = {render_expr(report.exact)}\n"
@@ -143,8 +140,7 @@ def card(ctx, i):
 @click.pass_context
 def diff(ctx, path):
     """Diff the computed table against the embedded reference (or PATH)."""
-    ctx.obj["result"] = _close(ctx)
-    grid = ctx.obj["result"].serial_grid()
+    grid = _close(ctx).serial_grid()
     if path:
         ref_grid, _ = formats.parse_table(formats.read_text(path))
     else:

@@ -8,7 +8,7 @@ critical cardinality label; Borel and clopen variants exist unnumbered so
 that variant sandwich arguments can be expressed.
 
 Cardinal expressions are terms over a fixed set of cardinal characteristic
-atoms, closed under min and max.  Facts, judgments, and proof traces are the
+atoms, closed under min and max.  Claims, judgments, and proof traces are the
 currency of the inference engine; they are all immutable.
 """
 
@@ -38,7 +38,7 @@ class UnknownProperty(TaukbError):
 class BadShape(TaukbError):
     """Data does not have the expected shape: a table that is not 22x22, a
     selector or diagonalizer that does not fit its family, a family whose
-    members disagree."""
+    members disagree, a negative search bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -269,59 +269,6 @@ def property_by_serial(n: int) -> Property:
 
 
 # ---------------------------------------------------------------------------
-# Facts
-
-
-@dataclass(frozen=True)
-class Arrow:
-    """A provable implication src -> dst."""
-
-    src: Property
-    dst: Property
-    source: str
-
-
-@dataclass(frozen=True)
-class NonImp:
-    """A consistent non-implication src -/-> dst, witnessed or cited."""
-
-    src: Property
-    dst: Property
-    witness: str  # model name or citation text
-    source: str
-
-
-@dataclass(frozen=True)
-class NonValue:
-    """non(prop) equals expr exactly."""
-
-    prop: Property
-    expr: CardinalExpr
-    source: str
-
-
-@dataclass(frozen=True)
-class NonLower:
-    """expr is a lower bound of non(prop)."""
-
-    prop: Property
-    expr: CardinalExpr
-    source: str
-
-
-@dataclass(frozen=True)
-class NonUpper:
-    """expr is an upper bound of non(prop)."""
-
-    prop: Property
-    expr: CardinalExpr
-    source: str
-
-
-Fact = Arrow | NonImp | NonValue | NonLower | NonUpper
-
-
-# ---------------------------------------------------------------------------
 # Judgments and proof traces
 
 
@@ -337,7 +284,8 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True)
 class Claim:
     """A single engine statement: an implication edge, a non-implication,
-    or a cardinality bound non(subject) >=/<=/= expr."""
+    or a cardinality bound non(subject) >=/<=/= expr.  Base facts and
+    derived statements are both claims."""
 
     kind: str  # implies | notimplies | lower | upper | exact
     subject: Property

@@ -26,15 +26,9 @@ from functools import cached_property
 
 from . import formats
 from .core import (
-    Arrow,
     CardinalExpr,
     Claim,
-    Fact,
     Judgment,
-    NonImp,
-    NonLower,
-    NonUpper,
-    NonValue,
     ProofTrace,
     Property,
     RuleInstance,
@@ -74,19 +68,22 @@ class ReplayError(TaukbError):
 @dataclass(frozen=True)
 class KnowledgeBase:
     properties: tuple[Property, ...]
-    facts: tuple[Fact, ...]
+    facts: tuple[tuple[Claim, str], ...]  # (claim, citation) per base fact
     registry: ModelRegistry
 
     @cached_property
     def _claims(self) -> frozenset[Claim]:
         # what the base facts assert; replay checks fact steps against it
-        return frozenset(c for f in self.facts for c, _ in _asserts(f))
+        return frozenset(c for c, _ in self.facts)
 
 
 def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -> KnowledgeBase:
     """Resolve a parsed fact file against a registry into a validated KB.
 
-    Include declarations must already be resolved, as load_facts does.
+    Each fact line becomes the claims it asserts, each with the citation its
+    trace step carries: an arrow gives implies, a nonimp gives notimplies,
+    and a card line gives lower (ge), upper (le) or both (eq).  Include
+    declarations must already be resolved, as load_facts does.
     """
     props: dict[Property, Property] = {}
     by_serial: dict[int, Property] = {}
@@ -121,7 +118,7 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
             errors.append(f"line {line}: property {ref.render()} is not declared")
         return p
 
-    facts: list[Fact] = []
+    facts: list[tuple[Claim, str]] = []
     for d in fact_file.decls:
         if isinstance(d, formats.ArrowDecl):
             src, dst = resolve(d.src, d.line), resolve(d.dst, d.line)
@@ -130,7 +127,7 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
             if src == dst:
                 errors.append(f"line {d.line}: arrow endpoints must be distinct")
                 continue
-            facts.append(Arrow(src, dst, d.cite or f"facts:{d.line}"))
+            facts.append((Claim("implies", src, dst), d.cite or f"facts:{d.line}"))
         elif isinstance(d, formats.NonImpDecl):
             src, dst = resolve(d.src, d.line), resolve(d.dst, d.line)
             if src is None or dst is None:
@@ -139,19 +136,14 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
                 errors.append(f"line {d.line}: model {d.model} is not registered")
                 continue
             witness = d.model if d.model is not None else d.cite
-            facts.append(NonImp(src, dst, witness, d.cite or f"model {d.model}"))
+            facts.append((Claim("notimplies", src, dst), f"{d.cite or f'model {d.model}'} [{witness}]"))
         elif isinstance(d, formats.CardDecl):
             p = resolve(d.ref, d.line)
             if p is None:
                 continue
-            source = d.cite or f"facts:{d.line}"
             expr = normalize_expr(d.expr)
-            if d.rel == "eq":
-                facts.append(NonValue(p, expr, source))
-            elif d.rel == "ge":
-                facts.append(NonLower(p, expr, source))
-            else:
-                facts.append(NonUpper(p, expr, source))
+            kinds = {"eq": ("lower", "upper"), "ge": ("lower",), "le": ("upper",)}[d.rel]
+            facts += [(Claim(k, p, expr=expr), d.cite or f"facts:{d.line}") for k in kinds]
     if errors:
         raise TaukbError("fact file does not resolve: " + "; ".join(errors))
     ordered = tuple(sorted(props.values(), key=lambda p: p.key))
@@ -174,17 +166,6 @@ def load_default_kb() -> KnowledgeBase:
 
 _RULE_RANK = {"fact": 0, "R1": 1, "R2": 2, "R3a": 3, "R3b": 4, "R4": 5, "R5": 6, "R6": 7}
 _EDGE_KINDS = ("implies", "notimplies")
-
-
-def _asserts(f: Fact) -> list[tuple[Claim, str]]:
-    """The claims a base fact asserts, each with the citation its trace step carries."""
-    if isinstance(f, Arrow):
-        return [(Claim("implies", f.src, f.dst), f.source)]
-    if isinstance(f, NonImp):
-        return [(Claim("notimplies", f.src, f.dst), f"{f.source} [{f.witness}]")]
-    kinds = {NonValue: ("lower", "upper"), NonLower: ("lower",), NonUpper: ("upper",)}[type(f)]
-    e = normalize_expr(f.expr)
-    return [(Claim(k, f.prop, expr=e), f.source) for k in kinds]
 
 
 @dataclass(frozen=True)
@@ -228,28 +209,21 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     Raises Contradiction if any ordered pair derives both verdicts; no
     partial result is produced in that case.
     """
-    registry = kb.registry
-    bad = {k: v for k, v in registry.validate().items() if v}
-    if bad:
-        raise TaukbError(f"registry failed validation: {sorted(bad)}")
-
-    def fact_key(f: Fact) -> tuple:
-        order = {Arrow: 0, NonImp: 1, NonValue: 2, NonLower: 3, NonUpper: 4}
-        if isinstance(f, (Arrow, NonImp)):
-            return (order[type(f)], f.src.key, f.dst.key, "", f.source)
-        return (order[type(f)], f.prop.key, (), render_expr(f.expr), f.source)
-
-    base = [a for f in sorted(kb.facts, key=fact_key) for a in _asserts(f)]
+    # a claim stated by several facts carries the least of their citations,
+    # whatever the order of the facts
+    base: dict[Claim, str] = {}
+    for c, cite in kb.facts:
+        base[c] = min(cite, base.get(c, cite))
     props = kb.properties
     n = len(props)
     index = {p: i for i, p in enumerate(props)}
     # the closure moves and marks only the expressions the base facts name
-    exprs = sorted({c.expr for c, _ in base if c.expr is not None}, key=render_expr)
+    exprs = sorted({c.expr for c in base if c.expr is not None}, key=render_expr)
     eindex = {e: k for k, e in enumerate(exprs)}
     # (u, l) -> first registered model with u < l: R4's premise and the
     # interval guard's refutation
     less = {(u, l): w for u, x in enumerate(exprs) for l, y in enumerate(exprs)
-            if (w := registry.consistently_less(x, y)) is not None}
+            if (w := kb.registry.consistently_less(x, y)) is not None}
 
     prov: dict[tuple, tuple] = {}  # stmt -> (rule, premises, note)
     imp: set[tuple[int, int]] = set()
@@ -270,14 +244,13 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             exact.add((i, x))
         prov[stmt] = (rule, premises, note)
 
-    for c, cite in base:
+    for c, cite in base.items():
         try:
             x = index[c.object] if c.kind in _EDGE_KINDS else eindex[c.expr]
             stmt = (c.kind, index[c.subject], x)
         except KeyError:
             raise UnknownProperty(f"fact names an unregistered property: {c.render()}") from None
-        if stmt not in prov:
-            install(stmt, "fact", (), cite)
+        install(stmt, "fact", (), cite)
 
     def claim_of(stmt: tuple) -> Claim:
         kind, i, x = stmt

@@ -202,6 +202,9 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
                                 budget: int = DEFAULT_BUDGET):
     """First selector (by size-then-lex order per row) passing verify_selector,
     or None when the exhaustive search is empty-handed."""
+    if col_bound < 0 or size_bound < 0:
+        raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}, "
+                       f"size_bound={size_bound}")
     members = _members(fam)
     rows = members[0].row_count if members else 0
     per_row = sum(comb(col_bound, i) for i in range(min(size_bound, col_bound) + 1))
@@ -224,6 +227,8 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
     to wider families whose exact closure properties are not pinned down
     here, so no gamma check is imposed on the input.
     """
+    if col_bound < 0:
+        raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}")
     members = _members(fam)
     rows = members[0].row_count if members else 0
     if col_bound ** rows > budget:

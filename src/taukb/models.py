@@ -119,15 +119,14 @@ def constraint_list() -> list[ZfcConstraint]:
 DEFAULT_CONSTRAINTS = constraint_list()
 
 
-def validate_model(model: Model, constraints: list[ZfcConstraint] | None = None) -> list[Violation]:
-    """All constraint violations; empty means the model is acceptable.
+def validate_model(model: Model) -> list[Violation]:
+    """All violations of the shipped constraint list; empty means the model
+    is acceptable.
 
     Constraints touching an unassigned atom are skipped.  Two structural
     checks apply on top of the constraint list: aleph1 sits at level 1 and c
     at the model's maximum level.
     """
-    if constraints is None:
-        constraints = DEFAULT_CONSTRAINTS
     out: list[Violation] = []
     if model.has(CardinalAtom.ALEPH1) and model.level(CardinalAtom.ALEPH1) != 1:
         out.append(Violation(model.name, "aleph1 must sit at level 1",
@@ -136,7 +135,7 @@ def validate_model(model: Model, constraints: list[ZfcConstraint] | None = None)
     if model.has(CardinalAtom.C) and model.level(CardinalAtom.C) != top:
         out.append(Violation(model.name, "c must sit at the maximum level",
                              model.level(CardinalAtom.C), top))
-    for con in constraints:
+    for con in DEFAULT_CONSTRAINTS:
         try:
             lv, rv = eval_expr(con.lhs, model), eval_expr(con.rhs, model)
         except UnknownAtom:
@@ -147,14 +146,21 @@ def validate_model(model: Model, constraints: list[ZfcConstraint] | None = None)
 
 
 class ModelRegistry:
-    """Ordered collection of validated models; immutable once built."""
+    """Ordered collection of validated models; immutable once built.
 
-    def __init__(self, models: list[Model], constraints: list[ZfcConstraint] | None = None):
+    Building one refuses duplicate model names and any model that violates
+    the shipped constraint list, so every registry in use is valid.
+    """
+
+    def __init__(self, models: list[Model]):
         self.models = tuple(models)
-        self.constraints = tuple(constraints if constraints is not None else DEFAULT_CONSTRAINTS)
         self._by_name = {m.name: m for m in self.models}
         if len(self._by_name) != len(self.models):
             raise TaukbError(f"duplicate model names in registry: {[m.name for m in self.models]}")
+        bad = {k: v for k, v in self.validate().items() if v}
+        if bad:
+            msgs = "; ".join(f"{k}: {v[0].description}" for k, v in bad.items())
+            raise TaukbError(f"registry failed validation: {msgs}")
 
     def __iter__(self):
         return iter(self.models)
@@ -166,7 +172,7 @@ class ModelRegistry:
             raise TaukbError(f"no registered model named {name!r}") from None
 
     def validate(self) -> dict[str, list[Violation]]:
-        return {m.name: validate_model(m, list(self.constraints)) for m in self.models}
+        return {m.name: validate_model(m) for m in self.models}
 
     def consistently_less(self, x: CardinalExpr, y: CardinalExpr) -> str | None:
         """Name of the first registered model with eval(x) < eval(y), if any.
@@ -263,15 +269,8 @@ def render_models(models: list[Model]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def load_registry(text: str, constraints: list[ZfcConstraint] | None = None,
-                  require_valid: bool = True) -> ModelRegistry:
-    registry = ModelRegistry(parse_models(text), constraints)
-    if require_valid:
-        bad = {k: v for k, v in registry.validate().items() if v}
-        if bad:
-            msgs = "; ".join(f"{k}: {v[0].description}" for k, v in bad.items())
-            raise TaukbError(f"registry failed validation: {msgs}")
-    return registry
+def load_registry(text: str) -> ModelRegistry:
+    return ModelRegistry(parse_models(text))
 
 
 def load_default_registry() -> ModelRegistry:

@@ -148,6 +148,9 @@ _BAD_INPUTS = {
     "few_serials.txt": b'property 0 "S1(Gamma,Gamma)" non=b\nproperty 1 "S1(Gamma,T)" non=b\narrow 0 1\n',
     "not_utf8.txt": b"\xff\xfe",
     "ragged.fam": b"01/1\n10/1\n\n1/1\n",
+    "gamma.fam": b"01/1\n10/1\n\n11/1\n10/1\n",
+    "p_above_t.models": b'model bad cite "x"\nlevel p 2\nlevel t 1\n',
+    "duplicate.models": b'model m cite "x"\nlevel p 1\n\nmodel m cite "y"\nlevel p 1\n',
 }
 
 
@@ -160,6 +163,11 @@ _BAD_INPUTS = {
     ["odiag", "not_utf8.txt"],
     ["diff", "not_utf8.txt"],
     ["odiag", "ragged.fam"],
+    ["--models", "p_above_t.models", "table"],
+    ["--models", "duplicate.models", "table"],
+    ["diag", "gamma.fam", "--col-bound", "-1"],
+    ["diag", "gamma.fam", "--size-bound", "-1"],
+    ["odiag", "gamma.fam", "--col-bound", "-1"],
 ], ids=" ".join)
 def test_bad_input_file_exits_2_without_traceback(tmp_path, monkeypatch, args):
     for name, data in _BAD_INPUTS.items():

@@ -6,13 +6,9 @@ import pytest
 
 from taukb import engine, formats
 from taukb.core import (
-    Arrow,
     Atom,
     CardinalAtom,
-    NonImp,
-    NonLower,
-    NonUpper,
-    NonValue,
+    Claim,
     ProofTrace,
     RuleInstance,
     Verdict,
@@ -131,9 +127,9 @@ def test_closure_stable_under_self_augmentation(default_kb, closure):
         if a == b:
             continue
         if judgment.verdict is Verdict.IMPLIES:
-            extra.append(Arrow(a, b, "derived"))
+            extra.append((Claim("implies", a, b), "derived"))
         elif judgment.verdict is Verdict.NOT_IMPLIES:
-            extra.append(NonImp(a, b, "derived", "derived"))
+            extra.append((Claim("notimplies", a, b), "derived [derived]"))
     augmented = engine.KnowledgeBase(default_kb.properties,
                                      default_kb.facts + tuple(extra),
                                      default_kb.registry)
@@ -292,17 +288,31 @@ def test_interval_guard_message_is_independent_of_hash_seed():
         "interval for S1(O,O)[borel] is inconsistent in model cohen: c > p\n")
 
 
-@pytest.mark.parametrize("make_fact", [
-    lambda p, q: Arrow(p, q, "test"),
-    lambda p, q: NonImp(q, p, "ch", "test"),
-    lambda p, q: NonValue(p, atom("b"), "test"),
-    lambda p, q: NonLower(p, atom("b"), "test"),
-    lambda p, q: NonUpper(p, atom("b"), "test"),
+# each case is the claims one fact line asserts: arrow, nonimp, card eq, ge, le
+@pytest.mark.parametrize("make_facts", [
+    lambda p, q: [(Claim("implies", p, q), "test")],
+    lambda p, q: [(Claim("notimplies", q, p), "test [ch]")],
+    lambda p, q: [(Claim(k, p, expr=atom("b")), "test") for k in ("lower", "upper")],
+    lambda p, q: [(Claim("lower", p, expr=atom("b")), "test")],
+    lambda p, q: [(Claim("upper", p, expr=atom("b")), "test")],
 ], ids=["Arrow", "NonImp", "NonValue", "NonLower", "NonUpper"])
-def test_fact_on_unregistered_property_is_refused(default_kb, make_fact):
+def test_fact_on_unregistered_property_is_refused(default_kb, make_facts):
     from taukb.core import CoverVariant, Property, UnknownProperty
 
     ghost = Property(serial(0).kind, serial(0).source, serial(0).target, CoverVariant.CLOPEN)
-    kb = engine.KnowledgeBase(default_kb.properties, (make_fact(ghost, serial(0)),), default_kb.registry)
+    kb = engine.KnowledgeBase(default_kb.properties, tuple(make_facts(ghost, serial(0))),
+                              default_kb.registry)
     with pytest.raises(UnknownProperty):
         close(kb)
+
+
+def test_explain_is_independent_of_duplicate_fact_order(default_kb):
+    # two nonimp lines for one pair share a citation but name different
+    # models; the cell's trace must not depend on which line comes first
+    lines = ['nonimp 18 8 model=cohen cite="a"', 'nonimp 18 8 model=laver cite="a"']
+    texts = []
+    for order in (lines, lines[::-1]):
+        ff = formats.load_default_facts().with_decls(list(parse_facts("\n".join(order) + "\n").decls))
+        result = close(build_knowledge_base(ff, default_kb.registry))
+        texts.append(explain(result, serial(18), serial(8)))
+    assert texts[0] == texts[1] == "S0 fact [a [cohen]]: Ufin(Gamma,Gamma) -/-> S1(Omega,Gamma)"
