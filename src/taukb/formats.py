@@ -17,6 +17,9 @@ Fact DSL grammar, one declaration per line:
     expr := atom | min{expr,expr,...} | max{expr,expr,...}
     ref  := serial integer | <kind>:<from>:<to>:<variant>
 
+The cite=, model= and non= options come last on a line, each at most once,
+in any order.  A '#' starts a comment only outside a double-quoted string.
+
 Parse errors are aggregated: every malformed line is reported with line and
 column, not just the first.
 """
@@ -85,10 +88,6 @@ class PropertyDecl:
     non: CardinalExpr | None
     line: int = field(default=0, compare=False)
 
-    @property
-    def name(self) -> str:
-        return f"{self.kind.label}({self.source.label},{self.target.label})"
-
     def to_property(self) -> Property:
         return Property(self.kind, self.source, self.target, serial=self.serial, non=self.non)
 
@@ -150,60 +149,80 @@ class FactFile:
         return FactFile(self.decls + tuple(extra))
 
 
-_KINDS = {"S1": SelectorKind.S1, "Sfin": SelectorKind.SFIN, "Ufin": SelectorKind.UFIN}
-_COVERS = {
-    "Gamma": CoverKind.GAMMA,
-    "T": CoverKind.TAU,
-    "Tau": CoverKind.TAU,
-    "Omega": CoverKind.OMEGA,
-    "O": CoverKind.O,
-}
-_VARIANTS = {"borel": CoverVariant.BOREL, "open": CoverVariant.OPEN, "clopen": CoverVariant.CLOPEN}
+_KINDS = {k.label: k for k in SelectorKind}
+_COVERS = {c.label: c for c in CoverKind} | {"Tau": CoverKind.TAU}
+_VARIANTS = {v.label: v for v in CoverVariant}
+# "S1(Gamma,T)", in every spelling, to its coordinates
+_NAMES = {f"{k}({s},{t})": (_KINDS[k], _COVERS[s], _COVERS[t])
+          for k in _KINDS for s in _COVERS for t in _COVERS}
 
-_NAME_RE = re.compile(r"^(S1|Sfin|Ufin)\((Gamma|Tau|T|Omega|O),(Gamma|Tau|T|Omega|O)\)$")
+# head -> (argument count, options allowed at the end of the line, usage)
+_DIRECTIVES = {
+    "property": (2, ("non",), 'property <serial> "<name>" [non=<expr>]'),
+    "variant": (4, ("non",), "variant <kind> <from> <to> <borel|open|clopen> [non=<expr>]"),
+    "arrow": (2, ("cite",), 'arrow <ref> <ref> [cite="<text>"]'),
+    "nonimp": (2, ("model", "cite"), 'nonimp <ref> <ref> (model=<name> | cite="<text>")'),
+    "card": (3, ("cite",), 'card <ref> (eq|ge|le) <expr> [cite="<text>"]'),
+    "include": (1, (), "include <path>"),
+}
+
+# a token, as runs of plain characters and whole quoted strings; a comment; a lone quote
+_TOKEN = re.compile(r'(?:[^\s"#]|"[^"]*")+|#.*|"')
+
+
+def split_line(line: str) -> list[str]:
+    """The tokens of one line of a fact or model file, up to a '#' comment.
+
+    A double-quoted string stays in its token, quotes included, as in
+    cite="a b"; a '#' or a space inside it is text.
+    """
+    tokens = []
+    for token in _TOKEN.findall(line):
+        if token[0] == "#":
+            break
+        if token == '"':
+            raise ValueError("unterminated quote")
+        tokens.append(token)
+    return tokens
+
+
+def unquote(token: str, what: str) -> str:
+    """The text inside a double-quoted token; what names the token in the error."""
+    if len(token) >= 2 and token[0] == token[-1] == '"':
+        return token[1:-1]
+    raise ValueError(f"{what} must be double-quoted")
+
+
+_OPTION_VALUE = {"cite": lambda v: unquote(v, "cite value"), "model": str, "non": parse_expr}
+
+
+def _take_options(args: list[str], allowed: tuple[str, ...]) -> dict:
+    """Pop the trailing key=value tokens whose key is allowed, each key at most once."""
+    options: dict = {}
+    while args:
+        key, eq, value = args[-1].partition("=")
+        if not eq or key not in allowed:
+            break
+        if key in options:
+            raise ValueError(f"{key}= given twice")
+        options[key] = _OPTION_VALUE[key](value)
+        args.pop()
+    return options
+
+
+def _struct(kind: str, src: str, tgt: str, var: str) -> StructRef:
+    if kind not in _KINDS or src not in _COVERS or tgt not in _COVERS or var not in _VARIANTS:
+        raise ValueError(f"bad property coordinates {kind} {src} {tgt} {var}")
+    return StructRef(_KINDS[kind], _COVERS[src], _COVERS[tgt], _VARIANTS[var])
 
 
 def parse_ref(token: str) -> Ref:
-    if re.fullmatch(r"\d+", token):
+    if token.isdecimal():
         return SerialRef(int(token))
     parts = token.split(":")
     if len(parts) != 4:
         raise ValueError(f"ref must be a serial or kind:from:to:variant, got {token!r}")
-    kind, src, tgt, var = parts
-    if kind not in _KINDS or src not in _COVERS or tgt not in _COVERS or var not in _VARIANTS:
-        raise ValueError(f"bad structural ref {token!r}")
-    return StructRef(_KINDS[kind], _COVERS[src], _COVERS[tgt], _VARIANTS[var])
-
-
-def _split_tokens(line: str) -> list[str]:
-    """Whitespace tokens, keeping double-quoted strings (and key="..." forms) intact."""
-    tokens: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        in_quote = False
-        while i < n and (in_quote or not line[i].isspace()):
-            if line[i] == '"':
-                in_quote = not in_quote
-            i += 1
-        if in_quote:
-            raise ValueError("unterminated quote")
-        tokens.append(line[start:i])
-    return tokens
-
-
-def _take_cite(tokens: list[str], errors, lineno) -> str | None:
-    """Pop a trailing cite="..." token if present."""
-    if tokens and tokens[-1].startswith("cite="):
-        raw = tokens.pop()[len("cite="):]
-        if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
-            return raw[1:-1]
-        errors.append((lineno, 1, "cite value must be double-quoted"))
-        return None
-    return None
+    return _struct(*parts)
 
 
 def parse_facts(text: str) -> FactFile:
@@ -211,126 +230,70 @@ def parse_facts(text: str) -> FactFile:
     errors: list[tuple[int, int, str]] = []
     decls: list[Decl] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
         try:
-            tokens = _split_tokens(line)
-        except ValueError as e:
-            errors.append((lineno, 1, str(e)))
-            continue
-        head, rest = tokens[0], tokens[1:]
-        try:
-            if head == "property":
-                decls.append(_parse_property(rest, lineno))
-            elif head == "variant":
-                decls.append(_parse_variant(rest, lineno))
-            elif head == "arrow":
-                cite = _take_cite(rest, errors, lineno)
-                if len(rest) != 2:
-                    raise ValueError("expected: arrow <ref> <ref>")
-                decls.append(ArrowDecl(parse_ref(rest[0]), parse_ref(rest[1]), cite, lineno))
-            elif head == "nonimp":
-                decls.append(_parse_nonimp(rest, lineno))
-            elif head == "card":
-                cite = _take_cite(rest, errors, lineno)
-                if len(rest) != 3:
-                    raise ValueError("expected: card <ref> (eq|ge|le) <expr>")
-                if rest[1] not in ("eq", "ge", "le"):
-                    raise ValueError(f"relation must be eq, ge or le, got {rest[1]!r}")
-                decls.append(CardDecl(parse_ref(rest[0]), rest[1], parse_expr(rest[2]), cite, lineno))
-            elif head == "include":
-                if len(rest) != 1:
-                    raise ValueError("expected: include <path>")
-                decls.append(IncludeDecl(rest[0], lineno))
-            else:
-                raise ValueError(f"unknown declaration {head!r}")
+            tokens = split_line(raw)
+            if tokens:
+                decls.append(_parse_decl(tokens[0], tokens[1:], lineno))
         except (ValueError, MalformedExpr) as e:
-            col = raw.find(head) + 1 if head in raw else 1
-            errors.append((lineno, col, str(e)))
+            errors.append((lineno, len(raw) - len(raw.lstrip()) + 1, str(e)))
     if errors:
         raise FactParseError(errors)
     return FactFile(tuple(decls))
 
 
-def _parse_property(rest: list[str], lineno: int) -> PropertyDecl:
-    non = None
-    if rest and rest[-1].startswith("non="):
-        non = parse_expr(rest.pop()[len("non="):])
-    if len(rest) != 2:
-        raise ValueError('expected: property <serial> "<name>" [non=<expr>]')
-    if not re.fullmatch(r"\d+", rest[0]):
-        raise ValueError(f"serial must be an integer, got {rest[0]!r}")
-    serial = int(rest[0])
-    if serial >= SERIAL_COUNT:
-        raise ValueError(f"serial out of range 0..{SERIAL_COUNT - 1}: {serial}")
-    name = rest[1]
-    if not (name.startswith('"') and name.endswith('"') and len(name) >= 2):
-        raise ValueError("property name must be double-quoted")
-    m = _NAME_RE.fullmatch(name[1:-1])
-    if not m:
-        raise ValueError(f"property name must look like S1(Gamma,Omega), got {name}")
-    return PropertyDecl(serial, _KINDS[m.group(1)], _COVERS[m.group(2)], _COVERS[m.group(3)], non, lineno)
-
-
-def _parse_variant(rest: list[str], lineno: int) -> VariantDecl:
-    non = None
-    if rest and rest[-1].startswith("non="):
-        non = parse_expr(rest.pop()[len("non="):])
-    if len(rest) != 4:
-        raise ValueError("expected: variant <kind> <from> <to> <borel|open|clopen>")
-    kind, src, tgt, var = rest
-    if kind not in _KINDS:
-        raise ValueError(f"unknown selector kind {kind!r}")
-    if src not in _COVERS or tgt not in _COVERS:
-        raise ValueError(f"unknown cover kind in {rest!r}")
-    if var not in _VARIANTS:
-        raise ValueError(f"variant must be borel, open or clopen, got {var!r}")
-    return VariantDecl(_KINDS[kind], _COVERS[src], _COVERS[tgt], _VARIANTS[var], non, lineno)
-
-
-def _parse_nonimp(rest: list[str], lineno: int) -> NonImpDecl:
-    model = None
-    cite = None
-    while rest and (rest[-1].startswith("model=") or rest[-1].startswith("cite=")):
-        tok = rest.pop()
-        if tok.startswith("model="):
-            model = tok[len("model="):]
-        else:
-            raw = tok[len("cite="):]
-            if not (len(raw) >= 2 and raw.startswith('"') and raw.endswith('"')):
-                raise ValueError("cite value must be double-quoted")
-            cite = raw[1:-1]
-    if len(rest) != 2:
-        raise ValueError("expected: nonimp <ref> <ref> (model=<name> | cite=\"<text>\")")
-    if model is None and cite is None:
-        raise ValueError("nonimp needs a model= or cite= justification")
-    return NonImpDecl(parse_ref(rest[0]), parse_ref(rest[1]), model, cite, lineno)
+def _parse_decl(head: str, args: list[str], line: int) -> Decl:
+    if head not in _DIRECTIVES:
+        raise ValueError(f"unknown declaration {head!r}")
+    arity, allowed, usage = _DIRECTIVES[head]
+    options = _take_options(args, allowed)
+    if len(args) != arity:
+        raise ValueError(f"expected: {usage}")
+    if head == "property":
+        if not args[0].isdecimal() or int(args[0]) >= SERIAL_COUNT:
+            raise ValueError(f"serial must be an integer in 0..{SERIAL_COUNT - 1}, got {args[0]!r}")
+        name = unquote(args[1], "property name")
+        if name not in _NAMES:
+            raise ValueError(f"property name must look like S1(Gamma,Omega), got {args[1]}")
+        return PropertyDecl(int(args[0]), *_NAMES[name], options.get("non"), line)
+    if head == "variant":
+        s = _struct(*args)
+        return VariantDecl(s.kind, s.source, s.target, s.variant, options.get("non"), line)
+    if head == "arrow":
+        return ArrowDecl(parse_ref(args[0]), parse_ref(args[1]), options.get("cite"), line)
+    if head == "nonimp":
+        if not options:
+            raise ValueError("nonimp needs a model= or cite= justification")
+        return NonImpDecl(parse_ref(args[0]), parse_ref(args[1]), options.get("model"),
+                          options.get("cite"), line)
+    if head == "card":
+        if args[1] not in ("eq", "ge", "le"):
+            raise ValueError(f"relation must be eq, ge or le, got {args[1]!r}")
+        return CardDecl(parse_ref(args[0]), args[1], parse_expr(args[2]), options.get("cite"), line)
+    return IncludeDecl(args[0], line)
 
 
 def render_decl(d: Decl) -> str:
     if isinstance(d, PropertyDecl):
-        out = f'property {d.serial} "{d.name}"'
-        return out + (f" non={render_expr(d.non)}" if d.non is not None else "")
-    if isinstance(d, VariantDecl):
+        out = f'property {d.serial} "{d.to_property().name}"'
+    elif isinstance(d, VariantDecl):
         out = f"variant {d.kind.label} {d.source.label} {d.target.label} {d.variant.label}"
-        return out + (f" non={render_expr(d.non)}" if d.non is not None else "")
-    if isinstance(d, ArrowDecl):
+    elif isinstance(d, ArrowDecl):
         out = f"arrow {d.src.render()} {d.dst.render()}"
-        return out + (f' cite="{d.cite}"' if d.cite is not None else "")
-    if isinstance(d, NonImpDecl):
+    elif isinstance(d, NonImpDecl):
         out = f"nonimp {d.src.render()} {d.dst.render()}"
-        if d.model is not None:
-            out += f" model={d.model}"
-        if d.cite is not None:
-            out += f' cite="{d.cite}"'
-        return out
-    if isinstance(d, CardDecl):
+    elif isinstance(d, CardDecl):
         out = f"card {d.ref.render()} {d.rel} {render_expr(d.expr)}"
-        return out + (f' cite="{d.cite}"' if d.cite is not None else "")
-    if isinstance(d, IncludeDecl):
+    elif isinstance(d, IncludeDecl):
         return f"include {d.path}"
-    raise TypeError(f"not a declaration: {d!r}")
+    else:
+        raise TypeError(f"not a declaration: {d!r}")
+    if getattr(d, "non", None) is not None:
+        out += f" non={render_expr(d.non)}"
+    if getattr(d, "model", None) is not None:
+        out += f" model={d.model}"
+    if getattr(d, "cite", None) is not None:
+        out += f' cite="{d.cite}"'
+    return out
 
 
 def render_facts(ff: FactFile) -> str:

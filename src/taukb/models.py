@@ -28,6 +28,7 @@ from .core import (
     parse_expr,
     render_expr,
 )
+from .formats import split_line, unquote
 
 
 class UnknownAtom(TaukbError):
@@ -192,7 +193,8 @@ class ModelRegistry:
 # Registry file format: blank-line separated blocks of
 #   model <name> cite "<citation>"
 #   level <atom> <integer>
-# with '#' comments.
+# with '#' comments, read by the fact DSL's tokenizer: a '#' inside the
+# quoted citation is text.  Each atom gets at most one level per model.
 
 
 def parse_models(text: str) -> list[Model]:
@@ -212,25 +214,24 @@ def parse_models(text: str) -> list[Model]:
         name, citation, levels = None, "", {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        try:
+            parts = split_line(raw)
+        except ValueError as e:
+            errors.append((lineno, 1, str(e)))
+            continue
+        if not parts:
             flush(lineno)
             continue
-        parts = line.split()
         if parts[0] == "model":
             flush(lineno)
-            rest = line[len("model"):].strip()
-            fields = rest.split(None, 1)
-            if len(fields) != 2 or not fields[1].startswith("cite"):
+            if len(parts) != 4 or parts[2] != "cite":
                 errors.append((lineno, 1, "expected: model <name> cite \"<citation>\""))
                 continue
-            name = fields[0]
-            cite_part = fields[1][len("cite"):].strip()
-            if not (cite_part.startswith('"') and cite_part.endswith('"') and len(cite_part) >= 2):
-                errors.append((lineno, line.find("cite") + 1, "citation must be double-quoted"))
-                citation = ""
-            else:
-                citation = cite_part[1:-1]
+            name = parts[1]
+            try:
+                citation = unquote(parts[3], "citation")
+            except ValueError as e:
+                errors.append((lineno, raw.find("cite") + 1, str(e)))
         elif parts[0] == "level":
             if name is None:
                 errors.append((lineno, 1, "level line outside a model block"))
@@ -250,6 +251,9 @@ def parse_models(text: str) -> list[Model]:
                 continue
             if lvl < 1:
                 errors.append((lineno, 1, "levels start at 1"))
+                continue
+            if a in levels:
+                errors.append((lineno, 1, f"model {name!r} gives {a} a second level"))
                 continue
             levels[a] = lvl
         else:

@@ -131,7 +131,7 @@ def test_budget_flag_guards_search(runner, tmp_path):
 
 
 @pytest.mark.parametrize("extra", ["include self.txt", "include other.txt", "include missing.txt",
-                                   "nonimp 0 15 model=ghost"])
+                                   "nonimp 0 15 model=ghost", "nonimp 0 17 model=ch model=cohen"])
 def test_bad_fact_input_exits_2(runner, tmp_path, extra):
     from importlib.resources import files
 
@@ -151,6 +151,7 @@ _BAD_INPUTS = {
     "gamma.fam": b"01/1\n10/1\n\n11/1\n10/1\n",
     "p_above_t.models": b'model bad cite "x"\nlevel p 2\nlevel t 1\n',
     "duplicate.models": b'model m cite "x"\nlevel p 1\n\nmodel m cite "y"\nlevel p 1\n',
+    "level_twice.models": b'model m cite "x"\nlevel aleph1 1\nlevel d 1\nlevel b 2\nlevel b 1\nlevel c 2\n',
 }
 
 
@@ -165,6 +166,7 @@ _BAD_INPUTS = {
     ["odiag", "ragged.fam"],
     ["--models", "p_above_t.models", "table"],
     ["--models", "duplicate.models", "table"],
+    ["--models", "level_twice.models", "table"],
     ["diag", "gamma.fam", "--col-bound", "-1"],
     ["diag", "gamma.fam", "--size-bound", "-1"],
     ["odiag", "gamma.fam", "--col-bound", "-1"],

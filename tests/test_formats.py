@@ -117,7 +117,7 @@ serial_refs = st.integers(0, 21).map(SerialRef)
 struct_refs = st.builds(StructRef, st.sampled_from(list(SelectorKind)), covers, covers,
                         st.sampled_from(list(CoverVariant)))
 refs = st.one_of(serial_refs, struct_refs)
-cites = st.one_of(st.none(), st.text(alphabet="abcdefgh :;.,-", min_size=1, max_size=20))
+cites = st.one_of(st.none(), st.text(alphabet="abcdefgh :;.,-#", min_size=1, max_size=20))
 
 
 @given(st.builds(ArrowDecl, refs, refs, cites))

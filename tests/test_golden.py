@@ -21,7 +21,7 @@ from click.testing import CliRunner
 
 from taukb import engine, formats
 from taukb.cli import main
-from taukb.core import Judgment, Verdict, render_expr
+from taukb.core import Verdict, render_expr
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,14 +94,6 @@ def cli_transcript(workdir: Path) -> str:
     return "".join(out)
 
 
-def _render(trace) -> str:
-    # explain renders whatever trace a cell carries, so an exact-value trace
-    # is rendered through a one-cell result
-    p = trace.steps[-1].conclusion.subject
-    view = engine.ClosureResult((p,), {(p, p): Judgment(Verdict.IMPLIES, trace)}, {}, {}, {}, {}, 0)
-    return engine.explain(view, p, p)
-
-
 def trace_transcript() -> str:
     result = engine.close(engine.load_default_kb())
     out = []
@@ -109,7 +101,7 @@ def trace_transcript() -> str:
         if judgment.verdict is not Verdict.UNKNOWN:
             out.append(f"### explain {p.name} {q.name}\n{engine.explain(result, p, q)}\n")
     for (p, e), trace in result.exact_traces.items():
-        out.append(f"### exact non({p.name}) = {render_expr(e)}\n{_render(trace)}\n")
+        out.append(f"### exact non({p.name}) = {render_expr(e)}\n{engine.render_trace(trace)}\n")
     return "".join(out)
 
 

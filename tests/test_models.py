@@ -119,6 +119,11 @@ def test_models_file_round_trip(registry):
     assert again == list(registry.models)
 
 
+def test_citation_with_hash_round_trips():
+    m = make_model("m", {CardinalAtom.ALEPH1: 1, CardinalAtom.C: 1}, "issue #3, table 2")
+    assert parse_models(render_models([m])) == [m]
+
+
 def test_parse_models_aggregates_errors():
     bad = "model x\nlevel p one\nlevel q 1\n"
     with pytest.raises(ModelParseError) as exc:
