@@ -3,18 +3,19 @@
 Exit codes: 0 success, 1 non-empty diff, 2 usage or parse errors (bad
 input files included), 3 contradiction in the fact base.  stdout carries
 payload only; diagnostics go to stderr.
+
+Each command imports the modules it runs and no other, because a child
+process that writes no bytecode compiles every module it imports.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
 
-from . import engine, formats, gamma
-from .core import Atom, CardinalAtom, TaukbError, render_expr
-from .models import load_default_registry, load_registry
+from .core import (DEFAULT_BUDGET, Atom, CardinalAtom, Contradiction, TaukbError, read_text,
+                   render_expr, render_trace)
 
 EXIT_DIFF = 1
 EXIT_PARSE = 2
@@ -27,30 +28,30 @@ class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except engine.Contradiction as e:
+        except Contradiction as e:
             click.echo(f"contradiction: {e.src.name} vs {e.dst.name}", err=True)
             click.echo("-- implies trace --", err=True)
-            click.echo(engine.render_trace(e.implies_trace), err=True)
+            click.echo(render_trace(e.implies_trace), err=True)
             click.echo("-- does-not-imply trace --", err=True)
-            click.echo(engine.render_trace(e.notimplies_trace), err=True)
+            click.echo(render_trace(e.notimplies_trace), err=True)
             sys.exit(EXIT_CONTRADICTION)
         except TaukbError as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(EXIT_PARSE)
 
 
-def _load(ctx) -> engine.KnowledgeBase:
+def _close(ctx):
+    """The closure of the KB that --facts and --models name."""
+    from . import engine, formats, models
+
     cfg = ctx.obj
     facts = formats.load_facts(cfg["facts"]) if cfg["facts"] else formats.load_default_facts()
-    registry = load_registry(formats.read_text(cfg["models"])) if cfg["models"] else load_default_registry()
-    return engine.build_knowledge_base(facts, registry)
+    registry = (models.load_registry(read_text(cfg["models"])) if cfg["models"]
+                else models.load_default_registry())
+    return engine.close(engine.build_knowledge_base(facts, registry))
 
 
-def _close(ctx) -> engine.ClosureResult:
-    return engine.close(_load(ctx))
-
-
-def _serial(result: engine.ClosureResult, n: int):
+def _serial(result, n: int):
     for p in result.properties:
         if p.serial == n:
             return p
@@ -64,7 +65,7 @@ def _serial(result: engine.ClosureResult, n: int):
               help="Model registry file (defaults to the embedded registry).")
 @click.option("--format", "fmt", type=click.Choice(["table", "jsonl"]), default="table",
               help="Output mode.")
-@click.option("--budget", type=int, default=gamma.DEFAULT_BUDGET, show_default=True,
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
               help="Search budget for the combinatorial commands.")
 @click.pass_context
 def main(ctx, facts, models, fmt, budget):
@@ -74,6 +75,8 @@ def main(ctx, facts, models, fmt, budget):
 
 def _emit(ctx, payload_text: str, payload_json: list[dict]):
     if ctx.obj["fmt"] == "jsonl":
+        import json
+
         for obj in payload_json:
             click.echo(json.dumps(obj, sort_keys=True))
     else:
@@ -84,6 +87,8 @@ def _emit(ctx, payload_text: str, payload_json: list[dict]):
 @click.pass_context
 def table(ctx):
     """Print the closed 22x22 judgment table."""
+    from . import formats
+
     text = formats.render_table(_close(ctx).serial_grid())
     rows = [{"serial": i, "row": line} for i, line in enumerate(text.strip().splitlines())]
     _emit(ctx, text, rows)
@@ -95,6 +100,8 @@ def table(ctx):
 @click.pass_context
 def query(ctx, i, j):
     """Judgment for: does property I imply property J?"""
+    from . import engine
+
     result = _close(ctx)
     judgment = engine.query(result, _serial(result, i), _serial(result, j))
     _emit(ctx, f"{judgment.verdict}\n", [{"row": i, "col": j, "verdict": str(judgment.verdict)}])
@@ -106,6 +113,8 @@ def query(ctx, i, j):
 @click.pass_context
 def explain(ctx, i, j):
     """Proof trace for the (I, J) cell."""
+    from . import engine
+
     result = _close(ctx)
     text = engine.explain(result, _serial(result, i), _serial(result, j))
     steps = [{"step": k, "line": line} for k, line in enumerate(text.splitlines())]
@@ -117,6 +126,8 @@ def explain(ctx, i, j):
 @click.pass_context
 def card(ctx, i):
     """Critical cardinality of property I: exact value or derived bounds."""
+    from . import engine
+
     result = _close(ctx)
     prop = _serial(result, i)
     report = engine.derive_cardinality(result, prop)
@@ -140,9 +151,11 @@ def card(ctx, i):
 @click.pass_context
 def diff(ctx, path):
     """Diff the computed table against the embedded reference (or PATH)."""
+    from . import engine, formats
+
     grid = _close(ctx).serial_grid()
     if path:
-        ref_grid, _ = formats.parse_table(formats.read_text(path))
+        ref_grid, _ = formats.parse_table(read_text(path))
     else:
         ref_grid = [list(r) for r in formats.load_reference_table().grid]
     delta = engine.diff(grid, ref_grid)
@@ -159,6 +172,8 @@ def diff(ctx, path):
 @click.pass_context
 def problems(ctx):
     """The monthly problem registry with current statuses."""
+    from . import formats
+
     entries = formats.list_problems()
     text = "\n".join(formats.render_problem(p) for p in entries) + "\n"
     payload = []
@@ -186,7 +201,9 @@ def problems(ctx):
 @click.pass_context
 def diag(ctx, family_file, col_bound, size_bound, hit_quota, exceptions):
     """Search a finite tau-diagonalization of the family in FAMILY_FILE."""
-    fam = gamma.GammaFamily(tuple(gamma.parse_family_file(formats.read_text(family_file))))
+    from . import gamma
+
+    fam = gamma.GammaFamily(tuple(gamma.parse_family_file(read_text(family_file))))
     bound = col_bound if col_bound is not None else fam.max_word_length() + 1
     witness = gamma.finitely_tau_diagonalizable(
         fam, bound, size_bound, hit_quota, exceptions, budget=ctx.obj["budget"])
@@ -204,7 +221,9 @@ def diag(ctx, family_file, col_bound, size_bound, hit_quota, exceptions):
 @click.pass_context
 def odiag(ctx, family_file, col_bound):
     """Search an o-diagonalization of the arrays in FAMILY_FILE."""
-    arrays = gamma.parse_family_file(formats.read_text(family_file))
+    from . import gamma
+
+    arrays = gamma.parse_family_file(read_text(family_file))
     bound = col_bound if col_bound is not None else max((a.max_word_length() for a in arrays), default=0) + 1
     witness = gamma.o_diagonalizable(arrays, bound, budget=ctx.obj["budget"])
     if witness is None:

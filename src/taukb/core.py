@@ -41,6 +41,20 @@ class BadShape(TaukbError):
     members disagree, a negative search bound."""
 
 
+# Search budget of the gamma lab's exhaustive searches: the largest nominal
+# space they will enumerate.
+DEFAULT_BUDGET = 2_000_000
+
+
+def read_text(path) -> str:
+    """A UTF-8 input file's text; a file that does not decode is a TaukbError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise TaukbError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
 # ---------------------------------------------------------------------------
 # Diagram coordinates
 
@@ -333,3 +347,25 @@ EMPTY_TRACE = ProofTrace()
 class Judgment:
     verdict: Verdict
     trace: ProofTrace = EMPTY_TRACE
+
+
+class Contradiction(TaukbError):
+    """A pair judged both Implies and NotImplies; the fact base is inconsistent."""
+
+    def __init__(self, src: Property, dst: Property, implies_trace: ProofTrace,
+                 notimplies_trace: ProofTrace):
+        self.src = src
+        self.dst = dst
+        self.implies_trace = implies_trace
+        self.notimplies_trace = notimplies_trace
+        super().__init__(f"contradiction: {src.name} both implies and does not imply {dst.name}")
+
+
+def render_trace(trace: ProofTrace) -> str:
+    """One line per step: index, rule, citation or witnessing model, conclusion, premises."""
+    lines = []
+    for i, step in enumerate(trace.steps):
+        src = " from " + ", ".join(f"S{k}" for k in step.premises) if step.premises else ""
+        note = f" [model {step.note}]" if step.rule == "R4" else (f" [{step.note}]" if step.note else "")
+        lines.append(f"S{i} {step.rule}{note}: {step.conclusion.render()}{src}")
+    return "\n".join(lines)

@@ -21,6 +21,7 @@ depend on the order of the input fact list.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,7 @@ from . import formats
 from .core import (
     CardinalExpr,
     Claim,
+    Contradiction,
     Judgment,
     ProofTrace,
     Property,
@@ -37,20 +39,9 @@ from .core import (
     Verdict,
     normalize_expr,
     render_expr,
+    render_trace,
 )
 from .models import ModelRegistry, eval_expr, load_default_registry
-
-
-class Contradiction(TaukbError):
-    """A pair judged both Implies and NotImplies; the fact base is inconsistent."""
-
-    def __init__(self, src: Property, dst: Property, implies_trace: ProofTrace,
-                 notimplies_trace: ProofTrace):
-        self.src = src
-        self.dst = dst
-        self.implies_trace = implies_trace
-        self.notimplies_trace = notimplies_trace
-        super().__init__(f"contradiction: {src.name} both implies and does not imply {dst.name}")
 
 
 class NothingToExplain(TaukbError):
@@ -181,16 +172,44 @@ class CardinalityReport:
         return self.exacts[0] if self.exacts else None
 
 
-class ClosureResult:
-    """Immutable outcome of close(): judgment matrix, intervals, traces."""
+class _Lazy(Mapping):
+    """Read-only mapping whose value for a key is built from the key's source
+    on first read, then kept."""
 
-    def __init__(self, properties, matrix, lower, upper, exacts, exact_traces, iterations):
+    def __init__(self, sources: dict, build):
+        self._sources, self._build, self._built = sources, build, {}
+
+    def __getitem__(self, key):
+        if key not in self._built:
+            self._built[key] = self._build(self._sources[key])
+        return self._built[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._sources
+
+    def __iter__(self):
+        return iter(self._sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+
+class ClosureResult:
+    """Immutable outcome of close(): judgment matrix, intervals, traces.
+
+    A proof trace is built from the closure's provenance the first time it
+    is read, through matrix or exact_traces.
+    """
+
+    def __init__(self, properties, cells, lower, upper, exacts, exact_stmts, iterations, trace_of):
         self.properties: tuple[Property, ...] = properties
-        self.matrix: dict[tuple[Property, Property], Judgment] = matrix
+        self._cells = cells  # (P, Q) -> (verdict, the statement that settles it or None)
+        self.matrix: Mapping[tuple[Property, Property], Judgment] = _Lazy(
+            cells, lambda c: Judgment(c[0], trace_of(c[1])) if c[1] else Judgment(c[0]))
         self.lower: dict[Property, tuple[CardinalExpr, ...]] = lower
         self.upper: dict[Property, tuple[CardinalExpr, ...]] = upper
         self.exacts: dict[Property, tuple[CardinalExpr, ...]] = exacts
-        self.exact_traces: dict[tuple[Property, CardinalExpr], ProofTrace] = exact_traces
+        self.exact_traces: Mapping[tuple[Property, CardinalExpr], ProofTrace] = _Lazy(exact_stmts, trace_of)
         self.iterations = iterations
 
     def serial_properties(self) -> list[Property]:
@@ -198,9 +217,9 @@ class ClosureResult:
         return sorted(num, key=lambda p: p.serial)
 
     def serial_grid(self) -> list[list[Verdict]]:
-        """22x22 verdict grid over the serial-numbered properties."""
+        """22x22 verdict grid over the serial-numbered properties; builds no trace."""
         ps = self.serial_properties()
-        return [[self.matrix[(a, b)].verdict for b in ps] for a in ps]
+        return [[self._cells[(a, b)][0] for b in ps] for a in ps]
 
 
 def close(kb: KnowledgeBase) -> ClosureResult:
@@ -375,24 +394,24 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             raise TaukbError(f"interval for {p.name} is inconsistent in model {less[hit]}: "
                              f"{render_expr(exprs[l])} > {render_expr(exprs[u])}")
 
-    matrix: dict[tuple[Property, Property], Judgment] = {}
+    cells = {}
     for i, a in enumerate(props):
         for j, b in enumerate(props):
             if (i, j) in imp:
-                matrix[(a, b)] = Judgment(Verdict.IMPLIES, trace_of(("implies", i, j)))
+                cells[(a, b)] = (Verdict.IMPLIES, ("implies", i, j))
             elif (i, j) in non:
-                matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, trace_of(("notimplies", i, j)))
+                cells[(a, b)] = (Verdict.NOT_IMPLIES, ("notimplies", i, j))
             else:
-                matrix[(a, b)] = Judgment(Verdict.UNKNOWN)
+                cells[(a, b)] = (Verdict.UNKNOWN, None)
 
     lower = {p: tuple(exprs[k] for k in sorted(low[i])) for i, p in enumerate(props)}
     upper = {p: tuple(exprs[k] for k in sorted(up[i])) for i, p in enumerate(props)}
     exacts: dict[Property, tuple] = {p: () for p in props}
-    exact_traces: dict[tuple[Property, CardinalExpr], ProofTrace] = {}
+    exact_stmts: dict[tuple[Property, CardinalExpr], tuple] = {}
     for (i, k) in sorted(exact):
         exacts[props[i]] = exacts[props[i]] + (exprs[k],)
-        exact_traces[(props[i], exprs[k])] = trace_of(("exact", i, k))
-    return ClosureResult(props, matrix, lower, upper, exacts, exact_traces, iterations)
+        exact_stmts[(props[i], exprs[k])] = ("exact", i, k)
+    return ClosureResult(props, cells, lower, upper, exacts, exact_stmts, iterations, trace_of)
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +431,6 @@ def explain(result: ClosureResult, p: Property, q: Property) -> str:
     if j.verdict is Verdict.UNKNOWN:
         raise NothingToExplain(f"{p.name} vs {q.name} is unsettled; nothing to explain")
     return render_trace(j.trace)
-
-
-def render_trace(trace: ProofTrace) -> str:
-    """One line per step: index, rule, citation or witnessing model, conclusion, premises."""
-    lines = []
-    for i, step in enumerate(trace.steps):
-        src = " from " + ", ".join(f"S{k}" for k in step.premises) if step.premises else ""
-        note = f" [model {step.note}]" if step.rule == "R4" else (f" [{step.note}]" if step.note else "")
-        lines.append(f"S{i} {step.rule}{note}: {step.conclusion.render()}{src}")
-    return "\n".join(lines)
 
 
 def derive_cardinality(result: ClosureResult, p: Property) -> CardinalityReport:

@@ -12,7 +12,7 @@ Fact DSL grammar, one declaration per line:
     arrow <ref> <ref> [cite="<text>"]
     nonimp <ref> <ref> (model=<name> | cite="<text>")
     card <ref> (eq|ge|le) <expr> [cite="<text>"]
-    include <path>
+    include <path>            (double-quote a path that holds a space or '#')
 
     expr := atom | min{expr,expr,...} | max{expr,expr,...}
     ref  := serial integer | <kind>:<from>:<to>:<variant>
@@ -42,6 +42,7 @@ from .core import (
     TaukbError,
     Verdict,
     parse_expr,
+    read_text,
     render_expr,
 )
 
@@ -163,7 +164,7 @@ _DIRECTIVES = {
     "arrow": (2, ("cite",), 'arrow <ref> <ref> [cite="<text>"]'),
     "nonimp": (2, ("model", "cite"), 'nonimp <ref> <ref> (model=<name> | cite="<text>")'),
     "card": (3, ("cite",), 'card <ref> (eq|ge|le) <expr> [cite="<text>"]'),
-    "include": (1, (), "include <path>"),
+    "include": (1, (), 'include (<path> | "<path>")'),
 }
 
 # a token, as runs of plain characters and whole quoted strings; a comment; a lone quote
@@ -269,7 +270,8 @@ def _parse_decl(head: str, args: list[str], line: int) -> Decl:
         if args[1] not in ("eq", "ge", "le"):
             raise ValueError(f"relation must be eq, ge or le, got {args[1]!r}")
         return CardDecl(parse_ref(args[0]), args[1], parse_expr(args[2]), options.get("cite"), line)
-    return IncludeDecl(args[0], line)
+    path = args[0]
+    return IncludeDecl(unquote(path, "include path") if path.startswith('"') else path, line)
 
 
 def render_decl(d: Decl) -> str:
@@ -284,7 +286,7 @@ def render_decl(d: Decl) -> str:
     elif isinstance(d, CardDecl):
         out = f"card {d.ref.render()} {d.rel} {render_expr(d.expr)}"
     elif isinstance(d, IncludeDecl):
-        return f"include {d.path}"
+        return f'include "{d.path}"' if re.search(r"[\s#]", d.path) else f"include {d.path}"
     else:
         raise TypeError(f"not a declaration: {d!r}")
     if getattr(d, "non", None) is not None:
@@ -298,14 +300,6 @@ def render_decl(d: Decl) -> str:
 
 def render_facts(ff: FactFile) -> str:
     return "\n".join(render_decl(d) for d in ff.decls) + "\n"
-
-
-def read_text(path) -> str:
-    """A UTF-8 input file's text; a file that does not decode is a TaukbError naming it."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise TaukbError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def load_facts(path) -> FactFile:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
-from .core import BadShape, TaukbError
+from .core import DEFAULT_BUDGET, BadShape, TaukbError
 
 
 class SearchSpaceTooLarge(TaukbError):
@@ -37,9 +37,6 @@ class FamilyParseError(TaukbError):
     def __init__(self, errors: list[tuple[int, str]]):
         self.errors = errors
         super().__init__("; ".join(f"line {l}: {m}" for l, m in errors))
-
-
-DEFAULT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,12 @@
 import json
+import tempfile
+from importlib.resources import files
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
 from taukb import formats
 from taukb.cli import main
@@ -179,4 +184,68 @@ def test_bad_input_file_exits_2_without_traceback(tmp_path, monkeypatch, args):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.output
+
+
+# --- fuzz: generated input files through every command --------------------
+
+_BASE = {name: files("taukb.data").joinpath(name).read_text(encoding="utf-8").splitlines()
+         for name in ("base_facts.txt", "models.txt", "table1.txt")}
+# lines that, inserted into a base file, make it contradictory, redundant,
+# inconsistent, cyclic or malformed
+_VOCAB = {
+    "base_facts.txt": ["arrow 18 8", "arrow 0 21", "nonimp 0 18 model=ch", "nonimp 5 5 model=ghost",
+                       "card 3 eq c", "card 6 le p", "card 0 ge od", 'property 3 "S1(T,T)" non=t',
+                       "variant S1 O O borel", "include facts.txt", 'include "fam.txt"', "include nowhere",
+                       "arrow 0", 'cite="x"', '"'],
+    "models.txt": ['model x cite "y"', "level p 2", "level c 1", "level od 9", "level covM 1", "level q 1",
+                   "model", "level b"],
+    "table1.txt": ["+" * 22, "-" * 22, "?" * 22, "frames 0 3", "frames 22", "+-?"],
+}
+
+
+@st.composite
+def _edited(draw, name):
+    """A base data file with a few lines dropped, or replaced by or preceded by a vocabulary line."""
+    lines = list(_BASE[name])
+    for k, op, new in draw(st.lists(st.tuples(st.integers(0, len(lines) - 1),
+                                              st.sampled_from(["drop", "replace", "insert"]),
+                                              st.sampled_from(_VOCAB[name])), max_size=4)):
+        lines[k:k + (op != "insert")] = [] if op == "drop" else [new]
+    return "\n".join(lines) + "\n"
+
+
+_rows = st.lists(st.tuples(st.text("01", max_size=4), st.sampled_from("01")), min_size=1, max_size=4)
+_families = st.lists(_rows, min_size=1, max_size=3).map(
+    lambda arrays: "\n\n".join("\n".join(f"{w}/{t}" for w, t in rows) for rows in arrays) + "\n")
+_serials = st.integers(-1, 22).map(str)
+_bounds = st.integers(-1, 4).map(str)
+_commands = st.one_of(
+    st.sampled_from([["table"], ["problems"], ["diff"], ["diff", "table.txt"]]),
+    st.tuples(st.sampled_from(["query", "explain"]), _serials, _serials).map(list),
+    st.tuples(st.just("card"), _serials).map(list),
+    st.tuples(_bounds, _bounds, _bounds, _bounds).map(
+        lambda b: ["diag", "fam.txt", "--col-bound", b[0], "--size-bound", b[1], "--hit-quota", b[2],
+                   "--exceptions", b[3]]),
+    st.tuples(_bounds).map(lambda b: ["odiag", "fam.txt", "--col-bound", b[0]]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(facts=st.none() | _edited("base_facts.txt"), models=st.none() | _edited("models.txt"),
+       table=_edited("table1.txt"), family=_families, fmt=st.sampled_from(["table", "jsonl"]),
+       budget=st.integers(-1, 20_000), command=_commands)
+def test_cli_fuzz_exits_with_a_documented_code(facts, models, table, family, fmt, budget, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        argv = ["--format", fmt, "--budget", str(budget)]
+        for option, text, name in (("--facts", facts, "facts.txt"), ("--models", models, "models.txt")):
+            if text is not None:
+                (work / name).write_text(text, encoding="utf-8")
+                argv += [option, str(work / name)]
+        (work / "table.txt").write_text(table, encoding="utf-8")
+        (work / "fam.txt").write_text(family, encoding="utf-8")
+        argv += [str(work / a) if a.endswith(".txt") else a for a in command]
+        result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code in ((0, 1, 2, 3) if command[0] == "diff" else (0, 2, 3)), result.output
     assert "Traceback" not in result.output

@@ -155,6 +155,18 @@ def test_r4_never_contradicts_an_implication(closure):
             assert closure.matrix[(a, b)].verdict is not Verdict.IMPLIES
 
 
+def test_traces_are_built_on_first_read(default_kb, monkeypatch):
+    built = []
+    monkeypatch.setattr(engine, "ProofTrace", lambda steps: built.append(steps) or ProofTrace(steps))
+    result = close(default_kb)
+    result.serial_grid()
+    assert built == []
+    cell = (serial(18), serial(8))
+    assert result.matrix[cell].trace is result.matrix[cell].trace
+    assert result.exact_traces[(serial(12), atom("b"))] is result.exact_traces[(serial(12), atom("b"))]
+    assert len(built) == 2
+
+
 def test_contradiction_on_injected_back_arrow(default_kb):
     ff = formats.load_default_facts().with_decls(
         [formats.ArrowDecl(SerialRef(18), SerialRef(8), None, 0)])

@@ -87,6 +87,7 @@ sample_decls = [
     CardDecl(SerialRef(14), "eq", parse_expr("min{s,b}"), "diagram label"),
     CardDecl(SerialRef(6), "ge", parse_expr("covM"), None),
     IncludeDecl("extra.txt"),
+    IncludeDecl("my facts #2.txt"),
 ]
 
 
@@ -110,6 +111,17 @@ def test_load_facts_resolves_includes(tmp_path):
                     encoding="utf-8")
     ff = load_facts(main)
     assert [type(d).__name__ for d in ff.decls] == ["PropertyDecl", "PropertyDecl", "ArrowDecl"]
+
+
+def test_load_facts_includes_a_quoted_path(tmp_path):
+    from taukb.formats import load_facts
+
+    (tmp_path / "a b.txt").write_text("arrow 0 1\n", encoding="utf-8")
+    main = tmp_path / "main.txt"
+    main.write_text('property 0 "S1(Gamma,Gamma)"\nproperty 1 "S1(Gamma,T)"\ninclude "a b.txt"\n',
+                    encoding="utf-8")
+    assert parse_facts(main.read_text(encoding="utf-8")).decls[-1] == IncludeDecl("a b.txt")
+    assert [type(d).__name__ for d in load_facts(main).decls] == ["PropertyDecl", "PropertyDecl", "ArrowDecl"]
 
 
 covers = st.sampled_from(list(CoverKind))

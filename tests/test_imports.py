@@ -1,0 +1,87 @@
+"""Cold start: each subcommand imports only the taukb modules it runs, and
+the package's public names resolve lazily to the objects of their modules.
+
+A `taukb` child process that writes no bytecode compiles every module it
+imports, so a module loaded but not used is time spent for nothing.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import taukb
+
+SRC = Path(taukb.__file__).resolve().parent.parent
+
+# the taukb modules loaded when the child exits, as its last stderr line
+_CHILD = ("import atexit, sys\n"
+          "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('taukb')),"
+          " file=sys.stderr))\n"
+          "from taukb.cli import main\n"
+          "main()\n")
+
+_KB = "taukb taukb.cli taukb.core taukb.data taukb.engine taukb.formats taukb.models"
+_GAMMA = "taukb taukb.cli taukb.core taukb.gamma"
+
+
+_CASES = [
+    (["table"], 0, _KB),
+    (["diff"], 0, _KB),
+    (["query", "18", "8"], 0, _KB),
+    (["explain", "18", "8"], 0, _KB),
+    (["card", "6"], 0, _KB),
+    (["--facts", "contradiction.txt", "table"], 3, _KB),
+    (["problems"], 0, "taukb taukb.cli taukb.core taukb.formats"),
+    (["diag", "family.txt", "--col-bound", "3"], 0, _GAMMA),
+    (["odiag", "family.txt", "--col-bound", "3"], 0, _GAMMA),
+    (["--help"], 0, "taukb taukb.cli taukb.core"),
+]
+
+
+@pytest.mark.parametrize("args,code,modules", _CASES, ids=[" ".join(case[0]) for case in _CASES])
+def test_subcommand_loads_only_its_modules(tmp_path, args, code, modules):
+    facts = (SRC / "taukb" / "data" / "base_facts.txt").read_text(encoding="utf-8")
+    (tmp_path / "contradiction.txt").write_text(facts + "arrow 18 8\n", encoding="utf-8")
+    (tmp_path / "family.txt").write_text("01/1\n01/1\n\n10/1\n10/1\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *args], capture_output=True, text=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1].split() == modules.split()
+
+
+def test_import_taukb_loads_no_submodule():
+    proc = subprocess.run([sys.executable, "-c", "import sys, taukb; print(*sorted(sys.modules))"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=60)
+    assert [m for m in proc.stdout.split() if m.startswith("taukb")] == ["taukb"]
+
+
+# every name the package exported eagerly before it resolved them lazily,
+# by the module it was imported from
+_EXPORTS = {
+    "core": "Atom CardinalAtom CardinalExpr CoverKind CoverVariant Judgment Max Min ProofTrace Property "
+            "SelectorKind Verdict normalize_expr parse_expr property_by_serial render_expr",
+    "engine": "ClosureResult Contradiction KnowledgeBase build_knowledge_base close derive_cardinality diff "
+              "explain load_default_kb query replay_all",
+    "formats": "FactFile ReferenceTable list_problems load_default_facts load_reference_table parse_facts "
+               "parse_table render_facts render_table",
+    "gamma": "Diagonalizer GammaArray GammaFamily Selector finitely_tau_diagonalizable is_gamma_array "
+             "o_diagonalizable random_gamma_family verify_selector",
+    "models": "Model ModelRegistry ZfcConstraint eval_expr load_default_registry validate_model",
+}
+
+
+def test_public_names_resolve_to_their_home_objects():
+    names = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+    for name, module in names.items():
+        assert getattr(taukb, name) is getattr(importlib.import_module(f"taukb.{module}"), name), name
+    assert set(taukb.__all__) == set(names)
+    namespace = {}
+    exec("from taukb import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
+    with pytest.raises(AttributeError):
+        taukb.no_such_name
