@@ -21,9 +21,8 @@ depend on the order of the input fact list.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import formats
 from .core import (
@@ -172,44 +171,36 @@ class CardinalityReport:
         return self.exacts[0] if self.exacts else None
 
 
-class _Lazy(Mapping):
-    """Read-only mapping whose value for a key is built from the key's source
-    on first read, then kept."""
+class _LazyTrace(ProofTrace):
+    """A proof trace whose steps are built on first read, by build()."""
 
-    def __init__(self, sources: dict, build):
-        self._sources, self._build, self._built = sources, build, {}
+    def __init__(self, build):
+        object.__setattr__(self, "_build", build)
 
-    def __getitem__(self, key):
-        if key not in self._built:
-            self._built[key] = self._build(self._sources[key])
-        return self._built[key]
+    @cached_property
+    def steps(self) -> tuple[RuleInstance, ...]:
+        return self._build()
 
-    def __contains__(self, key) -> bool:
-        return key in self._sources
+    def __eq__(self, other):  # equal to a ProofTrace with the same steps
+        return isinstance(other, ProofTrace) and self.steps == other.steps
 
-    def __iter__(self):
-        return iter(self._sources)
-
-    def __len__(self) -> int:
-        return len(self._sources)
+    __hash__ = ProofTrace.__hash__
 
 
 class ClosureResult:
     """Immutable outcome of close(): judgment matrix, intervals, traces.
 
-    A proof trace is built from the closure's provenance the first time it
-    is read, through matrix or exact_traces.
+    The closure keeps its provenance, and each trace in matrix and
+    exact_traces builds its steps from it the first time they are read.
     """
 
-    def __init__(self, properties, cells, lower, upper, exacts, exact_stmts, iterations, trace_of):
+    def __init__(self, properties, matrix, lower, upper, exacts, exact_traces, iterations):
         self.properties: tuple[Property, ...] = properties
-        self._cells = cells  # (P, Q) -> (verdict, the statement that settles it or None)
-        self.matrix: Mapping[tuple[Property, Property], Judgment] = _Lazy(
-            cells, lambda c: Judgment(c[0], trace_of(c[1])) if c[1] else Judgment(c[0]))
+        self.matrix: dict[tuple[Property, Property], Judgment] = matrix
         self.lower: dict[Property, tuple[CardinalExpr, ...]] = lower
         self.upper: dict[Property, tuple[CardinalExpr, ...]] = upper
         self.exacts: dict[Property, tuple[CardinalExpr, ...]] = exacts
-        self.exact_traces: Mapping[tuple[Property, CardinalExpr], ProofTrace] = _Lazy(exact_stmts, trace_of)
+        self.exact_traces: dict[tuple[Property, CardinalExpr], ProofTrace] = exact_traces
         self.iterations = iterations
 
     def serial_properties(self) -> list[Property]:
@@ -217,9 +208,9 @@ class ClosureResult:
         return sorted(num, key=lambda p: p.serial)
 
     def serial_grid(self) -> list[list[Verdict]]:
-        """22x22 verdict grid over the serial-numbered properties; builds no trace."""
+        """22x22 verdict grid over the serial-numbered properties."""
         ps = self.serial_properties()
-        return [[self._cells[(a, b)][0] for b in ps] for a in ps]
+        return [[self.matrix[(a, b)].verdict for b in ps] for a in ps]
 
 
 def close(kb: KnowledgeBase) -> ClosureResult:
@@ -277,7 +268,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             return Claim(kind, props[i], props[x])
         return Claim(kind, props[i], expr=exprs[x])
 
-    def trace_of(stmt: tuple) -> ProofTrace:
+    def steps_of(stmt: tuple) -> tuple[RuleInstance, ...]:
         order: list[tuple] = []
         seen: set[tuple] = set()
 
@@ -295,13 +286,13 @@ def close(kb: KnowledgeBase) -> ClosureResult:
         for s in order:
             rule, premises, note = prov[s]
             steps.append(RuleInstance(rule, tuple(pos[p] for p in premises), claim_of(s), note))
-        return ProofTrace(tuple(steps))
+        return tuple(steps)
 
     def check_contradiction() -> None:
         if both := imp & non:
             i, j = min(both)
-            raise Contradiction(props[i], props[j], trace_of(("implies", i, j)),
-                                trace_of(("notimplies", i, j)))
+            raise Contradiction(props[i], props[j], ProofTrace(steps_of(("implies", i, j))),
+                                ProofTrace(steps_of(("notimplies", i, j))))
 
     def first_less(ups: set[int], lows: set[int]) -> tuple[int, int] | None:
         # the least (u, l) in rendered order that some model puts strictly apart
@@ -394,24 +385,25 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             raise TaukbError(f"interval for {p.name} is inconsistent in model {less[hit]}: "
                              f"{render_expr(exprs[l])} > {render_expr(exprs[u])}")
 
-    cells = {}
+    matrix: dict[tuple[Property, Property], Judgment] = {}
     for i, a in enumerate(props):
         for j, b in enumerate(props):
             if (i, j) in imp:
-                cells[(a, b)] = (Verdict.IMPLIES, ("implies", i, j))
+                matrix[(a, b)] = Judgment(Verdict.IMPLIES, _LazyTrace(partial(steps_of, ("implies", i, j))))
             elif (i, j) in non:
-                cells[(a, b)] = (Verdict.NOT_IMPLIES, ("notimplies", i, j))
+                matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES,
+                                          _LazyTrace(partial(steps_of, ("notimplies", i, j))))
             else:
-                cells[(a, b)] = (Verdict.UNKNOWN, None)
+                matrix[(a, b)] = Judgment(Verdict.UNKNOWN)
 
     lower = {p: tuple(exprs[k] for k in sorted(low[i])) for i, p in enumerate(props)}
     upper = {p: tuple(exprs[k] for k in sorted(up[i])) for i, p in enumerate(props)}
     exacts: dict[Property, tuple] = {p: () for p in props}
-    exact_stmts: dict[tuple[Property, CardinalExpr], tuple] = {}
+    exact_traces: dict[tuple[Property, CardinalExpr], ProofTrace] = {}
     for (i, k) in sorted(exact):
         exacts[props[i]] = exacts[props[i]] + (exprs[k],)
-        exact_stmts[(props[i], exprs[k])] = ("exact", i, k)
-    return ClosureResult(props, cells, lower, upper, exacts, exact_stmts, iterations, trace_of)
+        exact_traces[(props[i], exprs[k])] = _LazyTrace(partial(steps_of, ("exact", i, k)))
+    return ClosureResult(props, matrix, lower, upper, exacts, exact_traces, iterations)
 
 
 # ---------------------------------------------------------------------------
