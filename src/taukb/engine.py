@@ -22,7 +22,7 @@ depend on the order of the input fact list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from . import formats
 from .core import (
@@ -262,6 +262,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             raise UnknownProperty(f"fact names an unregistered property: {c.render()}") from None
         install(stmt, "fact", (), cite)
 
+    @cache  # traces share their premises' statements
     def claim_of(stmt: tuple) -> Claim:
         kind, i, x = stmt
         if kind in _EDGE_KINDS:
