@@ -172,10 +172,10 @@ class CardinalityReport:
 
 
 class _LazyTrace(ProofTrace):
-    """A proof trace whose steps are built on first read, by build()."""
+    """A proof trace whose steps are built on first read, by steps_of(stmt)."""
 
-    def __init__(self, build):
-        object.__setattr__(self, "_build", build)
+    def __init__(self, steps_of, stmt: tuple):
+        object.__setattr__(self, "_build", partial(steps_of, stmt))
 
     @cached_property
     def steps(self) -> tuple[RuleInstance, ...]:
@@ -390,10 +390,9 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     for i, a in enumerate(props):
         for j, b in enumerate(props):
             if (i, j) in imp:
-                matrix[(a, b)] = Judgment(Verdict.IMPLIES, _LazyTrace(partial(steps_of, ("implies", i, j))))
+                matrix[(a, b)] = Judgment(Verdict.IMPLIES, _LazyTrace(steps_of, ("implies", i, j)))
             elif (i, j) in non:
-                matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES,
-                                          _LazyTrace(partial(steps_of, ("notimplies", i, j))))
+                matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, _LazyTrace(steps_of, ("notimplies", i, j)))
             else:
                 matrix[(a, b)] = Judgment(Verdict.UNKNOWN)
 
@@ -403,7 +402,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     exact_traces: dict[tuple[Property, CardinalExpr], ProofTrace] = {}
     for (i, k) in sorted(exact):
         exacts[props[i]] = exacts[props[i]] + (exprs[k],)
-        exact_traces[(props[i], exprs[k])] = _LazyTrace(partial(steps_of, ("exact", i, k)))
+        exact_traces[(props[i], exprs[k])] = _LazyTrace(steps_of, ("exact", i, k))
     return ClosureResult(props, matrix, lower, upper, exacts, exact_traces, iterations)
 
 
