@@ -176,19 +176,8 @@ def problems(ctx):
 
     entries = formats.list_problems()
     text = "\n".join(formats.render_problem(p) for p in entries) + "\n"
-    payload = []
-    for p in entries:
-        obj = {"issue": p.issue, "statement": p.statement}
-        if isinstance(p.status, formats.Solved):
-            obj["status"] = "solved"
-            obj["answer"] = p.status.answer
-            obj["credit"] = p.status.credit
-        elif isinstance(p.status, formats.PartiallySolved):
-            obj["status"] = "partially solved"
-            obj["note"] = p.status.note
-        else:
-            obj["status"] = "open"
-        payload.append(obj)
+    payload = [{"issue": p.issue, "statement": p.statement, **formats.problem_status(p.status)}
+               for p in entries]
     _emit(ctx, text, payload)
 
 

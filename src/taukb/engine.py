@@ -451,25 +451,49 @@ def diff(a: list[list[Verdict]], b: list[list[Verdict]]) -> list[tuple[int, int,
 def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
     """Re-check every step of a trace against the rule definitions.
 
-    Raises ReplayError on the first step that does not follow.  Base fact
-    steps must match a fact in the knowledge base.
+    Raises ReplayError on the first step that is not a base fact of kb or
+    does not conclude exactly what its rule draws from its premises.
     """
-    concluded: list[Claim] = []
+    concluded: list[tuple] = []
     for idx, step in enumerate(trace.steps):
         for p in step.premises:
             if not 0 <= p < idx:
                 raise ReplayError(f"step {idx} uses premise {p}, which is not an earlier step")
-        premises = [concluded[p] for p in step.premises]
-        _check_step(step, premises, kb)
-        concluded.append(step.conclusion)
+        c = step.conclusion
+        concluded.append((c.kind, c.subject, c.object, c.expr))
+        _check_step(step, concluded[-1], [concluded[p] for p in step.premises], kb)
 
 
-def _check_step(step: RuleInstance, premises: list[Claim], kb: KnowledgeBase) -> None:
-    c = step.conclusion
+def _rule_conclusion(rule: str, a: tuple, b: tuple) -> tuple | None:
+    """What rule R2..R6 draws from premises a and b, all (kind, subject, object,
+    expr) tuples; None if they do not fit it.  Replay reads the rules here alone."""
+    (ak, ap, ao, ae), (bk, bp, bo, be) = a, b
+    if rule == "R2" and (ak, bk) == ("implies", "implies") and ao == bp:
+        return ("implies", ap, bo, None)
+    if rule == "R3a" and (ak, bk) == ("implies", "notimplies") and ao == bo:
+        return ("notimplies", bp, ap, None)
+    if rule == "R3b" and (ak, bk) == ("implies", "notimplies") and ap == bp:
+        return ("notimplies", ao, bo, None)
+    if rule == "R4" and (ak, bk) == ("upper", "lower"):
+        return ("notimplies", bp, ap, None)
+    if rule == "R5" and (ak, bk) == ("implies", "lower") and bp == ap:
+        return ("lower", ao, None, be)
+    if rule == "R5" and (ak, bk) == ("implies", "upper") and bp == ao:
+        return ("upper", ap, None, be)
+    if rule == "R6" and (ak, bk) == ("lower", "upper") and ap == bp and ae == be:
+        return ("exact", ap, None, ae)
+    return None
+
+
+def _check_step(step: RuleInstance, c: tuple, premises: list[tuple], kb: KnowledgeBase) -> None:
     rule = step.rule
 
     def fail(msg: str):
-        raise ReplayError(f"{rule} step concluding {c.render()}: {msg}")
+        try:
+            shown = step.conclusion.render()
+        except (AttributeError, KeyError):  # fields that do not fit the claim's kind
+            shown = repr(c)
+        raise ReplayError(f"{rule} step concluding {shown}: {msg}")
 
     if rule not in _RULE_RANK:
         fail(f"unknown rule id {rule!r}")
@@ -477,60 +501,20 @@ def _check_step(step: RuleInstance, premises: list[Claim], kb: KnowledgeBase) ->
     if len(premises) != arity:
         fail(f"needs {arity} premises, got {len(premises)}")
     if rule == "fact":
-        if c not in kb._claims:
+        if step.conclusion not in kb._claims:
             fail("no matching base fact in the knowledge base")
-    elif rule == "R1":
-        if not (c.kind == "implies" and c.subject == c.object):
-            fail("conclusion is not reflexive")
-    elif rule == "R2":
-        a, b = premises
-        ok = (a.kind == b.kind == "implies" and a.object == b.subject
-              and c.kind == "implies" and c.subject == a.subject and c.object == b.object)
-        if not ok:
-            fail("premises do not chain")
-    elif rule == "R3a":
-        a, b = premises
-        ok = (a.kind == "implies" and b.kind == "notimplies" and a.object == b.object
-              and c.kind == "notimplies" and c.subject == b.subject and c.object == a.subject)
-        if not ok:
-            fail("does not match R3a")
-    elif rule == "R3b":
-        a, b = premises
-        ok = (a.kind == "implies" and b.kind == "notimplies" and a.subject == b.subject
-              and c.kind == "notimplies" and c.subject == a.object and c.object == b.object)
-        if not ok:
-            fail("does not match R3b")
+    # R1 concludes exactly P -> P; R2..R6 exactly what their premises draw
+    elif c != (("implies", c[1], c[1], None) if rule == "R1" else _rule_conclusion(rule, *premises)):
+        fail(f"does not match {rule}")
     elif rule == "R4":
-        a, b = premises
-        ok = (a.kind == "upper" and b.kind == "lower" and c.kind == "notimplies"
-              and c.subject == b.subject and c.object == a.subject)
-        if not ok:
-            fail("does not match R4 shape")
+        (_, _, _, u), (_, _, _, l) = premises
         try:
             model = kb.registry.get(step.note)
-            witnessed = eval_expr(a.expr, model) < eval_expr(b.expr, model)
+            witnessed = eval_expr(u, model) < eval_expr(l, model)
         except TaukbError as e:  # no such model, or it leaves an atom unassigned
             fail(str(e))
         if not witnessed:
-            fail(f"model {model.name} does not witness {render_expr(a.expr)} < {render_expr(b.expr)}")
-    elif rule == "R5":
-        a, b = premises
-        if a.kind != "implies":
-            fail("first premise must be an implication")
-        if b.kind == "lower":
-            ok = c.kind == "lower" and b.subject == a.subject and c.subject == a.object and c.expr == b.expr
-        elif b.kind == "upper":
-            ok = c.kind == "upper" and b.subject == a.object and c.subject == a.subject and c.expr == b.expr
-        else:
-            ok = False
-        if not ok:
-            fail("does not match R5")
-    elif rule == "R6":
-        a, b = premises
-        ok = (a.kind == "lower" and b.kind == "upper" and a.subject == b.subject == c.subject
-              and a.expr == b.expr == c.expr and c.kind == "exact")
-        if not ok:
-            fail("does not match R6")
+            fail(f"model {model.name} does not witness {render_expr(u)} < {render_expr(l)}")
 
 
 def replay_all(result: ClosureResult, kb: KnowledgeBase) -> int:
@@ -541,7 +525,7 @@ def replay_all(result: ClosureResult, kb: KnowledgeBase) -> int:
             continue
         final = judgment.trace.steps[-1].conclusion
         want = "implies" if judgment.verdict is Verdict.IMPLIES else "notimplies"
-        if final.kind != want or final.subject != a or final.object != b:
+        if (final.kind, final.subject, final.object, final.expr) != (want, a, b, None):
             raise ReplayError(f"trace for ({a.name}, {b.name}) does not conclude the cell")
         replay_trace(judgment.trace, kb)
         count += 1

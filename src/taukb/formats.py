@@ -194,6 +194,14 @@ def unquote(token: str, what: str) -> str:
     raise ValueError(f"{what} must be double-quoted")
 
 
+def quote(value: str, what: str) -> str:
+    """value in double quotes, as unquote reads it back; what names the value
+    in the error.  No escape exists, so a '"' or a line break is refused."""
+    if '"' in value or "".join(value.splitlines()) != value:
+        raise TaukbError(f"{what} {value!r} cannot be written: it holds a double quote or a line break")
+    return f'"{value}"'
+
+
 _OPTION_VALUE = {"cite": lambda v: unquote(v, "cite value"), "model": str, "non": parse_expr}
 
 
@@ -286,7 +294,8 @@ def render_decl(d: Decl) -> str:
     elif isinstance(d, CardDecl):
         out = f"card {d.ref.render()} {d.rel} {render_expr(d.expr)}"
     elif isinstance(d, IncludeDecl):
-        return f'include "{d.path}"' if re.search(r"[\s#]", d.path) else f"include {d.path}"
+        plain = re.fullmatch(r'[^\s#"]+', d.path)
+        return f"include {d.path if plain else quote(d.path, 'include path')}"
     else:
         raise TypeError(f"not a declaration: {d!r}")
     if getattr(d, "non", None) is not None:
@@ -294,7 +303,7 @@ def render_decl(d: Decl) -> str:
     if getattr(d, "model", None) is not None:
         out += f" model={d.model}"
     if getattr(d, "cite", None) is not None:
-        out += f' cite="{d.cite}"'
+        out += f" cite={quote(d.cite, 'cite value')}"
     return out
 
 
@@ -481,11 +490,17 @@ def list_problems() -> list[ProblemEntry]:
     return list(PROBLEMS)
 
 
+def problem_status(status: ProblemStatus) -> dict[str, str]:
+    """The status's name, then the values it carries, in field order: the
+    jsonl fields of a problem, and what its table line shows."""
+    if isinstance(status, Solved):
+        return {"status": "solved", "answer": status.answer, "credit": status.credit}
+    if isinstance(status, PartiallySolved):
+        return {"status": "partially solved", "note": status.note}
+    return {"status": "open"}
+
+
 def render_problem(p: ProblemEntry) -> str:
-    if isinstance(p.status, Solved):
-        status = f"solved: {p.status.answer} ({p.status.credit})"
-    elif isinstance(p.status, PartiallySolved):
-        status = f"partially solved: {p.status.note}"
-    else:
-        status = "open"
-    return f"issue {p.issue}: {p.statement} [{status}]"
+    name, *values = problem_status(p.status).values()
+    detail = (f": {values[0]}" + "".join(f" ({v})" for v in values[1:])) if values else ""
+    return f"issue {p.issue}: {p.statement} [{name}{detail}]"

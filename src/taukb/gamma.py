@@ -44,6 +44,11 @@ class Row:
     word: str  # finite 0/1 prefix
     tail: int  # repeated beyond the word
 
+    def __post_init__(self):
+        # _row_masks reads the word as a binary numeral
+        if self.word.strip("01") or self.tail not in (0, 1):
+            raise BadShape(f"row must be a 0/1 word and a 0/1 tail, got {self.word!r} and {self.tail!r}")
+
     def entry(self, m: int) -> int:
         if m < len(self.word):
             return 1 if self.word[m] == "1" else 0
@@ -118,22 +123,22 @@ class Diagonalizer:
     choices: tuple[int, ...]  # g(n) per row
 
 
-def _members(fam) -> tuple[GammaArray, ...]:
-    if isinstance(fam, GammaFamily):
-        return fam.members
-    return tuple(fam)
-
-
 def _mask(columns) -> int:
     return sum(1 << m for m in columns)
 
 
 def _row_masks(members, rows: int, col_bound: int) -> list[tuple[int, ...]]:
-    """Each member as one int per row: bit m is set iff entry (n, m) is 1, m < col_bound."""
+    """Each member as one int per row: bit m is set iff entry (n, m) is 1, m < col_bound.
+
+    The word's first col_bound letters, read backwards as binary, give the low
+    bits; a tail of 1 sets every bit from the word's end up to col_bound.
+    """
     counts = {a.row_count for a in members}
     if counts - {rows}:
         raise BadShape(f"members disagree on row count: {sorted(counts)}")
-    return [tuple(_mask(m for m in range(col_bound) if a.entry(n, m)) for n in range(rows))
+    top = (1 << col_bound) - 1
+    return [tuple(int(r.word[:col_bound][::-1] or "0", 2)
+                  | (top >> len(r.word) << len(r.word) if r.tail else 0) for r in a.rows)
             for a in members]
 
 
@@ -170,7 +175,7 @@ def _diagonalizes(hitters, choices: tuple[int, ...], everyone: int) -> bool:
 
 def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
     """Check conditions (a) and (b) for the selector against the family."""
-    members = _members(fam)
+    members = tuple(fam)
     rows = members[0].row_count if members else len(selector.sets)
     if len(selector.sets) != rows:
         raise BadShape(f"selector has {len(selector.sets)} sets for {rows} rows")
@@ -183,7 +188,7 @@ def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
 
 
 def verify_diagonalizer(fam, g: Diagonalizer, col_bound: int) -> bool:
-    members = _members(fam)
+    members = tuple(fam)
     rows = members[0].row_count if members else len(g.choices)
     if len(g.choices) != rows:
         raise BadShape(f"diagonalizer has {len(g.choices)} choices for {rows} rows")
@@ -202,7 +207,7 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
     if col_bound < 0 or size_bound < 0:
         raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}, "
                        f"size_bound={size_bound}")
-    members = _members(fam)
+    members = tuple(fam)
     rows = members[0].row_count if members else 0
     per_row = sum(comb(col_bound, i) for i in range(min(size_bound, col_bound) + 1))
     if per_row ** rows > budget:
@@ -226,7 +231,7 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
     """
     if col_bound < 0:
         raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}")
-    members = _members(fam)
+    members = tuple(fam)
     rows = members[0].row_count if members else 0
     if col_bound ** rows > budget:
         raise SearchSpaceTooLarge(f"{col_bound}^{rows} choice vectors exceed budget {budget}")

@@ -28,7 +28,7 @@ from .core import (
     parse_expr,
     render_expr,
 )
-from .formats import split_line, unquote
+from .formats import quote, split_line, unquote
 
 
 class UnknownAtom(TaukbError):
@@ -267,7 +267,7 @@ def parse_models(text: str) -> list[Model]:
 def render_models(models: list[Model]) -> str:
     blocks = []
     for m in models:
-        lines = [f'model {m.name} cite "{m.citation}"']
+        lines = [f"model {m.name} cite {quote(m.citation, 'citation')}"]
         lines += [f"level {a.value if a is not CardinalAtom.COV_M else 'covM'} {v}" for a, v in m.levels]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 from pathlib import Path
@@ -9,6 +10,7 @@ from taukb.core import (
     Atom,
     CardinalAtom,
     Claim,
+    Judgment,
     ProofTrace,
     RuleInstance,
     Verdict,
@@ -190,10 +192,15 @@ def test_interval_inconsistency_is_caught(default_kb):
         close(kb)
 
 
-def test_sandwich_rederivation(default_kb):
+def _sandwich_kb(registry):
+    # serial 12 without its card eq line: non(S12) = b comes back through R5 and R6
     ff = formats.load_default_facts().without(
         lambda d: isinstance(d, CardDecl) and d.ref == SerialRef(12) and d.rel == "eq")
-    kb = build_knowledge_base(ff, default_kb.registry)
+    return build_knowledge_base(ff, registry)
+
+
+def test_sandwich_rederivation(default_kb):
+    kb = _sandwich_kb(default_kb.registry)
     result = close(kb)
     report = derive_cardinality(result, serial(12))
     assert report.exact == atom("b")
@@ -235,12 +242,15 @@ def test_unresolved_include_is_refused(default_kb):
         build_knowledge_base(ff, default_kb.registry)
 
 
-def _tampered_trace(closure, case):
+def _tampered_trace(closure, case, registry):
     def steps(i, j):
         return list(query(closure, serial(i), serial(j)).trace.steps)
 
     def with_last(trace_steps, **changes):
         return ProofTrace(tuple(trace_steps[:-1]) + (dataclasses.replace(trace_steps[-1], **changes),))
+
+    def stray(trace_steps, **fields):  # the last conclusion gains a field its kind leaves out
+        return with_last(trace_steps, conclusion=dataclasses.replace(trace_steps[-1].conclusion, **fields))
 
     fact = steps(0, 18)[0]  # S0 fact: S1(Gamma,Gamma) -> Ufin(Gamma,Gamma)
     chain = steps(0, 19)  # two arrow facts, then R2 from S0, S1
@@ -248,6 +258,15 @@ def _tampered_trace(closure, case):
     if case.endswith("-one-premise"):
         rule = case.split("-")[0]
         return ProofTrace((fact, RuleInstance(rule, (0,), fact.conclusion)))
+    if case.endswith("-stray-expr") and case != "final-cell-stray-expr":
+        rule = case.split("-")[0]
+        return stray(next(list(j.trace.steps) for j in closure.matrix.values()
+                          if j.trace.steps[-1:] and j.trace.steps[-1].rule == rule), expr=atom("b"))
+    if case == "R5-stray-object":
+        # the sandwich trace's fact steps are default facts, so it replays against the default KB
+        sandwich = list(close(_sandwich_kb(registry)).exact_traces[(serial(12), atom("b"))].steps)
+        r5 = next(i for i, s in enumerate(sandwich) if s.rule == "R5")
+        return stray(sandwich[:r5 + 1], object=serial(12))
     return {
         "R4-unknown-model": with_last(r4, note="ghost"),
         # odsmall assigns no level to p
@@ -257,6 +276,9 @@ def _tampered_trace(closure, case):
         # counted from the end, -2 and -1 name the right steps
         "negative-premise-later-step": with_last(chain, premises=(-2, -1)),
         "premise-from-later-step": with_last(chain, premises=(2, 3)),
+        "R6-stray-object": stray(list(closure.exact_traces[(serial(12), atom("b"))].steps),
+                                 object=serial(12)),
+        "final-cell-stray-expr": stray(chain, expr=atom("b")),
     }[case]
 
 
@@ -264,10 +286,19 @@ def _tampered_trace(closure, case):
     "R4-unknown-model", "R4-model-lacks-atom", "fact-with-premise",
     "negative-premise-first-step", "negative-premise-later-step", "premise-from-later-step",
     *(f"{rule}-one-premise" for rule in ("R2", "R3a", "R3b", "R4", "R5", "R6")),
+    *(f"{rule}-stray-expr" for rule in ("R1", "R2", "R3a", "R3b", "R4")),
+    "R5-stray-object", "R6-stray-object", "final-cell-stray-expr",
 ])
 def test_replay_refuses_tampered_step(default_kb, closure, case):
-    with pytest.raises(engine.ReplayError):
-        engine.replay_trace(_tampered_trace(closure, case), default_kb)
+    trace = _tampered_trace(closure, case, default_kb.registry)
+    if case == "final-cell-stray-expr":  # replay_all checks the cell's whole claim first
+        tampered = copy.copy(closure)
+        tampered.matrix = {**closure.matrix, (serial(0), serial(19)): Judgment(Verdict.IMPLIES, trace)}
+        with pytest.raises(engine.ReplayError, match="does not conclude the cell"):
+            replay_all(tampered, default_kb)
+    else:
+        with pytest.raises(engine.ReplayError):
+            engine.replay_trace(trace, default_kb)
 
 
 def test_interval_guard_message_is_independent_of_hash_seed():

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from taukb.core import CoverKind, CoverVariant, SelectorKind, TaukbError, Verdict, parse_expr
+from taukb.core import CardinalAtom, CoverKind, CoverVariant, SelectorKind, TaukbError, Verdict, parse_expr
 from taukb.formats import (
     ArrowDecl,
     BadShape,
@@ -27,7 +29,7 @@ from taukb.formats import (
     render_table,
 )
 from taukb.gamma import parse_family_file
-from taukb.models import parse_models
+from taukb.models import make_model, parse_models, render_models
 
 # --- fact DSL -----------------------------------------------------------------
 
@@ -88,6 +90,7 @@ sample_decls = [
     CardDecl(SerialRef(6), "ge", parse_expr("covM"), None),
     IncludeDecl("extra.txt"),
     IncludeDecl("my facts #2.txt"),
+    IncludeDecl(""),
 ]
 
 
@@ -122,6 +125,18 @@ def test_load_facts_includes_a_quoted_path(tmp_path):
                     encoding="utf-8")
     assert parse_facts(main.read_text(encoding="utf-8")).decls[-1] == IncludeDecl("a b.txt")
     assert [type(d).__name__ for d in load_facts(main).decls] == ["PropertyDecl", "PropertyDecl", "ArrowDecl"]
+
+
+@pytest.mark.parametrize("value", ['"x"', 'a "b" c', 'two\nlines'])
+@pytest.mark.parametrize("render", [
+    lambda v: render_decl(IncludeDecl(v)),
+    lambda v: render_decl(ArrowDecl(SerialRef(0), SerialRef(18), v)),
+    lambda v: render_models([make_model("m", {CardinalAtom.C: 1}, v)]),
+], ids=["include-path", "cite", "model-citation"])
+def test_renderers_refuse_a_value_they_cannot_quote(render, value):
+    # with no escape in the grammar, such a line would not read back as the value
+    with pytest.raises(TaukbError, match=re.escape(repr(value))):
+        render(value)
 
 
 covers = st.sampled_from(list(CoverKind))

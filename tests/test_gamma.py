@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from taukb.gamma import (
     Row,
     SearchSpaceTooLarge,
     Selector,
+    _row_masks,
     array,
     family,
     finitely_tau_diagonalizable,
@@ -249,3 +251,27 @@ def test_ragged_members_are_refused(members):
         o_diagonalizable(members, 3)
     with pytest.raises(BadShape):
         verify_diagonalizer(members, Diagonalizer((0,) * members[0].row_count), 3)
+
+
+# --- row masks -----------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(5))
+def test_row_masks_agree_with_entry(seed):
+    # tails 0 and 1, words longer and shorter than the bound, and bound 0
+    rng = random.Random(seed)
+    for _ in range(200):
+        rows = rng.randint(0, 4)
+        members = [GammaArray(tuple(Row("".join(rng.choice("01") for _ in range(rng.randint(0, 8))),
+                                        rng.randint(0, 1)) for _ in range(rows)))
+                   for _ in range(rng.randint(1, 3))]
+        for col_bound in (0, 1, rng.randint(2, 10)):
+            want = [tuple(sum(a.entry(n, m) << m for m in range(col_bound)) for n in range(rows))
+                    for a in members]
+            assert _row_masks(members, rows, col_bound) == want
+
+
+@pytest.mark.parametrize("word, tail", [("2", 1), (" 1", 1), ("1", 2)])
+def test_row_refuses_a_word_or_tail_that_is_not_0_1(word, tail):
+    # a stray letter would turn into a wrong mask bit or a ValueError
+    with pytest.raises(BadShape):
+        Row(word, tail)
