@@ -14,8 +14,8 @@ import sys
 
 import click
 
-from .core import (DEFAULT_BUDGET, Atom, CardinalAtom, Contradiction, TaukbError, read_text,
-                   render_expr, render_trace)
+from .core import (DEFAULT_BUDGET, CardinalAtom, Contradiction, TaukbError, read_text, render_expr,
+                   render_trace)
 
 EXIT_DIFF = 1
 EXIT_PARSE = 2
@@ -131,7 +131,7 @@ def card(ctx, i):
     result = _close(ctx)
     prop = _serial(result, i)
     report = engine.derive_cardinality(result, prop)
-    named_unknown = Atom(CardinalAtom.OD)
+    named_unknown = CardinalAtom.OD
     if report.exact is not None and (prop.non is not None or report.exact != named_unknown):
         text = f"non({prop.name}) = {render_expr(report.exact)}\n"
         payload = {"serial": i, "exact": render_expr(report.exact)}

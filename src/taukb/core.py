@@ -126,9 +126,8 @@ _ATOM_ALIASES = {a.value: a for a in CardinalAtom}
 _ATOM_ALIASES["covM"] = CardinalAtom.COV_M
 
 
-@dataclass(frozen=True)
-class Atom:
-    atom: CardinalAtom
+# An expression leaf is the CardinalAtom member itself; Atom(a) is a.
+Atom = CardinalAtom
 
 
 @dataclass(frozen=True)
@@ -141,22 +140,22 @@ class Max:
     args: tuple["CardinalExpr", ...]
 
 
-CardinalExpr = Atom | Min | Max
+CardinalExpr = CardinalAtom | Min | Max
 
 
-def atom(name: str | CardinalAtom) -> Atom:
-    """Build an Atom from a CardinalAtom or its rendered name ('covM' accepted)."""
+def atom(name: str | CardinalAtom) -> CardinalAtom:
+    """The CardinalAtom itself, or the one its rendered name names ('covM' accepted)."""
     if isinstance(name, CardinalAtom):
-        return Atom(name)
+        return name
     try:
-        return Atom(_ATOM_ALIASES[name])
+        return _ATOM_ALIASES[name]
     except KeyError:
         raise MalformedExpr(f"unknown cardinal atom {name!r}") from None
 
 
 def render_expr(e: CardinalExpr) -> str:
-    if isinstance(e, Atom):
-        return e.atom.value
+    if isinstance(e, CardinalAtom):
+        return e.value
     inner = ",".join(render_expr(a) for a in e.args)
     return ("min" if isinstance(e, Min) else "max") + "{" + inner + "}"
 
@@ -168,7 +167,7 @@ def normalize_expr(e: CardinalExpr) -> CardinalExpr:
     same value.  A min/max that is left with a single distinct child collapses
     to that child.  Idempotent.
     """
-    if isinstance(e, Atom):
+    if isinstance(e, CardinalAtom):
         return e
     cls = type(e)
     if len(e.args) < 2:

@@ -103,9 +103,9 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
             if p is None:
                 errors.append(f"line {line}: serial {ref.serial} is not declared")
             return p
-        p = props.get(Property(ref.kind, ref.source, ref.target, ref.variant))
+        p = props.get(ref)
         if p is None:
-            errors.append(f"line {line}: property {ref.render()} is not declared")
+            errors.append(f"line {line}: property {formats.render_ref(ref)} is not declared")
         return p
 
     facts: list[tuple[Claim, str]] = []
@@ -188,18 +188,17 @@ class _LazyTrace(ProofTrace):
 
 
 class ClosureResult:
-    """Immutable outcome of close(): judgment matrix, intervals, traces.
+    """Immutable outcome of close(): judgment matrix, one cardinality report
+    per property, traces.
 
     The closure keeps its provenance, and each trace in matrix and
     exact_traces builds its steps from it the first time they are read.
     """
 
-    def __init__(self, properties, matrix, lower, upper, exacts, exact_traces, iterations):
+    def __init__(self, properties, matrix, cards, exact_traces, iterations):
         self.properties: tuple[Property, ...] = properties
         self.matrix: dict[tuple[Property, Property], Judgment] = matrix
-        self.lower: dict[Property, tuple[CardinalExpr, ...]] = lower
-        self.upper: dict[Property, tuple[CardinalExpr, ...]] = upper
-        self.exacts: dict[Property, tuple[CardinalExpr, ...]] = exacts
+        self.cards: dict[Property, CardinalityReport] = cards
         self.exact_traces: dict[tuple[Property, CardinalExpr], ProofTrace] = exact_traces
         self.iterations = iterations
 
@@ -396,14 +395,13 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             else:
                 matrix[(a, b)] = Judgment(Verdict.UNKNOWN)
 
-    lower = {p: tuple(exprs[k] for k in sorted(low[i])) for i, p in enumerate(props)}
-    upper = {p: tuple(exprs[k] for k in sorted(up[i])) for i, p in enumerate(props)}
-    exacts: dict[Property, tuple] = {p: () for p in props}
-    exact_traces: dict[tuple[Property, CardinalExpr], ProofTrace] = {}
-    for (i, k) in sorted(exact):
-        exacts[props[i]] = exacts[props[i]] + (exprs[k],)
-        exact_traces[(props[i], exprs[k])] = _LazyTrace(steps_of, ("exact", i, k))
-    return ClosureResult(props, matrix, lower, upper, exacts, exact_traces, iterations)
+    def values(ks) -> tuple[CardinalExpr, ...]:
+        return tuple(exprs[k] for k in sorted(ks))
+
+    cards = {p: CardinalityReport(values(k for j, k in exact if j == i), values(low[i]), values(up[i]))
+             for i, p in enumerate(props)}
+    exact_traces = {(props[i], exprs[k]): _LazyTrace(steps_of, ("exact", i, k)) for (i, k) in sorted(exact)}
+    return ClosureResult(props, matrix, cards, exact_traces, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +424,12 @@ def explain(result: ClosureResult, p: Property, q: Property) -> str:
 
 
 def derive_cardinality(result: ClosureResult, p: Property) -> CardinalityReport:
-    """Exact critical cardinality if the closure pinned one, plus bound sets."""
-    if p not in result.exacts:
-        raise UnknownProperty(f"{p.name} is not registered")
-    return CardinalityReport(result.exacts[p], result.lower[p], result.upper[p])
+    """The closure's stored report on non(p): exact values, if it pinned any,
+    plus bound sets."""
+    try:
+        return result.cards[p]
+    except KeyError:
+        raise UnknownProperty(f"{p.name} is not registered") from None
 
 
 def diff(a: list[list[Verdict]], b: list[list[Verdict]]) -> list[tuple[int, int, Verdict, Verdict]]:

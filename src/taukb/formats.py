@@ -62,22 +62,15 @@ class FactParseError(TaukbError):
 class SerialRef:
     serial: int
 
-    def render(self) -> str:
-        return str(self.serial)
+
+# a structural ref is the Property it names, whose equality ignores serial and non
+Ref = SerialRef | Property
 
 
-@dataclass(frozen=True)
-class StructRef:
-    kind: SelectorKind
-    source: CoverKind
-    target: CoverKind
-    variant: CoverVariant
-
-    def render(self) -> str:
-        return ":".join((self.kind.label, self.source.label, self.target.label, self.variant.label))
-
-
-Ref = SerialRef | StructRef
+def render_ref(ref: Ref) -> str:
+    if isinstance(ref, SerialRef):
+        return str(ref.serial)
+    return ":".join((ref.kind.label, ref.source.label, ref.target.label, ref.variant.label))
 
 
 @dataclass(frozen=True)
@@ -202,6 +195,17 @@ def quote(value: str, what: str) -> str:
     return f'"{value}"'
 
 
+def bare(value: str, what: str) -> str:
+    """value as it stands, if split_line reads it back as that one token;
+    what names the value in the error."""
+    try:
+        if split_line(value) == [value]:
+            return value
+    except ValueError:  # a lone double quote
+        pass
+    raise TaukbError(f"{what} {value!r} cannot be written: it does not read back as one token")
+
+
 _OPTION_VALUE = {"cite": lambda v: unquote(v, "cite value"), "model": str, "non": parse_expr}
 
 
@@ -219,10 +223,10 @@ def _take_options(args: list[str], allowed: tuple[str, ...]) -> dict:
     return options
 
 
-def _struct(kind: str, src: str, tgt: str, var: str) -> StructRef:
+def _struct(kind: str, src: str, tgt: str, var: str) -> Property:
     if kind not in _KINDS or src not in _COVERS or tgt not in _COVERS or var not in _VARIANTS:
         raise ValueError(f"bad property coordinates {kind} {src} {tgt} {var}")
-    return StructRef(_KINDS[kind], _COVERS[src], _COVERS[tgt], _VARIANTS[var])
+    return Property(_KINDS[kind], _COVERS[src], _COVERS[tgt], _VARIANTS[var])
 
 
 def parse_ref(token: str) -> Ref:
@@ -288,11 +292,11 @@ def render_decl(d: Decl) -> str:
     elif isinstance(d, VariantDecl):
         out = f"variant {d.kind.label} {d.source.label} {d.target.label} {d.variant.label}"
     elif isinstance(d, ArrowDecl):
-        out = f"arrow {d.src.render()} {d.dst.render()}"
+        out = f"arrow {render_ref(d.src)} {render_ref(d.dst)}"
     elif isinstance(d, NonImpDecl):
-        out = f"nonimp {d.src.render()} {d.dst.render()}"
+        out = f"nonimp {render_ref(d.src)} {render_ref(d.dst)}"
     elif isinstance(d, CardDecl):
-        out = f"card {d.ref.render()} {d.rel} {render_expr(d.expr)}"
+        out = f"card {render_ref(d.ref)} {d.rel} {render_expr(d.expr)}"
     elif isinstance(d, IncludeDecl):
         plain = re.fullmatch(r'[^\s#"]+', d.path)
         return f"include {d.path if plain else quote(d.path, 'include path')}"
@@ -301,7 +305,7 @@ def render_decl(d: Decl) -> str:
     if getattr(d, "non", None) is not None:
         out += f" non={render_expr(d.non)}"
     if getattr(d, "model", None) is not None:
-        out += f" model={d.model}"
+        out += f" model={bare(d.model, 'model name')}"
     if getattr(d, "cite", None) is not None:
         out += f" cite={quote(d.cite, 'cite value')}"
     return out

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    Atom,
     CardinalAtom,
     CardinalExpr,
     MalformedExpr,
@@ -28,7 +27,7 @@ from .core import (
     parse_expr,
     render_expr,
 )
-from .formats import quote, split_line, unquote
+from .formats import bare, quote, split_line, unquote
 
 
 class UnknownAtom(TaukbError):
@@ -44,22 +43,14 @@ class ModelParseError(TaukbError):
 @dataclass(frozen=True)
 class Model:
     name: str
-    levels: tuple[tuple[CardinalAtom, int], ...]  # sorted by atom name
+    levels: dict[CardinalAtom, int]
     citation: str
 
     def level(self, a: CardinalAtom) -> int:
-        for k, v in self.levels:
-            if k is a:
-                return v
-        raise UnknownAtom(f"model {self.name!r} assigns no level to {a}")
-
-    def has(self, a: CardinalAtom) -> bool:
-        return any(k is a for k, _ in self.levels)
-
-
-def make_model(name: str, levels: dict[CardinalAtom, int], citation: str) -> Model:
-    items = tuple(sorted(levels.items(), key=lambda kv: kv[0].value))
-    return Model(name, items, citation)
+        try:
+            return self.levels[a]
+        except KeyError:
+            raise UnknownAtom(f"model {self.name!r} assigns no level to {a}") from None
 
 
 @dataclass(frozen=True)
@@ -84,8 +75,8 @@ class Violation:
 
 def eval_expr(e: CardinalExpr, model: Model) -> int:
     """Evaluate an expression to the model's level; min/max are pointwise."""
-    if isinstance(e, Atom):
-        return model.level(e.atom)
+    if isinstance(e, CardinalAtom):
+        return model.level(e)
     vals = [eval_expr(c, model) for c in e.args]
     return min(vals) if isinstance(e, Min) else max(vals)
 
@@ -111,9 +102,9 @@ def constraint_list() -> list[ZfcConstraint]:
     ]
     for a in CardinalAtom:
         if a is not CardinalAtom.ALEPH1:
-            out.append(ZfcConstraint(Atom(CardinalAtom.ALEPH1), Atom(a), "definition"))
+            out.append(ZfcConstraint(CardinalAtom.ALEPH1, a, "definition"))
         if a is not CardinalAtom.C:
-            out.append(ZfcConstraint(Atom(a), Atom(CardinalAtom.C), "definition"))
+            out.append(ZfcConstraint(a, CardinalAtom.C, "definition"))
     return out
 
 
@@ -129,13 +120,13 @@ def validate_model(model: Model) -> list[Violation]:
     at the model's maximum level.
     """
     out: list[Violation] = []
-    if model.has(CardinalAtom.ALEPH1) and model.level(CardinalAtom.ALEPH1) != 1:
-        out.append(Violation(model.name, "aleph1 must sit at level 1",
-                             model.level(CardinalAtom.ALEPH1), 1))
-    top = max((v for _, v in model.levels), default=1)
-    if model.has(CardinalAtom.C) and model.level(CardinalAtom.C) != top:
-        out.append(Violation(model.name, "c must sit at the maximum level",
-                             model.level(CardinalAtom.C), top))
+    aleph1 = model.levels.get(CardinalAtom.ALEPH1, 1)
+    if aleph1 != 1:
+        out.append(Violation(model.name, "aleph1 must sit at level 1", aleph1, 1))
+    top = max(model.levels.values(), default=1)
+    c = model.levels.get(CardinalAtom.C, top)
+    if c != top:
+        out.append(Violation(model.name, "c must sit at the maximum level", c, top))
     for con in DEFAULT_CONSTRAINTS:
         try:
             lv, rv = eval_expr(con.lhs, model), eval_expr(con.rhs, model)
@@ -210,7 +201,7 @@ def parse_models(text: str) -> list[Model]:
             return
         if not levels:
             errors.append((lineno, 1, f"model {name!r} has no level lines"))
-        models.append(make_model(name, levels, citation))
+        models.append(Model(name, levels, citation))
         name, citation, levels = None, "", {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,7 +231,7 @@ def parse_models(text: str) -> list[Model]:
                 errors.append((lineno, 1, "expected: level <atom> <integer>"))
                 continue
             try:
-                a = atom(parts[1]).atom
+                a = atom(parts[1])
             except MalformedExpr:
                 errors.append((lineno, len("level ") + 1, f"unknown atom {parts[1]!r}"))
                 continue
@@ -267,8 +258,9 @@ def parse_models(text: str) -> list[Model]:
 def render_models(models: list[Model]) -> str:
     blocks = []
     for m in models:
-        lines = [f"model {m.name} cite {quote(m.citation, 'citation')}"]
-        lines += [f"level {a.value if a is not CardinalAtom.COV_M else 'covM'} {v}" for a, v in m.levels]
+        lines = [f"model {bare(m.name, 'model name')} cite {quote(m.citation, 'citation')}"]
+        lines += [f"level {a.value if a is not CardinalAtom.COV_M else 'covM'} {m.levels[a]}"
+                  for a in sorted(m.levels, key=lambda a: a.value)]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

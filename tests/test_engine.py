@@ -60,12 +60,14 @@ def test_query_examples(closure):
     assert query(closure, serial(0), serial(15)).verdict is Verdict.UNKNOWN
 
 
-def test_query_unregistered_property(closure):
+@pytest.mark.parametrize("ask", [lambda c, p: query(c, p, serial(0)), derive_cardinality],
+                         ids=["query", "derive_cardinality"])
+def test_query_unregistered_property(closure, ask):
     from taukb.core import CoverVariant, Property, UnknownProperty
 
     ghost = Property(serial(0).kind, serial(0).source, serial(0).target, CoverVariant.CLOPEN)
     with pytest.raises(UnknownProperty):
-        query(closure, ghost, serial(0))
+        ask(closure, ghost)
 
 
 def test_row8_all_implies_row21_all_but_self_notimplies(closure):

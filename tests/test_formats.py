@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from taukb.core import CardinalAtom, CoverKind, CoverVariant, SelectorKind, TaukbError, Verdict, parse_expr
+from taukb.core import (CardinalAtom, CoverKind, CoverVariant, Property, SelectorKind, TaukbError, Verdict,
+                        parse_expr)
 from taukb.formats import (
     ArrowDecl,
     BadShape,
@@ -18,7 +19,6 @@ from taukb.formats import (
     PropertyDecl,
     SerialRef,
     Solved,
-    StructRef,
     list_problems,
     load_default_facts,
     load_reference_table,
@@ -29,7 +29,7 @@ from taukb.formats import (
     render_table,
 )
 from taukb.gamma import parse_family_file
-from taukb.models import make_model, parse_models, render_models
+from taukb.models import Model, parse_models, render_models
 
 # --- fact DSL -----------------------------------------------------------------
 
@@ -68,7 +68,7 @@ def test_parse_rejects_trailing_garbage():
 def test_structural_refs_parse():
     ff = parse_facts("arrow Sfin:Gamma:T:borel 12\n")
     decl = ff.decls[0]
-    assert decl.src == StructRef(SelectorKind.SFIN, CoverKind.GAMMA, CoverKind.TAU, CoverVariant.BOREL)
+    assert decl.src == Property(SelectorKind.SFIN, CoverKind.GAMMA, CoverKind.TAU, CoverVariant.BOREL)
     assert decl.dst == SerialRef(12)
 
 
@@ -82,7 +82,7 @@ sample_decls = [
     PropertyDecl(5, SelectorKind.S1, CoverKind.TAU, CoverKind.TAU, parse_expr("t")),
     PropertyDecl(6, SelectorKind.S1, CoverKind.TAU, CoverKind.OMEGA, None),
     ArrowDecl(SerialRef(0), SerialRef(18), None),
-    ArrowDecl(StructRef(SelectorKind.SFIN, CoverKind.GAMMA, CoverKind.TAU, CoverVariant.BOREL),
+    ArrowDecl(Property(SelectorKind.SFIN, CoverKind.GAMMA, CoverKind.TAU, CoverVariant.BOREL),
               SerialRef(12), "inclusion"),
     NonImpDecl(SerialRef(19), SerialRef(18), None, "legacy:Table1"),
     NonImpDecl(SerialRef(18), SerialRef(8), "laver", None),
@@ -131,7 +131,7 @@ def test_load_facts_includes_a_quoted_path(tmp_path):
 @pytest.mark.parametrize("render", [
     lambda v: render_decl(IncludeDecl(v)),
     lambda v: render_decl(ArrowDecl(SerialRef(0), SerialRef(18), v)),
-    lambda v: render_models([make_model("m", {CardinalAtom.C: 1}, v)]),
+    lambda v: render_models([Model("m", {CardinalAtom.C: 1}, v)]),
 ], ids=["include-path", "cite", "model-citation"])
 def test_renderers_refuse_a_value_they_cannot_quote(render, value):
     # with no escape in the grammar, such a line would not read back as the value
@@ -139,9 +139,20 @@ def test_renderers_refuse_a_value_they_cannot_quote(render, value):
         render(value)
 
 
+@pytest.mark.parametrize("value", ["a b", "a#b", ""])
+@pytest.mark.parametrize("render", [
+    lambda v: render_decl(NonImpDecl(SerialRef(0), SerialRef(1), v, None)),
+    lambda v: render_models([Model(v, {CardinalAtom.C: 1}, "x")]),
+], ids=["nonimp-model", "model-name"])
+def test_renderers_refuse_a_model_name_that_is_not_one_token(render, value):
+    # written bare, such a name would read back as another name, or not at all
+    with pytest.raises(TaukbError, match=re.escape(repr(value))):
+        render(value)
+
+
 covers = st.sampled_from(list(CoverKind))
 serial_refs = st.integers(0, 21).map(SerialRef)
-struct_refs = st.builds(StructRef, st.sampled_from(list(SelectorKind)), covers, covers,
+struct_refs = st.builds(Property, st.sampled_from(list(SelectorKind)), covers, covers,
                         st.sampled_from(list(CoverVariant)))
 refs = st.one_of(serial_refs, struct_refs)
 cites = st.one_of(st.none(), st.text(alphabet="abcdefgh :;.,-#", min_size=1, max_size=20))

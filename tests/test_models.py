@@ -9,7 +9,6 @@ from taukb.models import (
     UnknownAtom,
     eval_expr,
     load_default_registry,
-    make_model,
     parse_models,
     render_models,
     validate_model,
@@ -34,27 +33,27 @@ def test_eval_aleph1_is_bottom(registry):
 
 
 def test_eval_min_max():
-    m = make_model("toy", {CardinalAtom.S: 1, CardinalAtom.B: 2, CardinalAtom.ALEPH1: 1,
+    m = Model("toy", {CardinalAtom.S: 1, CardinalAtom.B: 2, CardinalAtom.ALEPH1: 1,
                            CardinalAtom.C: 2}, "test")
     assert eval_expr(parse_expr("min{s,b}"), m) == 1
     assert eval_expr(parse_expr("max{b,s}"), m) == 2
 
 
 def test_eval_missing_atom_raises():
-    m = make_model("toy", {CardinalAtom.ALEPH1: 1, CardinalAtom.C: 1}, "test")
+    m = Model("toy", {CardinalAtom.ALEPH1: 1, CardinalAtom.C: 1}, "test")
     with pytest.raises(UnknownAtom):
         eval_expr(atom("b"), m)
 
 
 def test_validate_flags_p_above_t():
-    m = make_model("bad", {CardinalAtom.ALEPH1: 1, CardinalAtom.P: 2, CardinalAtom.T: 1,
+    m = Model("bad", {CardinalAtom.ALEPH1: 1, CardinalAtom.P: 2, CardinalAtom.T: 1,
                            CardinalAtom.C: 2}, "test")
     violations = validate_model(m)
     assert any("p <= t" in v.description for v in violations)
 
 
 def test_validate_flags_misplaced_bottom_and_top():
-    m = make_model("bad", {CardinalAtom.ALEPH1: 2, CardinalAtom.C: 1}, "test")
+    m = Model("bad", {CardinalAtom.ALEPH1: 2, CardinalAtom.C: 1}, "test")
     descriptions = [v.description for v in validate_model(m)]
     assert any("aleph1" in d for d in descriptions)
     assert any("maximum level" in d for d in descriptions)
@@ -66,7 +65,7 @@ def test_shipped_models_all_validate(registry):
 
 def test_shipped_ch_model_is_flat(registry):
     ch = registry.get("ch")
-    assert {lvl for _, lvl in ch.levels} == {1}
+    assert set(ch.levels.values()) == {1}
     assert validate_model(ch) == []
 
 
@@ -120,7 +119,7 @@ def test_models_file_round_trip(registry):
 
 
 def test_citation_with_hash_round_trips():
-    m = make_model("m", {CardinalAtom.ALEPH1: 1, CardinalAtom.C: 1}, "issue #3, table 2")
+    m = Model("m", {CardinalAtom.ALEPH1: 1, CardinalAtom.C: 1}, "issue #3, table 2")
     assert parse_models(render_models([m])) == [m]
 
 
@@ -133,6 +132,6 @@ def test_parse_models_aggregates_errors():
 
 
 def test_validate_flags_s_above_d():
-    m = make_model("bad", {CardinalAtom.ALEPH1: 1, CardinalAtom.D: 1, CardinalAtom.S: 2,
+    m = Model("bad", {CardinalAtom.ALEPH1: 1, CardinalAtom.D: 1, CardinalAtom.S: 2,
                            CardinalAtom.C: 2}, "test")
     assert any("s <= d" in v.description for v in validate_model(m))
