@@ -4,15 +4,19 @@ The expected bytes live in tests/golden/.  cli.txt holds, for each command
 below in both output formats, the exit code, stdout and (when non-empty)
 stderr; the commands include --help of the group and of every subcommand.
 traces.txt holds engine.explain for every settled cell of the default
-closure and the rendering of every exact-value trace.
+closure and the rendering of every exact-value trace.  ablations.txt holds,
+for each default fact file with one arrow, card or nonimp line removed, the
+serial grid, each serial's exact values and bound sets, and a sha256 of that
+closure's trace transcript (in the layout of traces.txt).
 
-After an intended behaviour change, regenerate both files with
+After an intended behaviour change, regenerate all three files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff before committing it.
 """
 
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -22,6 +26,7 @@ from click.testing import CliRunner
 from taukb import engine, formats
 from taukb.cli import main
 from taukb.core import Verdict, render_expr
+from taukb.models import load_default_registry
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,14 +99,35 @@ def cli_transcript(workdir: Path) -> str:
     return "".join(out)
 
 
-def trace_transcript() -> str:
-    result = engine.close(engine.load_default_kb())
+def trace_transcript(result: engine.ClosureResult | None = None) -> str:
+    result = result or engine.close(engine.load_default_kb())
     out = []
     for (p, q), judgment in result.matrix.items():
         if judgment.verdict is not Verdict.UNKNOWN:
             out.append(f"### explain {p.name} {q.name}\n{engine.explain(result, p, q)}\n")
     for (p, e), trace in result.exact_traces.items():
         out.append(f"### exact non({p.name}) = {render_expr(e)}\n{engine.render_trace(trace)}\n")
+    return "".join(out)
+
+
+def ablation_transcript() -> str:
+    ff = formats.load_default_facts()
+    registry = load_default_registry()
+    out = []
+    for k, d in enumerate(ff.decls):
+        if not isinstance(d, (formats.ArrowDecl, formats.CardDecl, formats.NonImpDecl)):
+            continue
+        kb = engine.build_knowledge_base(formats.FactFile(ff.decls[:k] + ff.decls[k + 1:]), registry)
+        result = engine.close(kb)
+        out.append(f"### without line {d.line}: {formats.render_decl(d)}\n")
+        out.append(formats.render_table(result.serial_grid()))
+        for p in result.serial_properties():
+            r = engine.derive_cardinality(result, p)
+            out.append(f"card {p.serial}" + "".join(
+                f" {what} {{{','.join(render_expr(e) for e in es)}}}"
+                for what, es in (("exact", r.exacts), ("lower", r.lower), ("upper", r.upper))) + "\n")
+        digest = hashlib.sha256(trace_transcript(result).encode("utf-8")).hexdigest()
+        out.append(f"traces sha256 {digest}\n")
     return "".join(out)
 
 
@@ -119,9 +145,14 @@ def test_trace_golden():
     _check("traces.txt", trace_transcript())
 
 
+def test_ablation_golden():
+    _check("ablations.txt", ablation_transcript())
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "cli.txt").write_bytes(cli_transcript(Path(tmp)).encode("utf-8"))
     (GOLDEN / "traces.txt").write_bytes(trace_transcript().encode("utf-8"))
+    (GOLDEN / "ablations.txt").write_bytes(ablation_transcript().encode("utf-8"))
     sys.exit(0)
