@@ -234,7 +234,7 @@ class Property:
     serial: int | None = field(default=None, compare=False)
     non: CardinalExpr | None = field(default=None, compare=False)
 
-    @property
+    @functools.cached_property
     def name(self) -> str:
         base = f"{self.kind.label}({self.source.label},{self.target.label})"
         if self.variant is CoverVariant.OPEN:
@@ -244,6 +244,13 @@ class Property:
     @property
     def key(self) -> tuple[int, int, int, int]:
         return (int(self.kind), int(self.source), int(self.target), int(self.variant))
+
+    def __hash__(self) -> int:  # the dataclass hash, computed once
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.source, self.target, self.variant))
 
     def __repr__(self) -> str:  # keeps engine traces readable under pytest -v
         return f"Property({self.name})"
@@ -306,6 +313,10 @@ class Claim:
     expr: CardinalExpr | None = None
 
     def render(self) -> str:
+        return self._text
+
+    @functools.cached_property
+    def _text(self) -> str:
         if self.kind == "implies":
             return f"{self.subject.name} -> {self.object.name}"
         if self.kind == "notimplies":

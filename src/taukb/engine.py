@@ -230,15 +230,18 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     exprs = sorted({c.expr for c in base if c.expr is not None}, key=render_expr)
     eindex = {e: k for k, e in enumerate(exprs)}
     # (u, l) -> first registered model with u < l: R4's premise and the
-    # interval guard's refutation
+    # interval guard's refutation; above[u] has bit l set for each such l
     less = {(u, l): w for u, x in enumerate(exprs) for l, y in enumerate(exprs)
             if (w := kb.registry.consistently_less(x, y)) is not None}
+    above = [sum(1 << l for l in range(len(exprs)) if (u, l) in less) for u in range(len(exprs))]
 
     prov: dict[tuple, tuple] = {}  # stmt -> (rule, premises, note)
     imp: set[tuple[int, int]] = set()
     non: set[tuple[int, int]] = set()
     low: list[set[int]] = [set() for _ in range(n)]
     up: list[set[int]] = [set() for _ in range(n)]
+    # low[i] as a bitmask, and the union of above[u] over u in up[i]
+    lowmask, reach = [0] * n, [0] * n
     exact: set[tuple[int, int]] = set()
     edges = {"implies": imp, "notimplies": non}
     bounds = {"lower": low, "upper": up}
@@ -249,6 +252,10 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             edges[kind].add((i, x))
         elif kind in bounds:
             bounds[kind][i].add(x)
+            if kind == "lower":
+                lowmask[i] |= 1 << x
+            else:
+                reach[i] |= above[x]
         else:
             exact.add((i, x))
         prov[stmt] = (rule, premises, note)
@@ -294,9 +301,12 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             raise Contradiction(props[i], props[j], ProofTrace(steps_of(("implies", i, j))),
                                 ProofTrace(steps_of(("notimplies", i, j))))
 
-    def first_less(ups: set[int], lows: set[int]) -> tuple[int, int] | None:
-        # the least (u, l) in rendered order that some model puts strictly apart
-        return min(((u, l) for u in ups for l in lows if (u, l) in less), default=None)
+    def witness(i: int, j: int) -> tuple[int, int]:
+        # the least (u, l) in rendered order, u in up[i] and l in low[j], that
+        # some model puts strictly apart; called when reach[i] & lowmask[j]
+        for u in sorted(up[i]):
+            if hit := above[u] & lowmask[j]:
+                return u, (hit & -hit).bit_length() - 1
 
     check_contradiction()
     iterations = 0
@@ -345,14 +355,9 @@ def close(kb: KnowledgeBase) -> ClosureResult:
 
         # R4: consistent strict inequality between bound sets
         for q in range(n):
-            if not low[q]:
-                continue
             for p in range(n):
-                if p == q or (q, p) in non or not up[p]:
-                    continue
-                hit = first_less(up[p], low[q])
-                if hit:
-                    u, l = hit
+                if reach[p] & lowmask[q] and p != q and (q, p) not in non:
+                    u, l = hit = witness(p, q)
                     propose(("notimplies", q, p), "R4", (("upper", p, u), ("lower", q, l)), less[hit])
 
         # R5: bounds ride along implications
@@ -379,9 +384,8 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     # soundness guard: no model may put an upper bound of non(P) strictly
     # below a lower bound of it
     for i, p in enumerate(props):
-        hit = first_less(up[i], low[i])
-        if hit:
-            u, l = hit
+        if reach[i] & lowmask[i]:
+            u, l = hit = witness(i, i)
             raise TaukbError(f"interval for {p.name} is inconsistent in model {less[hit]}: "
                              f"{render_expr(exprs[l])} > {render_expr(exprs[u])}")
 

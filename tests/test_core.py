@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import dataclasses
+
 from taukb.core import (
     Atom,
     CardinalAtom,
+    Claim,
     CoverKind,
     CoverVariant,
     FIGURE_PROPERTIES,
@@ -128,6 +131,27 @@ def test_structural_identity_ignores_metadata():
     bare = Property(SelectorKind.S1, CoverKind.OMEGA, CoverKind.GAMMA)
     assert bare == property_by_serial(8)
     assert hash(bare) == hash(property_by_serial(8))
+
+
+def test_cached_name_and_hash_follow_the_structural_fields():
+    figure = property_by_serial(8)
+    bare = Property(SelectorKind.S1, CoverKind.OMEGA, CoverKind.GAMMA)
+    other = dataclasses.replace(figure, serial=3, non=Atom("c"))
+    assert figure.name == bare.name == other.name == "S1(Omega,Gamma)"
+    assert figure == bare == other
+    # the generated dataclass hash, so sets of properties keep their order
+    assert hash(figure) == hash(bare) == hash(other) == hash(
+        (SelectorKind.S1, CoverKind.OMEGA, CoverKind.GAMMA, CoverVariant.OPEN))
+    assert len({figure, bare, other}) == 1
+
+
+def test_replaced_claim_renders_its_own_fields():
+    claim = Claim("lower", property_by_serial(0), expr=Atom("b"))
+    assert claim.render() == "non(S1(Gamma,Gamma)) >= b"
+    moved = dataclasses.replace(claim, kind="upper", subject=property_by_serial(8), expr=parse_expr("min{s,b}"))
+    assert moved.render() == "non(S1(Omega,Gamma)) <= min{b,s}"
+    assert claim.render() == "non(S1(Gamma,Gamma)) >= b"
+    assert hash(moved) == hash(("upper", property_by_serial(8), None, parse_expr("min{s,b}")))
 
 
 def test_variant_changes_identity():

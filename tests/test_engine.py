@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -10,13 +11,18 @@ from taukb.core import (
     Atom,
     CardinalAtom,
     Claim,
+    CoverKind,
+    CoverVariant,
     Judgment,
     ProofTrace,
+    Property,
     RuleInstance,
+    SelectorKind,
     Verdict,
     atom,
     parse_expr,
     property_by_serial,
+    render_trace,
 )
 from taukb.engine import (
     Contradiction,
@@ -31,6 +37,7 @@ from taukb.engine import (
     replay_all,
 )
 from taukb.formats import CardDecl, NonImpDecl, SerialRef, parse_facts
+from taukb.models import eval_expr
 
 
 def serial(n):
@@ -301,6 +308,34 @@ def test_replay_refuses_tampered_step(default_kb, closure, case):
     else:
         with pytest.raises(engine.ReplayError):
             engine.replay_trace(trace, default_kb)
+
+
+def test_trace_with_a_replaced_conclusion_renders_and_replays_it(default_kb, closure):
+    steps = query(closure, serial(0), serial(19)).trace.steps  # two arrow facts, then R2
+    assert render_trace(ProofTrace(steps)).endswith("S2 R2: S1(Gamma,Gamma) -> Ufin(Gamma,T) from S0, S1")
+    wrong = dataclasses.replace(steps[-1].conclusion, object=serial(18))
+    tampered = ProofTrace(steps[:-1] + (dataclasses.replace(steps[-1], conclusion=wrong),))
+    assert render_trace(tampered).splitlines()[-1] == f"S2 R2: {wrong.render()} from S0, S1"
+    with pytest.raises(engine.ReplayError, match=re.escape(f"concluding {wrong.render()}: does not match R2")):
+        engine.replay_trace(tampered, default_kb)
+
+
+def test_r4_takes_the_least_bound_pair_in_rendered_order(default_kb):
+    # non(X) <= p, t and non(Y) >= c, d: every (upper, lower) pair is apart in
+    # some model, and R4 cites the least one, (p, c), with the first model
+    # that puts p below c
+    extra = parse_facts("variant S1 O O borel\nvariant Ufin O O borel\n"
+                        "card S1:O:O:borel le t\ncard S1:O:O:borel le p\n"
+                        "card Ufin:O:O:borel ge d\ncard Ufin:O:O:borel ge c\n").decls
+    kb = build_knowledge_base(formats.load_default_facts().with_decls(list(extra)), default_kb.registry)
+    x, y = (Property(kind, CoverKind.O, CoverKind.O, CoverVariant.BOREL)
+            for kind in (SelectorKind.S1, SelectorKind.UFIN))
+    steps = query(close(kb), y, x).trace.steps
+    assert [s.conclusion.render() for s in steps] == [
+        "non(S1(O,O)[borel]) <= p", "non(Ufin(O,O)[borel]) >= c", "Ufin(O,O)[borel] -/-> S1(O,O)[borel]"]
+    p_, c_ = atom("p"), atom("c")
+    first = next(m.name for m in default_kb.registry if eval_expr(p_, m) < eval_expr(c_, m))
+    assert steps[-1].rule == "R4" and steps[-1].note == first
 
 
 def test_interval_guard_message_is_independent_of_hash_seed():
