@@ -206,7 +206,13 @@ def bare(value: str, what: str) -> str:
     raise TaukbError(f"{what} {value!r} cannot be written: it does not read back as one token")
 
 
-_OPTION_VALUE = {"cite": lambda v: unquote(v, "cite value"), "model": str, "non": parse_expr}
+def _model_name(value: str) -> str:
+    if not value:
+        raise ValueError("model= needs a model name")
+    return value
+
+
+_OPTION_VALUE = {"cite": lambda v: unquote(v, "cite value"), "model": _model_name, "non": parse_expr}
 
 
 def _take_options(args: list[str], allowed: tuple[str, ...]) -> dict:

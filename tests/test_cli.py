@@ -136,7 +136,8 @@ def test_budget_flag_guards_search(runner, tmp_path):
 
 
 @pytest.mark.parametrize("extra", ["include self.txt", "include other.txt", "include missing.txt",
-                                   "nonimp 0 15 model=ghost", "nonimp 0 17 model=ch model=cohen"])
+                                   "nonimp 0 15 model=ghost", "nonimp 0 17 model=ch model=cohen",
+                                   "nonimp 0 15 model="])
 def test_bad_fact_input_exits_2(runner, tmp_path, extra):
     from importlib.resources import files
 

@@ -51,6 +51,13 @@ def test_parse_arrow_missing_target():
     assert line == 1 and "arrow" in msg
 
 
+def test_parse_refuses_an_empty_model_name():
+    with pytest.raises(FactParseError) as exc:
+        parse_facts("arrow 0 1\n  nonimp 0 1 model=\n")
+    (line, col, msg), = exc.value.errors
+    assert (line, col) == (2, 3) and "model name" in msg
+
+
 def test_parse_reports_every_bad_line():
     text = "arrow 0\nproperty x\narrow 0 1\ncard 3 gt b\n"
     with pytest.raises(FactParseError) as exc:
