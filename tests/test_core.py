@@ -1,8 +1,8 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
-
-import dataclasses
 
 from taukb.core import (
     Atom,
