@@ -204,9 +204,9 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
                                 budget: int = DEFAULT_BUDGET):
     """First selector (by size-then-lex order per row) passing verify_selector,
     or None when the exhaustive search is empty-handed."""
-    if col_bound < 0 or size_bound < 0:
+    if min(col_bound, size_bound, hit_quota, exceptions) < 0:
         raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}, "
-                       f"size_bound={size_bound}")
+                       f"size_bound={size_bound}, hit_quota={hit_quota}, exceptions={exceptions}")
     members = tuple(fam)
     rows = members[0].row_count if members else 0
     per_row = sum(comb(col_bound, i) for i in range(min(size_bound, col_bound) + 1))

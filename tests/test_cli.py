@@ -176,6 +176,9 @@ _BAD_INPUTS = {
     ["diag", "gamma.fam", "--col-bound", "-1"],
     ["diag", "gamma.fam", "--size-bound", "-1"],
     ["odiag", "gamma.fam", "--col-bound", "-1"],
+    ["diag", "gamma.fam", "--hit-quota", "-1"],
+    ["diag", "gamma.fam", "--hit-quota", "-3"],
+    ["diag", "gamma.fam", "--exceptions", "-1"],
 ], ids=" ".join)
 def test_bad_input_file_exits_2_without_traceback(tmp_path, monkeypatch, args):
     for name, data in _BAD_INPUTS.items():

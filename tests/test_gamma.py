@@ -113,6 +113,15 @@ def test_empty_family_vacuously_diagonalizable():
     assert witness.sets == ()
 
 
+@pytest.mark.parametrize("hit_quota, exceptions", [(-1, 0), (-3, 0), (1, -1), (0, -2)])
+def test_negative_quota_or_exceptions_are_refused(hit_quota, exceptions):
+    # a negative exception count would make a member bad against itself
+    fam = family(array([("", 1)] * 2))
+    with pytest.raises(BadShape):
+        finitely_tau_diagonalizable(fam, col_bound=2, size_bound=1, hit_quota=hit_quota,
+                                    exceptions=exceptions)
+
+
 def test_search_budget_guard():
     fam = random_gamma_family(0, rows=12, col_bound=6, count=2, zero_density=0.5)
     with pytest.raises(SearchSpaceTooLarge):
