@@ -118,6 +118,9 @@ class CardinalAtom(enum.Enum):
     OD = "od"
     C = "c"
 
+    # members are singletons that compare by identity: skip Enum's Python-level hash
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
