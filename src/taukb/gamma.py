@@ -15,15 +15,20 @@ for the infinitary quantifiers:
 * o-diagonalizable: a single column choice g with every member hitting a 1
   at some (n, g(n)).
 
-The searches are exhaustive in lexicographic order, so witnesses are
-deterministic; a budget guard refuses search spaces that are not desk scale.
+Both searches walk the rows depth first, each row's candidates in lexicographic
+order, so a witness is the first passing tuple of the full product.  A prefix of
+rows leaves a state (tau: hits per member capped at `hit_quota`, bad rows per
+ordered pair of distinct members capped at `exceptions` + 1; o: the members hit);
+hopeless states are pruned and failed ones remembered.  A budget guard, run first,
+refuses a nominal space (candidates per row ** rows) that is not desk scale.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from functools import cache
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .core import DEFAULT_BUDGET, BadShape, TaukbError
@@ -161,7 +166,7 @@ def _selector_ok(masks, sets: tuple[int, ...], hit_quota: int, exceptions: int) 
 
 def _hitters(masks, rows: int, col_bound: int) -> list[tuple[int, ...]]:
     """Per row and column, the members with a 1 there, as a bitmask over members."""
-    return [tuple(_mask(i for i, a in enumerate(masks) if a[n] >> c & 1) for c in range(col_bound))
+    return [tuple(sum((a[n] >> c & 1) << i for i, a in enumerate(masks)) for c in range(col_bound))
             for n in range(rows)]
 
 
@@ -199,6 +204,36 @@ def verify_diagonalizer(fam, g: Diagonalizer, col_bound: int) -> bool:
     return _diagonalizes(hitters, g.choices, (1 << len(members)) - 1)
 
 
+@cache
+def _column_sets(col_bound: int, size_bound: int) -> tuple[tuple[int, frozenset[int]], ...]:
+    """Each set of at most size_bound columns below col_bound, with its mask, in size-then-lex order."""
+    return tuple((_mask(c), frozenset(c)) for size in range(min(size_bound, col_bound) + 1)
+                 for c in combinations(range(col_bound), size))
+
+
+def _lex_first(rows: int, width: int, start, step):
+    """Lexicographically least choice vector, one choice in range(width) per row, along
+    which step(n, state, c) never returns None; None if there is none.  An explicit
+    stack keeps any row count safe, and a state whose completions all failed is skipped."""
+    dead, stack = set(), []  # stack: (choice, state before it) per row so far
+    state, n, c = start, 0, 0
+    while n < rows:
+        while c < width:
+            nxt = step(n, state, c)
+            if nxt is not None and (n + 1, nxt) not in dead:
+                stack.append((c, state))
+                state, n, c = nxt, n + 1, 0
+                break
+            c += 1
+        else:
+            dead.add((n, state))
+            if not stack:
+                return None
+            (c, state), n = stack.pop(), n - 1
+            c += 1
+    return [c for c, _ in stack]
+
+
 def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
                                 hit_quota: int, exceptions: int,
                                 budget: int = DEFAULT_BUDGET):
@@ -212,14 +247,38 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
     per_row = sum(comb(col_bound, i) for i in range(min(size_bound, col_bound) + 1))
     if per_row ** rows > budget:
         raise SearchSpaceTooLarge(f"{per_row}^{rows} selector tuples exceed budget {budget}")
-    # column-set mask -> column set, in size-then-lex order
-    pool = {_mask(c): frozenset(c) for size in range(min(size_bound, col_bound) + 1)
-            for c in combinations(range(col_bound), size)}
-    masks = _row_masks(members, rows, col_bound)
-    for sets in product(pool, repeat=rows):
-        if _selector_ok(masks, sets, hit_quota, exceptions):
-            return Selector(tuple(pool[f] for f in sets), hit_quota, exceptions)
-    return None
+    if members and hit_quota > rows:  # the walk tests no state when rows == 0
+        return None
+    pool = _column_sets(col_bound, size_bound)
+    cols = list(zip(*_row_masks(members, rows, col_bound)))  # per row, each member's mask
+    # ordered pairs of distinct members; pairs[d ^ 1] is pairs[d] reversed
+    pairs = [p for ij in combinations(range(len(members)), 2) for p in (ij, ij[::-1])]
+    cap = exceptions + 1
+
+    def step(n, state, c):
+        # copy only the counters choice c moves: tiny searches pay for every copy
+        hits, bad = state
+        h = [a & pool[c][0] for a in cols[n]]
+        up = [i for i, x in enumerate(h) if x and hits[i] < hit_quota]
+        if up:
+            hits = list(hits)
+            for i in up:
+                hits[i] += 1
+            hits = tuple(hits)
+        if min(hits) < hit_quota - (rows - n - 1):
+            return None
+        down = [d for d, (i, j) in enumerate(pairs) if h[i] & ~h[j] and bad[d] < cap]
+        if down:
+            bad = list(bad)
+            for d in down:
+                bad[d] += 1
+                if bad[d] == cap == bad[d ^ 1]:
+                    return None
+            bad = tuple(bad)
+        return hits, bad
+
+    path = _lex_first(rows, len(pool), ((0,) * len(members), (0,) * len(pairs)), step)
+    return None if path is None else Selector(tuple(pool[c][1] for c in path), hit_quota, exceptions)
 
 
 def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
@@ -237,10 +296,20 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
         raise SearchSpaceTooLarge(f"{col_bound}^{rows} choice vectors exceed budget {budget}")
     hitters = _hitters(_row_masks(members, rows, col_bound), rows, col_bound)
     everyone = (1 << len(members)) - 1
-    for choices in product(range(col_bound), repeat=rows):
-        if _diagonalizes(hitters, choices, everyone):
-            return Diagonalizer(choices)
-    return None
+    rest = [0] * (rows + 1)  # the members with a 1 anywhere in rows n onward
+    for n in reversed(range(rows)):
+        rest[n] = rest[n + 1]
+        for h in hitters[n]:
+            rest[n] |= h
+    if rest[0] != everyone:  # the walk tests no state when rows == 0
+        return None
+
+    def step(n, hit, c):
+        hit |= hitters[n][c]
+        return hit if hit | rest[n + 1] == everyone else None
+
+    path = _lex_first(rows, col_bound, 0, step)
+    return None if path is None else Diagonalizer(tuple(path))
 
 
 def random_gamma_family(seed: int, rows: int, col_bound: int, count: int,

@@ -128,6 +128,21 @@ def test_diag_and_odiag_commands(runner, tmp_path):
     assert "not o-diagonalizable" in result.output
 
 
+@pytest.mark.parametrize("args, output", [
+    (["diag", "--size-bound", "0", "--hit-quota", "0"], "selector: " + " ".join(["{}"] * 3000) + "\n"),
+    (["diag", "--col-bound", "0"], "not finitely tau-diagonalizable within the bounds\n"),
+    (["odiag", "--col-bound", "1"], "g = " + " ".join(["0"] * 3000) + "\n"),
+], ids=" ".join)
+def test_deep_family_searches(runner, tmp_path, args, output):
+    # one candidate per row over 3,000 rows; the second search backtracks through all of them
+    fam = tmp_path / "deep.txt"
+    fam.write_text("\n".join(["0/1"] * 2999 + ["1/1"]) + "\n\n" + "\n".join(["1/1"] + ["0/1"] * 2999) + "\n",
+                   encoding="utf-8")
+    result = invoke(runner, args[0], str(fam), *args[1:])
+    assert result.exit_code == 0, result.output
+    assert result.output == output
+
+
 def test_budget_flag_guards_search(runner, tmp_path):
     fam = tmp_path / "family.txt"
     fam.write_text("\n".join(["1/1"] * 20) + "\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,12 @@ def test_negative_quota_or_exceptions_are_refused(hit_quota, exceptions):
                                     exceptions=exceptions)
 
 
+def test_rows8_infeasible_instance_is_refuted():
+    # 6^8 = 1.68M selector tuples, none of which passes
+    fam = random_gamma_family(0, rows=8, col_bound=5, count=3, zero_density=0.8)
+    assert finitely_tau_diagonalizable(fam, col_bound=5, size_bound=1, hit_quota=8, exceptions=0) is None
+
+
 def test_search_budget_guard():
     fam = random_gamma_family(0, rows=12, col_bound=6, count=2, zero_density=0.5)
     with pytest.raises(SearchSpaceTooLarge):
@@ -217,6 +224,77 @@ def test_random_agreement(seed, rows, cols, count, density):
     assert (witness is not None) == naive.ftau_exists(fam.members, cols, 1, 1, 0)
     g = o_diagonalizable(fam, cols)
     assert (g is not None) == naive.odiag_exists(fam.members, cols)
+
+
+# --- witness for witness: the first passing tuple of the full product ----------
+
+def lex_first_selector(members, col_bound, size_bound, hit_quota, exceptions):
+    rows = members[0].row_count if members else 0
+    pool = [c for size in range(size_bound + 1) for c in combinations(range(col_bound), size)]
+    for sets in product(pool, repeat=rows):
+        if naive.selector_ok(members, sets, col_bound, hit_quota, exceptions):
+            return [set(s) for s in sets]
+    return None
+
+
+def lex_first_choices(arrays, col_bound):
+    rows = arrays[0].row_count if arrays else 0
+    for g in product(range(col_bound), repeat=rows):
+        if all(any(naive.entry(a, n, c) for n, c in enumerate(g)) for a in arrays):
+            return g
+    return None
+
+
+def random_arrays(rng, rows, count, tails=(1,)):
+    return [GammaArray(tuple(Row("".join(rng.choice("01") for _ in range(rng.randint(0, 5))),
+                                 rng.choice(tails)) for _ in range(rows)))
+            for _ in range(count)]
+
+
+# each regime: (rows, col_bound, members, size_bound) ranges; the second keeps
+# away from the degenerate corners, where most witnesses come late or not at all
+REGIMES = {"full": ((0, 5), (0, 4), (0, 4), (0, 3)), "dense": ((3, 5), (2, 4), (2, 4), (1, 3))}
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("seed", range(3))
+def test_search_returns_the_lex_first_witness(seed, regime):
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 300:
+        rows, col_bound, count, size_bound = (rng.randint(*r) for r in REGIMES[regime])
+        per_row = sum(comb(col_bound, i) for i in range(min(size_bound, col_bound) + 1))
+        if per_row ** rows > 3000:  # keeps the reference enumeration short
+            continue
+        members = random_arrays(rng, rows, count)
+        quota, exc = rng.randint(0, rows + 1), rng.randint(0, 2)
+        witness = finitely_tau_diagonalizable(GammaFamily(tuple(members)), col_bound, size_bound,
+                                              quota, exc)
+        want = lex_first_selector(members, col_bound, size_bound, quota, exc)
+        assert (None if witness is None else list(witness.sets)) == want
+        arrays = random_arrays(rng, rows, count, tails=(0, 1))
+        g = o_diagonalizable(arrays, col_bound)
+        assert (None if g is None else g.choices) == lex_first_choices(arrays, col_bound)
+        checked += 1
+
+
+# --- deep families: one candidate per row ---------------------------------------
+
+DEEP = family(*random_arrays(random.Random(0), 3000, 2))
+
+
+@pytest.mark.parametrize("col_bound, size_bound, hit_quota", [(3, 0, 0), (0, 1, 0), (0, 1, 1), (3, 0, 1)])
+def test_deep_family_ftau(col_bound, size_bound, hit_quota):
+    witness = finitely_tau_diagonalizable(DEEP, col_bound, size_bound, hit_quota, 0)
+    want = lex_first_selector(DEEP.members, col_bound, size_bound, hit_quota, 0)
+    assert (None if witness is None else list(witness.sets)) == want
+
+
+@pytest.mark.parametrize("tails", [(1,), (0,)])
+def test_deep_family_odiag(tails):
+    arrays = random_arrays(random.Random(1), 3000, 3, tails)
+    g = o_diagonalizable(arrays, 1)
+    assert (None if g is None else g.choices) == lex_first_choices(arrays, 1)
 
 
 # --- monotonicity in the quantifier surrogates --------------------------------
