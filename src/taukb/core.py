@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class TaukbError(Exception):
@@ -39,6 +40,43 @@ class BadShape(TaukbError):
     """Data does not have the expected shape: a table that is not 22x22, a
     selector or diagonalizer that does not fit its family, a family whose
     members disagree, a negative search bound."""
+
+
+class Record:
+    """Base of the plain immutable records: a record's fields are the slots
+    its class names in __slots__, set once by __init__ in that order.  It
+    equals, and hashes like, a record of its own type (or a subclass) with
+    the same fields; a slot that a base class adds, such as a declaration's
+    line, takes part in neither.  Defining one costs a fraction of a frozen
+    dataclass, which generates and compiles its methods at import."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        # NotImplemented lets a subclass answer from its side; two unrelated
+        # record types, or a record and a tuple, are never equal
+        return self._key() == other._key() if isinstance(other, type(self)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
 
 
 # Search budget of the gamma lab's exhaustive searches: the largest nominal
@@ -133,14 +171,12 @@ _ATOM_ALIASES["covM"] = CardinalAtom.COV_M
 Atom = CardinalAtom
 
 
-@dataclass(frozen=True)
-class Min:
-    args: tuple["CardinalExpr", ...]
+class Min(Record):
+    __slots__ = ("args",)  # the children, a tuple of CardinalExpr
 
 
-@dataclass(frozen=True)
-class Max:
-    args: tuple["CardinalExpr", ...]
+class Max(Record):
+    __slots__ = ("args",)
 
 
 CardinalExpr = CardinalAtom | Min | Max
@@ -342,9 +378,11 @@ class RuleInstance:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ProofTrace:
-    steps: tuple[RuleInstance, ...] = ()
+class ProofTrace(Record):
+    __slots__ = ("steps",)  # tuple of RuleInstance
+
+    def __init__(self, steps: tuple[RuleInstance, ...] = ()):
+        super().__init__(steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -356,8 +394,7 @@ class ProofTrace:
 EMPTY_TRACE = ProofTrace()
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     verdict: Verdict
     trace: ProofTrace = EMPTY_TRACE
 

@@ -21,8 +21,8 @@ depend on the order of the input fact list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from typing import NamedTuple
 
 from . import formats
 from .core import (
@@ -55,11 +55,14 @@ class ReplayError(TaukbError):
     """A proof trace step does not check out against the rule definitions."""
 
 
-@dataclass(frozen=True)
 class KnowledgeBase:
-    properties: tuple[Property, ...]
-    facts: tuple[tuple[Claim, str], ...]  # (claim, citation) per base fact
-    registry: ModelRegistry
+    """A resolved fact base: its properties in canonical order, its base
+    facts, and the registry that R4 and replay consult."""
+
+    def __init__(self, properties, facts, registry):
+        self.properties: tuple[Property, ...] = properties
+        self.facts: tuple[tuple[Claim, str], ...] = facts  # (claim, citation) per base fact
+        self.registry: ModelRegistry = registry
 
     @cached_property
     def _claims(self) -> frozenset[Claim]:
@@ -158,8 +161,7 @@ _RULE_RANK = {"fact": 0, "R1": 1, "R2": 2, "R3a": 3, "R3b": 4, "R4": 5, "R5": 6,
 _EDGE_KINDS = ("implies", "notimplies")
 
 
-@dataclass(frozen=True)
-class CardinalityReport:
+class CardinalityReport(NamedTuple):
     """What the closure knows about non(P): exact values plus bound sets."""
 
     exacts: tuple[CardinalExpr, ...]
@@ -180,11 +182,6 @@ class _LazyTrace(ProofTrace):
     @cached_property
     def steps(self) -> tuple[RuleInstance, ...]:
         return self._build()
-
-    def __eq__(self, other):  # equal to a ProofTrace with the same steps
-        return isinstance(other, ProofTrace) and self.steps == other.steps
-
-    __hash__ = ProofTrace.__hash__
 
 
 class ClosureResult:
@@ -390,6 +387,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
                              f"{render_expr(exprs[l])} > {render_expr(exprs[u])}")
 
     matrix: dict[tuple[Property, Property], Judgment] = {}
+    unknown = Judgment(Verdict.UNKNOWN)  # one for every Unknown cell
     for i, a in enumerate(props):
         for j, b in enumerate(props):
             if (i, j) in imp:
@@ -397,7 +395,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             elif (i, j) in non:
                 matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, _LazyTrace(steps_of, ("notimplies", i, j)))
             else:
-                matrix[(a, b)] = Judgment(Verdict.UNKNOWN)
+                matrix[(a, b)] = unknown
 
     def values(ks) -> tuple[CardinalExpr, ...]:
         return tuple(exprs[k] for k in sorted(ks))

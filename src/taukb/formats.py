@@ -27,16 +27,16 @@ column, not just the first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import (
     BadShape,
-    CardinalExpr,
     CoverKind,
     CoverVariant,
     MalformedExpr,
     Property,
+    Record,
     SelectorKind,
     SERIAL_COUNT,
     TaukbError,
@@ -58,8 +58,7 @@ class FactParseError(TaukbError):
         super().__init__("\n".join(f"line {l}, col {c}: {m}" for l, c, m in self.errors))
 
 
-@dataclass(frozen=True)
-class SerialRef:
+class SerialRef(NamedTuple):
     serial: int
 
 
@@ -73,66 +72,50 @@ def render_ref(ref: Ref) -> str:
     return ":".join((ref.kind.label, ref.source.label, ref.target.label, ref.variant.label))
 
 
-@dataclass(frozen=True)
-class PropertyDecl:
-    serial: int
-    kind: SelectorKind
-    source: CoverKind
-    target: CoverKind
-    non: CardinalExpr | None
-    line: int = field(default=0, compare=False)
+class _Decl(Record):
+    """A declaration, and the line it was read from (0 if it was not read).
+    The line is a slot of this base, so it stays out of equality and hash."""
+
+    __slots__ = ("line",)
+
+    def __init__(self, *values, line: int = 0):
+        if len(values) > len(self.__slots__):  # the line given last, by position
+            *values, line = values
+        super().__init__(*values)
+        object.__setattr__(self, "line", line)
+
+
+class PropertyDecl(_Decl):
+    __slots__ = ("serial", "kind", "source", "target", "non")
 
     def to_property(self) -> Property:
         return Property(self.kind, self.source, self.target, serial=self.serial, non=self.non)
 
 
-@dataclass(frozen=True)
-class VariantDecl:
-    kind: SelectorKind
-    source: CoverKind
-    target: CoverKind
-    variant: CoverVariant
-    non: CardinalExpr | None
-    line: int = field(default=0, compare=False)
+class VariantDecl(_Decl):
+    __slots__ = ("kind", "source", "target", "variant", "non")
 
 
-@dataclass(frozen=True)
-class ArrowDecl:
-    src: Ref
-    dst: Ref
-    cite: str | None
-    line: int = field(default=0, compare=False)
+class ArrowDecl(_Decl):
+    __slots__ = ("src", "dst", "cite")
 
 
-@dataclass(frozen=True)
-class NonImpDecl:
-    src: Ref
-    dst: Ref
-    model: str | None
-    cite: str | None
-    line: int = field(default=0, compare=False)
+class NonImpDecl(_Decl):
+    __slots__ = ("src", "dst", "model", "cite")
 
 
-@dataclass(frozen=True)
-class CardDecl:
-    ref: Ref
-    rel: str  # eq | ge | le
-    expr: CardinalExpr
-    cite: str | None
-    line: int = field(default=0, compare=False)
+class CardDecl(_Decl):
+    __slots__ = ("ref", "rel", "expr", "cite")  # rel: eq | ge | le
 
 
-@dataclass(frozen=True)
-class IncludeDecl:
-    path: str
-    line: int = field(default=0, compare=False)
+class IncludeDecl(_Decl):
+    __slots__ = ("path",)
 
 
 Decl = PropertyDecl | VariantDecl | ArrowDecl | NonImpDecl | CardDecl | IncludeDecl
 
 
-@dataclass(frozen=True)
-class FactFile:
+class FactFile(NamedTuple):
     decls: tuple[Decl, ...]
 
     def without(self, predicate) -> "FactFile":
@@ -370,8 +353,7 @@ _VERDICT = {v: k for k, v in _SYMBOL.items()}
 Grid = list[list[Verdict]]
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
+class ReferenceTable(NamedTuple):
     grid: tuple[tuple[Verdict, ...], ...]
     frames: frozenset[tuple[int, int]]
 
@@ -453,27 +435,23 @@ def load_reference_table() -> ReferenceTable:
 # Problem registry
 
 
-@dataclass(frozen=True)
-class Open:
+class Open(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Solved:
+class Solved(NamedTuple):
     answer: str
     credit: str
 
 
-@dataclass(frozen=True)
-class PartiallySolved:
+class PartiallySolved(NamedTuple):
     note: str
 
 
 ProblemStatus = Open | Solved | PartiallySolved
 
 
-@dataclass(frozen=True)
-class ProblemEntry:
+class ProblemEntry(NamedTuple):
     issue: int
     statement: str
     status: ProblemStatus

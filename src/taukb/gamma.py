@@ -26,12 +26,12 @@ refuses a nominal space (candidates per row ** rows) that is not desk scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from typing import NamedTuple
 
-from .core import DEFAULT_BUDGET, BadShape, TaukbError
+from .core import DEFAULT_BUDGET, BadShape, Record, TaukbError
 
 
 class SearchSpaceTooLarge(TaukbError):
@@ -44,15 +44,14 @@ class FamilyParseError(TaukbError):
         super().__init__("; ".join(f"line {l}: {m}" for l, m in errors))
 
 
-@dataclass(frozen=True)
-class Row:
-    word: str  # finite 0/1 prefix
-    tail: int  # repeated beyond the word
+class Row(Record):
+    __slots__ = ("word", "tail")  # a finite 0/1 prefix, and the bit repeated beyond it
 
-    def __post_init__(self):
+    def __init__(self, word: str, tail: int):
         # _row_masks reads the word as a binary numeral
-        if self.word.strip("01") or self.tail not in (0, 1):
-            raise BadShape(f"row must be a 0/1 word and a 0/1 tail, got {self.word!r} and {self.tail!r}")
+        if word.strip("01") or tail not in (0, 1):
+            raise BadShape(f"row must be a 0/1 word and a 0/1 tail, got {word!r} and {tail!r}")
+        super().__init__(word, tail)
 
     def entry(self, m: int) -> int:
         if m < len(self.word):
@@ -60,9 +59,8 @@ class Row:
         return self.tail
 
 
-@dataclass(frozen=True)
-class GammaArray:
-    rows: tuple[Row, ...]
+class GammaArray(Record):
+    __slots__ = ("rows",)  # tuple of Row
 
     @property
     def row_count(self) -> int:
@@ -84,17 +82,17 @@ def is_gamma_array(a: GammaArray) -> bool:
     return all(r.tail == 1 for r in a.rows)
 
 
-@dataclass(frozen=True)
-class GammaFamily:
-    members: tuple[GammaArray, ...]
+class GammaFamily(Record):
+    __slots__ = ("members",)  # tuple of GammaArray
 
-    def __post_init__(self):
-        counts = {m.row_count for m in self.members}
+    def __init__(self, members: tuple[GammaArray, ...]):
+        counts = {m.row_count for m in members}
         if len(counts) > 1:
             raise BadShape(f"members disagree on row count: {sorted(counts)}")
-        for m in self.members:
+        for m in members:
             if not is_gamma_array(m):
                 raise BadShape("family member is not a gamma array (some tail is 0)")
+        super().__init__(members)
 
     def __iter__(self):
         return iter(self.members)
@@ -114,8 +112,7 @@ def family(*arrays: GammaArray) -> GammaFamily:
     return GammaFamily(tuple(arrays))
 
 
-@dataclass(frozen=True)
-class Selector:
+class Selector(NamedTuple):
     """Finite column sets F_n plus the quantifier surrogates (hit_quota, exceptions)."""
 
     sets: tuple[frozenset[int], ...]
@@ -123,8 +120,7 @@ class Selector:
     exceptions: int  # how many rows may break comparability, per ordered pair
 
 
-@dataclass(frozen=True)
-class Diagonalizer:
+class Diagonalizer(NamedTuple):
     choices: tuple[int, ...]  # g(n) per row
 
 

@@ -15,13 +15,14 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     CardinalAtom,
     CardinalExpr,
     MalformedExpr,
     Min,
+    Record,
     TaukbError,
     atom,
     parse_expr,
@@ -40,11 +41,8 @@ class ModelParseError(TaukbError):
         super().__init__("; ".join(f"line {l}, col {c}: {m}" for l, c, m in errors))
 
 
-@dataclass(frozen=True)
-class Model:
-    name: str
-    levels: dict[CardinalAtom, int]
-    citation: str
+class Model(Record):
+    __slots__ = ("name", "levels", "citation")  # levels: dict of CardinalAtom to int
 
     def level(self, a: CardinalAtom) -> int:
         try:
@@ -53,8 +51,7 @@ class Model:
             raise UnknownAtom(f"model {self.name!r} assigns no level to {a}") from None
 
 
-@dataclass(frozen=True)
-class ZfcConstraint:
+class ZfcConstraint(NamedTuple):
     """lhs <= rhs holds in every model of ZFC; citation carries the burden."""
 
     lhs: CardinalExpr
@@ -63,14 +60,6 @@ class ZfcConstraint:
 
     def render(self) -> str:
         return f"{render_expr(self.lhs)} <= {render_expr(self.rhs)}"
-
-
-@dataclass(frozen=True)
-class Violation:
-    model: str
-    description: str
-    lhs_level: int
-    rhs_level: int
 
 
 def eval_expr(e: CardinalExpr, model: Model) -> int:
@@ -111,29 +100,26 @@ def constraint_list() -> list[ZfcConstraint]:
 DEFAULT_CONSTRAINTS = constraint_list()
 
 
-def validate_model(model: Model) -> list[Violation]:
-    """All violations of the shipped constraint list; empty means the model
-    is acceptable.
+def validate_model(model: Model) -> list[str]:
+    """A description of each violation of the shipped constraint list; empty
+    means the model is acceptable.
 
     Constraints touching an unassigned atom are skipped.  Two structural
     checks apply on top of the constraint list: aleph1 sits at level 1 and c
     at the model's maximum level.
     """
-    out: list[Violation] = []
-    aleph1 = model.levels.get(CardinalAtom.ALEPH1, 1)
-    if aleph1 != 1:
-        out.append(Violation(model.name, "aleph1 must sit at level 1", aleph1, 1))
+    out: list[str] = []
+    if model.levels.get(CardinalAtom.ALEPH1, 1) != 1:
+        out.append("aleph1 must sit at level 1")
     top = max(model.levels.values(), default=1)
-    c = model.levels.get(CardinalAtom.C, top)
-    if c != top:
-        out.append(Violation(model.name, "c must sit at the maximum level", c, top))
+    if model.levels.get(CardinalAtom.C, top) != top:
+        out.append("c must sit at the maximum level")
     for con in DEFAULT_CONSTRAINTS:
         try:
-            lv, rv = eval_expr(con.lhs, model), eval_expr(con.rhs, model)
+            if eval_expr(con.lhs, model) > eval_expr(con.rhs, model):
+                out.append(f"violates {con.render()} ({con.citation})")
         except UnknownAtom:
-            continue
-        if lv > rv:
-            out.append(Violation(model.name, f"violates {con.render()} ({con.citation})", lv, rv))
+            pass
     return out
 
 
@@ -151,7 +137,7 @@ class ModelRegistry:
             raise TaukbError(f"duplicate model names in registry: {[m.name for m in self.models]}")
         bad = {k: v for k, v in self.validate().items() if v}
         if bad:
-            msgs = "; ".join(f"{k}: {v[0].description}" for k, v in bad.items())
+            msgs = "; ".join(f"{k}: {v[0]}" for k, v in bad.items())
             raise TaukbError(f"registry failed validation: {msgs}")
 
     def __iter__(self):
@@ -163,7 +149,7 @@ class ModelRegistry:
         except KeyError:
             raise TaukbError(f"no registered model named {name!r}") from None
 
-    def validate(self) -> dict[str, list[Violation]]:
+    def validate(self) -> dict[str, list[str]]:
         return {m.name: validate_model(m) for m in self.models}
 
     def consistently_less(self, x: CardinalExpr, y: CardinalExpr) -> str | None:

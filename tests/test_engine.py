@@ -61,6 +61,13 @@ def test_unknown_cells_have_empty_traces(closure):
             assert len(judgment.trace) > 0
 
 
+def test_unknown_cells_share_one_judgment(closure):
+    unknown = [j for j in closure.matrix.values() if j.verdict is Verdict.UNKNOWN]
+    assert len(unknown) == 159
+    assert all(j is unknown[0] for j in unknown)
+    assert unknown[0].trace.steps == ()
+
+
 def test_query_examples(closure):
     assert query(closure, serial(0), serial(18)).verdict is Verdict.IMPLIES
     assert query(closure, serial(18), serial(8)).verdict is Verdict.NOT_IMPLIES

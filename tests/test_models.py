@@ -49,12 +49,12 @@ def test_validate_flags_p_above_t():
     m = Model("bad", {CardinalAtom.ALEPH1: 1, CardinalAtom.P: 2, CardinalAtom.T: 1,
                            CardinalAtom.C: 2}, "test")
     violations = validate_model(m)
-    assert any("p <= t" in v.description for v in violations)
+    assert any("p <= t" in v for v in violations)
 
 
 def test_validate_flags_misplaced_bottom_and_top():
     m = Model("bad", {CardinalAtom.ALEPH1: 2, CardinalAtom.C: 1}, "test")
-    descriptions = [v.description for v in validate_model(m)]
+    descriptions = validate_model(m)
     assert any("aleph1" in d for d in descriptions)
     assert any("maximum level" in d for d in descriptions)
 
@@ -134,4 +134,4 @@ def test_parse_models_aggregates_errors():
 def test_validate_flags_s_above_d():
     m = Model("bad", {CardinalAtom.ALEPH1: 1, CardinalAtom.D: 1, CardinalAtom.S: 2,
                            CardinalAtom.C: 2}, "test")
-    assert any("s <= d" in v.description for v in validate_model(m))
+    assert any("s <= d" in v for v in validate_model(m))
