@@ -116,10 +116,11 @@ def validate_model(model: Model) -> list[str]:
         out.append("c must sit at the maximum level")
     for con in DEFAULT_CONSTRAINTS:
         try:
-            if eval_expr(con.lhs, model) > eval_expr(con.rhs, model):
-                out.append(f"violates {con.render()} ({con.citation})")
+            violated = eval_expr(con.lhs, model) > eval_expr(con.rhs, model)
         except UnknownAtom:
-            pass
+            continue
+        if violated:
+            out.append(f"violates {con.render()} ({con.citation})")
     return out
 
 

@@ -32,9 +32,10 @@ ARGS = (Atom("b"), Atom("s"))
 def test_min_and_max_equal_neither_each_other_nor_a_tuple():
     assert Min(ARGS) == Min(ARGS) and hash(Min(ARGS)) == hash(Min(ARGS))
     assert Min(ARGS) != Max(ARGS) and Max(ARGS) != Min(ARGS)
-    assert Min(ARGS) != ARGS and ARGS != Min(ARGS)
-    assert Max(ARGS) != ARGS and ARGS != Max(ARGS)
-    assert len({Min(ARGS), Max(ARGS), ARGS}) == 3
+    for record in (Min(ARGS), Max(ARGS)):
+        assert record != ARGS and ARGS != record
+        assert record != (ARGS,) and (ARGS,) != record  # the tuple a NamedTuple would be
+    assert len({Min(ARGS), Max(ARGS), ARGS, (ARGS,)}) == 4
 
 
 _PROP = Property(SelectorKind.S1, CoverKind.TAU, CoverKind.OMEGA)
