@@ -96,6 +96,52 @@ def test_explain_reflexive_is_single_r1_step(closure):
     assert text.splitlines() == ["S0 R1: S1(Gamma,Gamma) -> S1(Gamma,Gamma)"]
 
 
+def test_stated_reflexive_fact_keeps_its_fact_step(default_kb):
+    p = serial(0)
+    kb = engine.KnowledgeBase(default_kb.properties,
+                              default_kb.facts + ((Claim("implies", p, p), "stated"),), default_kb.registry)
+    assert explain(close(kb), p, p) == f"S0 fact [stated]: {p.name} -> {p.name}"
+
+
+@pytest.mark.parametrize("rule", ["R2", "R3a", "R3b", "R5-lower", "R5-upper"])
+def test_same_round_derivations_keep_the_least_premises(default_kb, rule):
+    # two derivations of one statement in round 1, through middle properties
+    # lo < hi in canonical order; hi's facts come first, and lo's premises win
+    a, z = serial(0), serial(3)
+    lo, hi = sorted((serial(1), serial(2)), key=lambda p: p.key)
+    b = atom("b")
+
+    def imp(x, y):
+        return Claim("implies", x, y)
+
+    def non(x, y):
+        return Claim("notimplies", x, y)
+
+    def bound(kind, x):
+        return Claim(kind, x, expr=b)
+
+    # rule -> (facts, where the trace is, the statement, its least premises)
+    claims, cell, want, premises = {
+        "R2": ([imp(a, hi), imp(hi, z), imp(a, lo), imp(lo, z)], (a, z),
+               imp(a, z), [imp(a, lo), imp(lo, z)]),
+        "R3a": ([imp(a, hi), non(z, hi), imp(a, lo), non(z, lo)], (z, a),
+                non(z, a), [imp(a, lo), non(z, lo)]),
+        "R3b": ([imp(hi, z), non(hi, a), imp(lo, z), non(lo, a)], (z, a),
+                non(z, a), [imp(lo, z), non(lo, a)]),
+        # the bound surfaces in the exact value's trace
+        "R5-lower": ([imp(hi, z), bound("lower", hi), imp(lo, z), bound("lower", lo), bound("upper", z)],
+                     (z, b), bound("lower", z), [imp(lo, z), bound("lower", lo)]),
+        "R5-upper": ([imp(a, hi), bound("upper", hi), imp(a, lo), bound("upper", lo), bound("lower", a)],
+                     (a, b), bound("upper", a), [imp(a, lo), bound("upper", lo)]),
+    }[rule]
+    kb = engine.KnowledgeBase(default_kb.properties, tuple((c, "tie") for c in claims), default_kb.registry)
+    result = close(kb)
+    steps = (result.exact_traces[cell] if rule.startswith("R5") else result.matrix[cell].trace).steps
+    step = next(s for s in steps if s.conclusion == want)
+    assert step.rule == rule.split("-")[0]
+    assert [steps[k].conclusion for k in step.premises] == premises
+
+
 def test_explain_unknown_raises(closure):
     with pytest.raises(NothingToExplain):
         explain(closure, serial(0), serial(15))

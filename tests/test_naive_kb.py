@@ -1,0 +1,45 @@
+"""Differential sweep: the engine's closure against the naive oracle in
+naive_kb.py, on the default KB and on each one-line ablation of it."""
+
+import naive_kb
+
+from taukb import engine, formats
+from taukb.core import Verdict
+from taukb.models import load_default_registry
+
+# the fact lines whose removal leaves the closure's statements unchanged
+REDUNDANT = {
+    "card 1 eq b", "card 3 eq d", "card 5 eq t", "card 9 eq p", "card 12 eq b",
+    "card 13 eq d", "card 14 eq min{b,s}", "card 15 eq d", "card 20 eq d", "nonimp 18 2",
+}
+
+
+def _agree(kb):
+    """Assert the engine and the oracle agree on kb; return the oracle's closure."""
+    result = engine.close(kb)
+    imp, non, low, up, exact = state = naive_kb.closure(kb)
+    assert not imp & non
+    for (a, b), judgment in result.matrix.items():
+        want = (Verdict.IMPLIES if (a, b) in imp else
+                Verdict.NOT_IMPLIES if (a, b) in non else Verdict.UNKNOWN)
+        assert judgment.verdict is want, (a.name, b.name)
+    for p in kb.properties:
+        r = result.cards[p]
+        assert (set(r.exacts), set(r.lower), set(r.upper)) == (exact[p], low[p], up[p]), p.name
+    return state
+
+
+def test_closure_agrees_with_naive_oracle_on_every_one_line_ablation():
+    ff = formats.load_default_facts()
+    registry = load_default_registry()
+    default = _agree(engine.build_knowledge_base(ff, registry))
+    redundant, swept = set(), 0
+    for k, d in enumerate(ff.decls):
+        if not isinstance(d, (formats.ArrowDecl, formats.CardDecl, formats.NonImpDecl)):
+            continue
+        kb = engine.build_knowledge_base(formats.FactFile(ff.decls[:k] + ff.decls[k + 1:]), registry)
+        swept += 1
+        if _agree(kb) == default:
+            redundant.add(formats.render_decl(d).split(" cite=")[0])
+    assert swept == 79
+    assert redundant == REDUNDANT
