@@ -154,11 +154,18 @@ def load_default_kb() -> KnowledgeBase:
 # (implies, notimplies, lower, upper, exact), i a property index and x a
 # property index or, for the bound kinds, an expression index.  Properties
 # are indexed in canonical order and expressions in rendered order, so the
-# tuples sort the way their claims render.  Rule ranks break ties between
-# derivations of the same statement inside one round.
+# tuples sort the way their claims render.  The closure holds the statements
+# as bit rows: bit x of rows[kind][i] is set iff (kind, i, x) holds.
 
-_RULE_RANK = {"fact": 0, "R1": 1, "R2": 2, "R3a": 3, "R3b": 4, "R4": 5, "R5": 6, "R6": 7}
+_RULES = frozenset({"fact", "R1", "R2", "R3a", "R3b", "R4", "R5", "R6"})
 _EDGE_KINDS = ("implies", "notimplies")
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, in ascending order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 class CardinalityReport(NamedTuple):
@@ -233,28 +240,19 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     above = [sum(1 << l for l in range(len(exprs)) if (u, l) in less) for u in range(len(exprs))]
 
     prov: dict[tuple, tuple] = {}  # stmt -> (rule, premises, note)
-    imp: set[tuple[int, int]] = set()
-    non: set[tuple[int, int]] = set()
-    low: list[set[int]] = [set() for _ in range(n)]
-    up: list[set[int]] = [set() for _ in range(n)]
-    # low[i] as a bitmask, and the union of above[u] over u in up[i]
-    lowmask, reach = [0] * n, [0] * n
-    exact: set[tuple[int, int]] = set()
-    edges = {"implies": imp, "notimplies": non}
-    bounds = {"lower": low, "upper": up}
+    rows = {kind: [0] * n for kind in ("implies", "notimplies", "lower", "upper", "exact")}
+    imp, non, low, up, exact = rows.values()
+    # into[j] is column j of imp; reach[i] the union of above[u] over the
+    # upper bounds u of non(i)
+    into, reach = [0] * n, [0] * n
 
     def install(stmt: tuple, rule: str, premises: tuple, note: str) -> None:
         kind, i, x = stmt
-        if kind in edges:
-            edges[kind].add((i, x))
-        elif kind in bounds:
-            bounds[kind][i].add(x)
-            if kind == "lower":
-                lowmask[i] |= 1 << x
-            else:
-                reach[i] |= above[x]
-        else:
-            exact.add((i, x))
+        rows[kind][i] |= 1 << x
+        if kind == "implies":
+            into[x] |= 1 << i
+        elif kind == "upper":
+            reach[i] |= above[x]
         prov[stmt] = (rule, premises, note)
 
     for c, cite in base.items():
@@ -293,17 +291,19 @@ def close(kb: KnowledgeBase) -> ClosureResult:
         return tuple(steps)
 
     def check_contradiction() -> None:
-        if both := imp & non:
-            i, j = min(both)
-            raise Contradiction(props[i], props[j], ProofTrace(steps_of(("implies", i, j))),
-                                ProofTrace(steps_of(("notimplies", i, j))))
+        for i in range(n):
+            if both := imp[i] & non[i]:
+                j = next(_bits(both))
+                raise Contradiction(props[i], props[j], ProofTrace(steps_of(("implies", i, j))),
+                                    ProofTrace(steps_of(("notimplies", i, j))))
 
     def witness(i: int, j: int) -> tuple[int, int]:
-        # the least (u, l) in rendered order, u in up[i] and l in low[j], that
-        # some model puts strictly apart; called when reach[i] & lowmask[j]
-        for u in sorted(up[i]):
-            if hit := above[u] & lowmask[j]:
-                return u, (hit & -hit).bit_length() - 1
+        # the least (u, l) in rendered order, u an upper bound of non(i) and l
+        # a lower bound of non(j), that some model puts strictly apart; called
+        # when reach[i] & low[j]
+        for u in _bits(up[i]):
+            if hit := above[u] & low[j]:
+                return u, next(_bits(hit))
 
     check_contradiction()
     iterations = 0
@@ -312,76 +312,68 @@ def close(kb: KnowledgeBase) -> ClosureResult:
         iterations += 1
         if iterations > max_rounds:
             raise TaukbError(f"fixpoint did not settle within {max_rounds} rounds")
-        # stmt -> (rank, premises, rule, note); the least (rank, premises)
-        # wins, so the order in which a round visits its sets does not matter
+        # stmt -> (rule, premises, note).  Each rule skips what is installed,
+        # the rules run in the order R1..R6, and each scans the premise that
+        # varies between derivations of one statement in ascending order; so
+        # the first proposal of a statement is its least derivation
         new: dict[tuple, tuple] = {}
 
         def propose(stmt: tuple, rule: str, premises: tuple, note: str = "") -> None:
-            if stmt in prov:
-                return
-            cand = (_RULE_RANK[rule], premises, rule, note)
-            cur = new.get(stmt)
-            if cur is None or cand[:2] < cur[:2]:
-                new[stmt] = cand
+            new.setdefault(stmt, (rule, premises, note))
 
         if iterations == 1:
             for i in range(n):
-                propose(("implies", i, i), "R1", ())
+                if not imp[i] >> i & 1:
+                    propose(("implies", i, i), "R1", ())
 
-        out: dict[int, list[int]] = {}
-        into: dict[int, list[int]] = {}
-        for (i, j) in imp:
-            out.setdefault(i, []).append(j)
-            into.setdefault(j, []).append(i)
-
-        # R2: compose implications
-        for (i, j) in imp:
-            for k in out.get(j, ()):
-                if (i, k) not in imp:
+        # R2: compose implications, through the least j
+        for i in range(n):
+            for j in _bits(imp[i]):
+                for k in _bits(imp[j] & ~imp[i]):
                     propose(("implies", i, k), "R2", (("implies", i, j), ("implies", j, k)))
 
-        # R3a / R3b: push non-implications against implications
-        for (knode, q) in non:
-            for p in into.get(q, ()):
-                if (knode, p) not in non:
-                    propose(("notimplies", knode, p), "R3a", (("implies", p, q), ("notimplies", knode, q)))
-        for (p, r) in non:
-            for q in out.get(p, ()):
-                if (q, r) not in non:
+        # R3a / R3b: push non-implications against implications, R3a through
+        # the least q and R3b from the least p
+        for k in range(n):
+            for q in _bits(non[k]):
+                for p in _bits(into[q] & ~non[k]):
+                    propose(("notimplies", k, p), "R3a", (("implies", p, q), ("notimplies", k, q)))
+        for p in range(n):
+            for q in _bits(imp[p]):
+                for r in _bits(non[p] & ~non[q]):
                     propose(("notimplies", q, r), "R3b", (("implies", p, q), ("notimplies", p, r)))
 
         # R4: consistent strict inequality between bound sets
         for q in range(n):
             for p in range(n):
-                if reach[p] & lowmask[q] and p != q and (q, p) not in non:
+                if reach[p] & low[q] and p != q and not non[q] >> p & 1:
                     u, l = hit = witness(p, q)
                     propose(("notimplies", q, p), "R4", (("upper", p, u), ("lower", q, l)), less[hit])
 
-        # R5: bounds ride along implications
-        for (i, j) in imp:
-            if i == j:
-                continue
-            for e in low[i] - low[j]:
-                propose(("lower", j, e), "R5", (("implies", i, j), ("lower", i, e)))
-            for e in up[j] - up[i]:
-                propose(("upper", i, e), "R5", (("implies", i, j), ("upper", j, e)))
+        # R5: bounds ride along implications i -> j, lower bounds from the
+        # least i and upper bounds from the least j
+        for i in range(n):
+            for j in _bits(imp[i]):
+                for e in _bits(low[i] & ~low[j]):
+                    propose(("lower", j, e), "R5", (("implies", i, j), ("lower", i, e)))
+                for e in _bits(up[j] & ~up[i]):
+                    propose(("upper", i, e), "R5", (("implies", i, j), ("upper", j, e)))
 
         # R6: collapse coinciding bounds to an exact value
         for i in range(n):
-            for e in low[i] & up[i]:
-                if (i, e) not in exact:
-                    propose(("exact", i, e), "R6", (("lower", i, e), ("upper", i, e)))
+            for e in _bits(low[i] & up[i] & ~exact[i]):
+                propose(("exact", i, e), "R6", (("lower", i, e), ("upper", i, e)))
 
         if not new:
             break
-        for stmt, (_, premises, rule, note) in new.items():
-            install(stmt, rule, premises, note)
+        for stmt, derivation in new.items():
+            install(stmt, *derivation)
         check_contradiction()
 
     # soundness guard: no model may put an upper bound of non(P) strictly
     # below a lower bound of it
     for i, p in enumerate(props):
-        if reach[i] & lowmask[i]:
+        if reach[i] & low[i]:
             u, l = hit = witness(i, i)
             raise TaukbError(f"interval for {p.name} is inconsistent in model {less[hit]}: "
                              f"{render_expr(exprs[l])} > {render_expr(exprs[u])}")
@@ -390,19 +382,19 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     unknown = Judgment(Verdict.UNKNOWN)  # one for every Unknown cell
     for i, a in enumerate(props):
         for j, b in enumerate(props):
-            if (i, j) in imp:
+            if imp[i] >> j & 1:
                 matrix[(a, b)] = Judgment(Verdict.IMPLIES, _LazyTrace(steps_of, ("implies", i, j)))
-            elif (i, j) in non:
+            elif non[i] >> j & 1:
                 matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, _LazyTrace(steps_of, ("notimplies", i, j)))
             else:
                 matrix[(a, b)] = unknown
 
-    def values(ks) -> tuple[CardinalExpr, ...]:
-        return tuple(exprs[k] for k in sorted(ks))
+    def values(mask: int) -> tuple[CardinalExpr, ...]:
+        return tuple(exprs[k] for k in _bits(mask))
 
-    cards = {p: CardinalityReport(values(k for j, k in exact if j == i), values(low[i]), values(up[i]))
-             for i, p in enumerate(props)}
-    exact_traces = {(props[i], exprs[k]): _LazyTrace(steps_of, ("exact", i, k)) for (i, k) in sorted(exact)}
+    cards = {p: CardinalityReport(values(exact[i]), values(low[i]), values(up[i])) for i, p in enumerate(props)}
+    exact_traces = {(props[i], exprs[k]): _LazyTrace(steps_of, ("exact", i, k))
+                    for i in range(n) for k in _bits(exact[i])}
     return ClosureResult(props, matrix, cards, exact_traces, iterations)
 
 
@@ -497,7 +489,7 @@ def _check_step(step: RuleInstance, c: tuple, premises: list[tuple], kb: Knowled
             shown = repr(c)
         raise ReplayError(f"{rule} step concluding {shown}: {msg}")
 
-    if rule not in _RULE_RANK:
+    if rule not in _RULES:
         fail(f"unknown rule id {rule!r}")
     arity = 0 if rule in ("fact", "R1") else 2
     if len(premises) != arity:

@@ -52,11 +52,14 @@ def closure(kb):
     models = list(kb.registry)
     less = {(x, y) for x in exprs for y in exprs if consistently_less(x, y, models)}
 
+    def size():
+        return len(imp) + len(non) + sum(len(low[p]) + len(up[p]) for p in props)
+
     # R1
     for p in props:
         imp.add((p, p))
     while True:
-        size = len(imp) + len(non) + sum(len(low[p]) + len(up[p]) for p in props)
+        before = size()
         # out[P] holds each Q with P -> Q, into[Q] each P with P -> Q
         out = {p: set() for p in props}
         into = {p: set() for p in props}
@@ -85,8 +88,9 @@ def closure(kb):
         for p, q in list(imp):
             low[q] |= low[p]
             up[p] |= up[q]
-        if len(imp) + len(non) + sum(len(low[p]) + len(up[p]) for p in props) == size:
+        if size() == before:
             break
-    # R6: a bound that is both lower and upper is an exact value
+    # R6: a bound that is both lower and upper is an exact value; no rule
+    # reads exact values, so it runs once, after the others settle
     exact = {p: low[p] & up[p] for p in props}
     return imp, non, low, up, exact
