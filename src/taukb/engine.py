@@ -21,7 +21,8 @@ depend on the order of the input fact list.
 
 from __future__ import annotations
 
-from functools import cache, cached_property, partial
+from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from . import formats
@@ -180,15 +181,83 @@ class CardinalityReport(NamedTuple):
         return self.exacts[0] if self.exacts else None
 
 
+class _Traces:
+    """The proof traces of one closure, built from its provenance on demand.
+
+    A statement's trace lists, in DFS postorder, the statements its proof
+    uses: its first premise's order, then each further premise's order minus
+    what is already listed, then the statement itself.  Every listed set is
+    closed under premises, so this is the order of one DFS from the
+    statement, and the first premise's steps are a prefix of its steps.
+    Each trace is built at most once, as that prefix plus fresh steps for
+    the rest.  A fact or R1 step names no position, so it is built once per
+    statement and shared.
+    """
+
+    def __init__(self, prov: dict, props: tuple, exprs: list):
+        self.prov = prov  # stmt -> (rule, premises, note)
+        self.props, self.exprs = props, exprs
+        self._claims: dict[tuple, Claim] = {}
+        self._orders: dict[tuple, dict] = {}  # stmt -> {listed stmt: its position}
+        self._steps: dict[tuple, tuple[RuleInstance, ...]] = {}
+
+    def steps(self, stmt: tuple) -> tuple[RuleInstance, ...]:
+        steps = self._steps.get(stmt)
+        if steps is None:
+            rule, premises, note = self.prov[stmt]
+            if premises:
+                head = self.steps(premises[0])
+                pos = self._order(stmt)
+                steps = head + tuple(self._step(s, pos) for s in islice(pos, len(head), None))
+            else:
+                steps = (RuleInstance(rule, (), self._claim(stmt), note),)
+            self._steps[stmt] = steps
+        return steps
+
+    def _step(self, stmt: tuple, pos: dict) -> RuleInstance:
+        rule, premises, note = self.prov[stmt]
+        if not premises:
+            return self.steps(stmt)[0]
+        return RuleInstance(rule, tuple(map(pos.__getitem__, premises)), self._claim(stmt), note)
+
+    def _order(self, stmt: tuple) -> dict:
+        """stmt's DFS postorder, as a dict from each listed statement to its position."""
+        pos = self._orders.get(stmt)
+        if pos is None:
+            premises = self.prov[stmt][1]
+            pos = dict(self._order(premises[0])) if premises else {}
+            for p in premises[1:]:
+                for s in self._order(p):
+                    pos.setdefault(s, len(pos))
+            pos[stmt] = len(pos)
+            self._orders[stmt] = pos
+        return pos
+
+    def _claim(self, stmt: tuple) -> Claim:
+        c = self._claims.get(stmt)
+        if c is None:
+            kind, i, x = stmt
+            c = self._claims[stmt] = (Claim(kind, self.props[i], self.props[x]) if kind in _EDGE_KINDS
+                                      else Claim(kind, self.props[i], expr=self.exprs[x]))
+        return c
+
+
 class _LazyTrace(ProofTrace):
-    """A proof trace whose steps are built on first read, by steps_of(stmt)."""
+    """A proof trace whose steps are built on first read, by build(stmt).
+    It keeps build and stmt outside the slots, so it equals, hashes and
+    prints like a plain ProofTrace of its steps."""
 
-    def __init__(self, steps_of, stmt: tuple):
-        object.__setattr__(self, "_build", partial(steps_of, stmt))
+    def __init__(self, build, stmt: tuple):
+        object.__setattr__(self, "_build", build)
+        object.__setattr__(self, "_stmt", stmt)
 
-    @cached_property
-    def steps(self) -> tuple[RuleInstance, ...]:
-        return self._build()
+    def __getattr__(self, name: str):
+        # reached only while the steps slot is unset, so at most once per trace
+        if name != "steps":
+            raise AttributeError(name)
+        steps = self._build(self._stmt)
+        object.__setattr__(self, "steps", steps)
+        return steps
 
 
 class ClosureResult:
@@ -240,6 +309,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     above = [sum(1 << l for l in range(len(exprs)) if (u, l) in less) for u in range(len(exprs))]
 
     prov: dict[tuple, tuple] = {}  # stmt -> (rule, premises, note)
+    traces = _Traces(prov, props, exprs)
     rows = {kind: [0] * n for kind in ("implies", "notimplies", "lower", "upper", "exact")}
     imp, non, low, up, exact = rows.values()
     # into[j] is column j of imp; reach[i] the union of above[u] over the
@@ -256,6 +326,8 @@ def close(kb: KnowledgeBase) -> ClosureResult:
         prov[stmt] = (rule, premises, note)
 
     for c, cite in base.items():
+        if c.kind not in rows:
+            raise TaukbError(f"fact has unknown claim kind {c.kind!r}")
         try:
             x = index[c.object] if c.kind in _EDGE_KINDS else eindex[c.expr]
             stmt = (c.kind, index[c.subject], x)
@@ -263,39 +335,12 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             raise UnknownProperty(f"fact names an unregistered property: {c.render()}") from None
         install(stmt, "fact", (), cite)
 
-    @cache  # traces share their premises' statements
-    def claim_of(stmt: tuple) -> Claim:
-        kind, i, x = stmt
-        if kind in _EDGE_KINDS:
-            return Claim(kind, props[i], props[x])
-        return Claim(kind, props[i], expr=exprs[x])
-
-    def steps_of(stmt: tuple) -> tuple[RuleInstance, ...]:
-        order: list[tuple] = []
-        seen: set[tuple] = set()
-
-        def visit(s: tuple) -> None:
-            if s in seen:
-                return
-            seen.add(s)
-            for pre in prov[s][1]:
-                visit(pre)
-            order.append(s)
-
-        visit(stmt)
-        pos = {s: i for i, s in enumerate(order)}
-        steps = []
-        for s in order:
-            rule, premises, note = prov[s]
-            steps.append(RuleInstance(rule, tuple(pos[p] for p in premises), claim_of(s), note))
-        return tuple(steps)
-
     def check_contradiction() -> None:
         for i in range(n):
             if both := imp[i] & non[i]:
                 j = next(_bits(both))
-                raise Contradiction(props[i], props[j], ProofTrace(steps_of(("implies", i, j))),
-                                    ProofTrace(steps_of(("notimplies", i, j))))
+                raise Contradiction(props[i], props[j], ProofTrace(traces.steps(("implies", i, j))),
+                                    ProofTrace(traces.steps(("notimplies", i, j))))
 
     def witness(i: int, j: int) -> tuple[int, int]:
         # the least (u, l) in rendered order, u an upper bound of non(i) and l
@@ -379,13 +424,14 @@ def close(kb: KnowledgeBase) -> ClosureResult:
                              f"{render_expr(exprs[l])} > {render_expr(exprs[u])}")
 
     matrix: dict[tuple[Property, Property], Judgment] = {}
+    build = traces.steps  # one bound method, shared by every trace
     unknown = Judgment(Verdict.UNKNOWN)  # one for every Unknown cell
     for i, a in enumerate(props):
         for j, b in enumerate(props):
             if imp[i] >> j & 1:
-                matrix[(a, b)] = Judgment(Verdict.IMPLIES, _LazyTrace(steps_of, ("implies", i, j)))
+                matrix[(a, b)] = Judgment(Verdict.IMPLIES, _LazyTrace(build, ("implies", i, j)))
             elif non[i] >> j & 1:
-                matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, _LazyTrace(steps_of, ("notimplies", i, j)))
+                matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, _LazyTrace(build, ("notimplies", i, j)))
             else:
                 matrix[(a, b)] = unknown
 
@@ -393,7 +439,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
         return tuple(exprs[k] for k in _bits(mask))
 
     cards = {p: CardinalityReport(values(exact[i]), values(low[i]), values(up[i])) for i, p in enumerate(props)}
-    exact_traces = {(props[i], exprs[k]): _LazyTrace(steps_of, ("exact", i, k))
+    exact_traces = {(props[i], exprs[k]): _LazyTrace(build, ("exact", i, k))
                     for i in range(n) for k in _bits(exact[i])}
     return ClosureResult(props, matrix, cards, exact_traces, iterations)
 

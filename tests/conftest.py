@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from ablations import one_line_ablations
 from taukb import engine, formats
 
 
@@ -21,3 +22,9 @@ def closure(default_kb):
 @pytest.fixture(scope="session")
 def reference():
     return formats.load_reference_table()
+
+
+@pytest.fixture(scope="session")
+def ablations():
+    """The 79 one-line ablations, each closed once for the whole session."""
+    return one_line_ablations()

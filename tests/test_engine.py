@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import random
 import re
 from pathlib import Path
@@ -229,6 +230,52 @@ def test_traces_are_built_on_first_read(default_kb, monkeypatch):
     assert len(trace) == len(built) > 0 and trace.steps is trace.steps
     exact = result.exact_traces[(serial(12), atom("b"))]
     assert exact == ProofTrace(exact.steps) and len(built) == len(trace) + len(exact)
+
+
+def test_traces_leave_no_cyclic_garbage(default_kb):
+    # a closure and the traces it built are freed by reference counting
+    # alone, so dropping them leaves the cyclic collector nothing to find
+    gc.collect()
+    gc.disable()
+    try:
+        result = close(default_kb)
+        for judgment in result.matrix.values():
+            judgment.trace.steps
+        for trace in result.exact_traces.values():
+            trace.steps
+        replay_all(result, default_kb)
+        del result, judgment, trace
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_traces_do_not_depend_on_read_order(default_kb):
+    def traces(result, reverse):
+        cells = list(result.matrix.items())
+        keyed = [(stmt, j.trace) for stmt, j in (cells[::-1] if reverse else cells)
+                 if j.verdict is not Verdict.UNKNOWN]
+        keyed += [(key, trace) for key, trace in result.exact_traces.items()]
+        return {key: trace.steps for key, trace in keyed}
+
+    backward, forward = traces(close(default_kb), True), traces(close(default_kb), False)
+    assert backward == forward
+    # a settled statement's steps start with its first premise's steps: the
+    # premise's own trace, if settled, and one prefix however it is reached
+    prefix_of = {steps[-1].conclusion: steps for steps in forward.values()}
+    derived = [steps for steps in forward.values() if steps[-1].premises]
+    for steps in derived:
+        first = steps[-1].premises[0]
+        prefix = steps[:first + 1]
+        assert prefix_of.setdefault(prefix[-1].conclusion, prefix) == prefix
+    assert len(derived) == 574
+
+
+def test_fact_of_an_unknown_claim_kind_is_refused(default_kb):
+    kb = engine.KnowledgeBase(default_kb.properties, ((Claim("exactly", serial(0), expr=atom("b")), "test"),),
+                              default_kb.registry)
+    with pytest.raises(engine.TaukbError, match="unknown claim kind 'exactly'"):
+        close(kb)
 
 
 def test_contradiction_on_injected_back_arrow(default_kb):

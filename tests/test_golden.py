@@ -21,12 +21,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+from ablations import one_line_ablations
+
 from click.testing import CliRunner
 
 from taukb import engine, formats
 from taukb.cli import main
 from taukb.core import Verdict, render_expr
-from taukb.models import load_default_registry
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -110,15 +111,10 @@ def trace_transcript(result: engine.ClosureResult | None = None) -> str:
     return "".join(out)
 
 
-def ablation_transcript() -> str:
-    ff = formats.load_default_facts()
-    registry = load_default_registry()
+def ablation_transcript(ablated) -> str:
+    """The transcript of one_line_ablations(), given as ablated."""
     out = []
-    for k, d in enumerate(ff.decls):
-        if not isinstance(d, (formats.ArrowDecl, formats.CardDecl, formats.NonImpDecl)):
-            continue
-        kb = engine.build_knowledge_base(formats.FactFile(ff.decls[:k] + ff.decls[k + 1:]), registry)
-        result = engine.close(kb)
+    for d, _, result in ablated:
         out.append(f"### without line {d.line}: {formats.render_decl(d)}\n")
         out.append(formats.render_table(result.serial_grid()))
         for p in result.serial_properties():
@@ -145,8 +141,8 @@ def test_trace_golden():
     _check("traces.txt", trace_transcript())
 
 
-def test_ablation_golden():
-    _check("ablations.txt", ablation_transcript())
+def test_ablation_golden(ablations):
+    _check("ablations.txt", ablation_transcript(ablations))
 
 
 if __name__ == "__main__":
@@ -154,5 +150,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "cli.txt").write_bytes(cli_transcript(Path(tmp)).encode("utf-8"))
     (GOLDEN / "traces.txt").write_bytes(trace_transcript().encode("utf-8"))
-    (GOLDEN / "ablations.txt").write_bytes(ablation_transcript().encode("utf-8"))
+    (GOLDEN / "ablations.txt").write_bytes(ablation_transcript(one_line_ablations()).encode("utf-8"))
     sys.exit(0)
