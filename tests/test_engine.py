@@ -251,14 +251,12 @@ def test_traces_leave_no_cyclic_garbage(default_kb):
 
 
 def test_traces_do_not_depend_on_read_order(default_kb):
-    def traces(result, reverse):
-        cells = list(result.matrix.items())
-        keyed = [(stmt, j.trace) for stmt, j in (cells[::-1] if reverse else cells)
-                 if j.verdict is not Verdict.UNKNOWN]
-        keyed += [(key, trace) for key, trace in result.exact_traces.items()]
-        return {key: trace.steps for key, trace in keyed}
+    def read(result, reverse):
+        traces = [(cell, j.trace) for cell, j in result.matrix.items() if j.verdict is not Verdict.UNKNOWN]
+        traces += result.exact_traces.items()
+        return {key: trace.steps for key, trace in (traces[::-1] if reverse else traces)}
 
-    backward, forward = traces(close(default_kb), True), traces(close(default_kb), False)
+    backward, forward = read(close(default_kb), True), read(close(default_kb), False)
     assert backward == forward
     # a settled statement's steps start with its first premise's steps: the
     # premise's own trace, if settled, and one prefix however it is reached
