@@ -237,10 +237,14 @@ def lex_first_selector(members, col_bound, size_bound, hit_quota, exceptions):
     return None
 
 
+def naive_diagonalizes(arrays, g):
+    return all(any(naive.entry(a, n, c) for n, c in enumerate(g)) for a in arrays)
+
+
 def lex_first_choices(arrays, col_bound):
     rows = arrays[0].row_count if arrays else 0
     for g in product(range(col_bound), repeat=rows):
-        if all(any(naive.entry(a, n, c) for n, c in enumerate(g)) for a in arrays):
+        if naive_diagonalizes(arrays, g):
             return g
     return None
 
@@ -276,6 +280,30 @@ def test_search_returns_the_lex_first_witness(seed, regime):
         g = o_diagonalizable(arrays, col_bound)
         assert (None if g is None else g.choices) == lex_first_choices(arrays, col_bound)
         checked += 1
+
+
+# --- both verifiers against the naive definitions, on every candidate ----------
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verifiers_agree_with_naive_on_every_candidate(seed):
+    # a verifier that always said yes would pass every witness check above
+    rng = random.Random(seed)
+    seen = {"selector": set(), "diagonalizer": set()}
+    for _ in range(250):
+        rows, col_bound, count = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        arrays = random_arrays(rng, rows, count, tails=(0, 1))
+        for g in product(range(col_bound), repeat=rows):
+            got = verify_diagonalizer(arrays, Diagonalizer(g), col_bound)
+            assert got == naive_diagonalizes(arrays, g)
+            seen["diagonalizer"].add(got)
+        fam = GammaFamily(tuple(random_arrays(rng, rows, count)))
+        pool = [()] + [(c,) for c in range(col_bound)]
+        for quota, exc in {(rng.randint(0, rows + 1), rng.randint(0, 2)) for _ in range(3)}:
+            for sets in product(pool, repeat=rows):
+                got = verify_selector(fam, sel(sets, quota, exc), col_bound)
+                assert got == naive.selector_ok(fam.members, sets, col_bound, quota, exc)
+                seen["selector"].add(got)
+    assert seen == {"selector": {True, False}, "diagonalizer": {True, False}}
 
 
 # --- deep families: one candidate per row ---------------------------------------
