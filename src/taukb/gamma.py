@@ -45,18 +45,18 @@ class FamilyParseError(TaukbError):
 
 
 class Row(Record):
-    __slots__ = ("word", "tail")  # a finite 0/1 prefix, and the bit repeated beyond it
+    # a finite 0/1 prefix, the bit repeated beyond it, and the whole row as one
+    # int: bit m of bits is entry m for every m, so a tail of 1 makes it negative
+    __slots__ = ("word", "tail", "bits")
 
     def __init__(self, word: str, tail: int):
-        # _row_masks reads the word as a binary numeral
+        # bits reads the word as a binary numeral
         if word.strip("01") or tail not in (0, 1):
             raise BadShape(f"row must be a 0/1 word and a 0/1 tail, got {word!r} and {tail!r}")
-        super().__init__(word, tail)
+        super().__init__(word, tail, int(word[::-1] or "0", 2) | -(tail << len(word)))
 
     def entry(self, m: int) -> int:
-        if m < len(self.word):
-            return 1 if self.word[m] == "1" else 0
-        return self.tail
+        return self.bits >> m & 1
 
 
 class GammaArray(Record):
@@ -86,9 +86,7 @@ class GammaFamily(Record):
     __slots__ = ("members",)  # tuple of GammaArray
 
     def __init__(self, members: tuple[GammaArray, ...]):
-        counts = {m.row_count for m in members}
-        if len(counts) > 1:
-            raise BadShape(f"members disagree on row count: {sorted(counts)}")
+        _row_count(members, 0)
         for m in members:
             if not is_gamma_array(m):
                 raise BadShape("family member is not a gamma array (some tail is 0)")
@@ -112,6 +110,14 @@ def family(*arrays: GammaArray) -> GammaFamily:
     return GammaFamily(tuple(arrays))
 
 
+def _row_count(members, default: int) -> int:
+    """The row count the members share, or default when there are none."""
+    counts = {a.row_count for a in members}
+    if len(counts) > 1:
+        raise BadShape(f"members disagree on row count: {sorted(counts)}")
+    return counts.pop() if counts else default
+
+
 class Selector(NamedTuple):
     """Finite column sets F_n plus the quantifier surrogates (hit_quota, exceptions)."""
 
@@ -128,76 +134,53 @@ def _mask(columns) -> int:
     return sum(1 << m for m in columns)
 
 
-def _row_masks(members, rows: int, col_bound: int) -> list[tuple[int, ...]]:
-    """Each member as one int per row: bit m is set iff entry (n, m) is 1, m < col_bound.
-
-    The word's first col_bound letters, read backwards as binary, give the low
-    bits; a tail of 1 sets every bit from the word's end up to col_bound.
-    """
-    counts = {a.row_count for a in members}
-    if counts - {rows}:
-        raise BadShape(f"members disagree on row count: {sorted(counts)}")
-    top = (1 << col_bound) - 1
-    return [tuple(int(r.word[:col_bound][::-1] or "0", 2)
-                  | (top >> len(r.word) << len(r.word) if r.tail else 0) for r in a.rows)
-            for a in members]
-
-
-def _selector_ok(masks, sets: tuple[int, ...], hit_quota: int, exceptions: int) -> bool:
-    """Conditions (a) and (b) for member row masks and one column-set mask per row."""
+def _selector_ok(members, sets: tuple[int, ...], hit_quota: int, exceptions: int) -> bool:
+    """Conditions (a) and (b) for the members and one column-set mask per row."""
     # (a): each member hits a selected column in at least hit_quota rows
-    for a in masks:
-        if sum(1 for r, f in zip(a, sets) if r & f) < hit_quota:
+    for a in members:
+        if sum(1 for r, f in zip(a.rows, sets) if r.bits & f) < hit_quota:
             return False
     # (b): each ordered pair is comparable on F_n in one direction, with at
     # most `exceptions` bad rows for that direction.  The test reads the same
     # for (a, b) and (b, a), so each unordered pair, a member with itself
     # included, is checked once
-    for a, b in combinations_with_replacement(masks, 2):
-        if (sum(1 for ra, rb, f in zip(a, b, sets) if ra & ~rb & f) > exceptions
-                and sum(1 for ra, rb, f in zip(a, b, sets) if rb & ~ra & f) > exceptions):
+    for a, b in combinations_with_replacement(members, 2):
+        if (sum(1 for ra, rb, f in zip(a.rows, b.rows, sets) if ra.bits & ~rb.bits & f) > exceptions
+                and sum(1 for ra, rb, f in zip(a.rows, b.rows, sets) if rb.bits & ~ra.bits & f) > exceptions):
             return False
     return True
 
 
-def _hitters(masks, rows: int, col_bound: int) -> list[tuple[int, ...]]:
+def _hitters(members, col_bound: int) -> list[tuple[int, ...]]:
     """Per row and column, the members with a 1 there, as a bitmask over members."""
-    return [tuple(sum((a[n] >> c & 1) << i for i, a in enumerate(masks)) for c in range(col_bound))
-            for n in range(rows)]
-
-
-def _diagonalizes(hitters, choices: tuple[int, ...], everyone: int) -> bool:
-    """True iff the members hit at (n, choices[n]) over all rows n are all of them."""
-    hit = 0
-    for row, c in zip(hitters, choices):
-        hit |= row[c]
-    return hit == everyone
+    return [tuple(sum((r.bits >> c & 1) << i for i, r in enumerate(row)) for c in range(col_bound))
+            for row in zip(*(a.rows for a in members))]
 
 
 def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
     """Check conditions (a) and (b) for the selector against the family."""
     members = tuple(fam)
-    rows = members[0].row_count if members else len(selector.sets)
+    rows = _row_count(members, len(selector.sets))
     if len(selector.sets) != rows:
         raise BadShape(f"selector has {len(selector.sets)} sets for {rows} rows")
     for f in selector.sets:
         for m in f:
             if not (0 <= m < col_bound):
                 raise BadShape(f"column {m} outside bound {col_bound}")
-    return _selector_ok(_row_masks(members, rows, col_bound), tuple(map(_mask, selector.sets)),
-                        selector.hit_quota, selector.exceptions)
+    return _selector_ok(members, tuple(map(_mask, selector.sets)), selector.hit_quota,
+                        selector.exceptions)
 
 
 def verify_diagonalizer(fam, g: Diagonalizer, col_bound: int) -> bool:
+    """True iff every member has a 1 at (n, g(n)) for some row n."""
     members = tuple(fam)
-    rows = members[0].row_count if members else len(g.choices)
+    rows = _row_count(members, len(g.choices))
     if len(g.choices) != rows:
         raise BadShape(f"diagonalizer has {len(g.choices)} choices for {rows} rows")
     for c in g.choices:
         if not (0 <= c < col_bound):
             raise BadShape(f"column {c} outside bound {col_bound}")
-    hitters = _hitters(_row_masks(members, rows, col_bound), rows, col_bound)
-    return _diagonalizes(hitters, g.choices, (1 << len(members)) - 1)
+    return all(any(r.bits >> c & 1 for r, c in zip(a.rows, g.choices)) for a in members)
 
 
 @cache
@@ -239,14 +222,14 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
         raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}, "
                        f"size_bound={size_bound}, hit_quota={hit_quota}, exceptions={exceptions}")
     members = tuple(fam)
-    rows = members[0].row_count if members else 0
+    rows = _row_count(members, 0)
     per_row = sum(comb(col_bound, i) for i in range(min(size_bound, col_bound) + 1))
     if per_row ** rows > budget:
         raise SearchSpaceTooLarge(f"{per_row}^{rows} selector tuples exceed budget {budget}")
     if members and hit_quota > rows:  # the walk tests no state when rows == 0
         return None
     pool = _column_sets(col_bound, size_bound)
-    cols = list(zip(*_row_masks(members, rows, col_bound)))  # per row, each member's mask
+    cols = list(zip(*(a.rows for a in members)))  # per row, each member's Row
     # ordered pairs of distinct members; pairs[d ^ 1] is pairs[d] reversed
     pairs = [p for ij in combinations(range(len(members)), 2) for p in (ij, ij[::-1])]
     cap = exceptions + 1
@@ -254,7 +237,7 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
     def step(n, state, c):
         # copy only the counters choice c moves: tiny searches pay for every copy
         hits, bad = state
-        h = [a & pool[c][0] for a in cols[n]]
+        h = [r.bits & pool[c][0] for r in cols[n]]
         up = [i for i, x in enumerate(h) if x and hits[i] < hit_quota]
         if up:
             hits = list(hits)
@@ -287,10 +270,10 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
     if col_bound < 0:
         raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}")
     members = tuple(fam)
-    rows = members[0].row_count if members else 0
+    rows = _row_count(members, 0)
     if col_bound ** rows > budget:
         raise SearchSpaceTooLarge(f"{col_bound}^{rows} choice vectors exceed budget {budget}")
-    hitters = _hitters(_row_masks(members, rows, col_bound), rows, col_bound)
+    hitters = _hitters(members, col_bound)
     everyone = (1 << len(members)) - 1
     rest = [0] * (rows + 1)  # the members with a 1 anywhere in rows n onward
     for n in reversed(range(rows)):

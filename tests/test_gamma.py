@@ -16,7 +16,6 @@ from taukb.gamma import (
     Row,
     SearchSpaceTooLarge,
     Selector,
-    _row_masks,
     array,
     family,
     finitely_tau_diagonalizable,
@@ -362,27 +361,32 @@ def test_family_file_reports_all_bad_lines():
     [array([("1", 1)]), array([("01", 1), ("10", 1)])],
 ])
 def test_ragged_members_are_refused(members):
+    rows = members[0].row_count
     with pytest.raises(BadShape):
         o_diagonalizable(members, 3)
     with pytest.raises(BadShape):
-        verify_diagonalizer(members, Diagonalizer((0,) * members[0].row_count), 3)
+        verify_diagonalizer(members, Diagonalizer((0,) * rows), 3)
+    # before the budget guard: the nominal space of a ragged family has no meaning
+    with pytest.raises(BadShape):
+        finitely_tau_diagonalizable(members, 3, 1, 1, 0, budget=0)
+    with pytest.raises(BadShape):
+        verify_selector(members, sel([{0}] * rows, q=1, e=0), 3)
 
 
-# --- row masks -----------------------------------------------------------------
+# --- a row as one int -------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(5))
-def test_row_masks_agree_with_entry(seed):
-    # tails 0 and 1, words longer and shorter than the bound, and bound 0
+def test_row_bits_agree_with_naive_entry(seed):
+    # tails 0 and 1, empty words, and columns well past each word's end
     rng = random.Random(seed)
     for _ in range(200):
-        rows = rng.randint(0, 4)
-        members = [GammaArray(tuple(Row("".join(rng.choice("01") for _ in range(rng.randint(0, 8))),
-                                        rng.randint(0, 1)) for _ in range(rows)))
-                   for _ in range(rng.randint(1, 3))]
-        for col_bound in (0, 1, rng.randint(2, 10)):
-            want = [tuple(sum(a.entry(n, m) << m for m in range(col_bound)) for n in range(rows))
-                    for a in members]
-            assert _row_masks(members, rows, col_bound) == want
+        a = GammaArray(tuple(Row("".join(rng.choice("01") for _ in range(rng.randint(0, 8))),
+                                 rng.randint(0, 1)) for _ in range(rng.randint(1, 4))))
+        for n, r in enumerate(a.rows):
+            # a negative int has every bit set from some point on: the tail repeats forever
+            assert (r.bits < 0) == (r.tail == 1)
+            for m in range(len(r.word) + 10):
+                assert r.bits >> m & 1 == r.entry(m) == naive.entry(a, n, m)
 
 
 @pytest.mark.parametrize("word, tail", [("2", 1), (" 1", 1), ("1", 2)])
