@@ -21,7 +21,6 @@ depend on the order of the input fact list.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -64,11 +63,7 @@ class KnowledgeBase:
         self.properties: tuple[Property, ...] = properties
         self.facts: tuple[tuple[Claim, str], ...] = facts  # (claim, citation) per base fact
         self.registry: ModelRegistry = registry
-
-    @cached_property
-    def _claims(self) -> frozenset[Claim]:
-        # what the base facts assert; replay checks fact steps against it
-        return frozenset(c for c, _ in self.facts)
+        self._facts = frozenset(facts)  # replay checks fact steps against it
 
 
 def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -> KnowledgeBase:
@@ -158,7 +153,6 @@ def load_default_kb() -> KnowledgeBase:
 # tuples sort the way their claims render.  The closure holds the statements
 # as bit rows: bit x of rows[kind][i] is set iff (kind, i, x) holds.
 
-_RULES = frozenset({"fact", "R1", "R2", "R3a", "R3b", "R4", "R5", "R6"})
 _EDGE_KINDS = ("implies", "notimplies")
 
 
@@ -491,23 +485,34 @@ def diff(a: list[list[Verdict]], b: list[list[Verdict]]) -> list[tuple[int, int,
 def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
     """Re-check every step of a trace against the rule definitions.
 
-    Raises ReplayError on the first step that is not a base fact of kb or
-    does not conclude exactly what its rule draws from its premises.
+    Raises ReplayError on the first step that is malformed, is not a base fact
+    of kb with its citation, or does not conclude exactly what its rule draws
+    from its premises, with a note only on an R4 step.
     """
     concluded: list[tuple] = []
-    for idx, step in enumerate(trace.steps):
-        for p in step.premises:
-            if not 0 <= p < idx:
-                raise ReplayError(f"step {idx} uses premise {p}, which is not an earlier step")
+    for step in trace.steps:
         c = step.conclusion
-        concluded.append((c.kind, c.subject, c.object, c.expr))
-        _check_step(step, concluded[-1], [concluded[p] for p in step.premises], kb)
+        key = (c.kind, c.subject, c.object, c.expr) if isinstance(c, Claim) else None
+        try:
+            why = _step_fault(step, key, concluded, kb)
+        except TypeError as e:  # an unhashable field of a fact step, or an unhashable R4 note
+            why = str(e)
+        if why is not None:
+            try:
+                shown = c.render()
+            except (AttributeError, KeyError, TypeError):  # fields that do not fit its kind, or no claim
+                shown = repr(c)
+            raise ReplayError(f"{step.rule} step concluding {shown}: {why}")
+        concluded.append(key)
 
 
-def _rule_conclusion(rule: str, a: tuple, b: tuple) -> tuple | None:
-    """What rule R2..R6 draws from premises a and b, all (kind, subject, object,
-    expr) tuples; None if they do not fit it.  Replay reads the rules here alone."""
-    (ak, ap, ao, ae), (bk, bp, bo, be) = a, b
+def _rule_conclusion(rule: str, c: tuple, premises: list[tuple]) -> tuple | None:
+    """What rule draws from premises, all (kind, subject, object, expr) tuples:
+    R1 from none P -> P for the subject P of c, R2..R6 from two; None for any
+    other rule, premise count or premises.  Replay reads the rules here alone."""
+    if len(premises) != 2:
+        return ("implies", c[1], c[1], None) if rule == "R1" and not premises else None
+    (ak, ap, ao, ae), (bk, bp, bo, be) = premises
     if rule == "R2" and (ak, bk) == ("implies", "implies") and ao == bp:
         return ("implies", ap, bo, None)
     if rule == "R3a" and (ak, bk) == ("implies", "notimplies") and ao == bo:
@@ -525,36 +530,32 @@ def _rule_conclusion(rule: str, a: tuple, b: tuple) -> tuple | None:
     return None
 
 
-def _check_step(step: RuleInstance, c: tuple, premises: list[tuple], kb: KnowledgeBase) -> None:
-    rule = step.rule
-
-    def fail(msg: str):
-        try:
-            shown = step.conclusion.render()
-        except (AttributeError, KeyError):  # fields that do not fit the claim's kind
-            shown = repr(c)
-        raise ReplayError(f"{rule} step concluding {shown}: {msg}")
-
-    if rule not in _RULES:
-        fail(f"unknown rule id {rule!r}")
-    arity = 0 if rule in ("fact", "R1") else 2
-    if len(premises) != arity:
-        fail(f"needs {arity} premises, got {len(premises)}")
-    if rule == "fact":
-        if step.conclusion not in kb._claims:
-            fail("no matching base fact in the knowledge base")
-    # R1 concludes exactly P -> P; R2..R6 exactly what their premises draw
-    elif c != (("implies", c[1], c[1], None) if rule == "R1" else _rule_conclusion(rule, *premises)):
-        fail(f"does not match {rule}")
-    elif rule == "R4":
-        (_, _, _, u), (_, _, _, l) = premises
-        try:
-            model = kb.registry.get(step.note)
-            witnessed = eval_expr(u, model) < eval_expr(l, model)
-        except TaukbError as e:  # no such model, or it leaves an atom unassigned
-            fail(str(e))
-        if not witnessed:
-            fail(f"model {model.name} does not witness {render_expr(u)} < {render_expr(l)}")
+def _step_fault(step: RuleInstance, c: tuple | None, concluded: list[tuple], kb: KnowledgeBase) -> str | None:
+    """Why step fails to replay after steps that concluded concluded, c being
+    its own conclusion as a tuple (None if not a claim); None if it replays."""
+    if c is None:
+        return "the conclusion is not a claim"
+    if type(step.premises) is not tuple:
+        return f"premises {step.premises!r} are not a tuple of step indices"
+    premises = []
+    for p in step.premises:
+        if type(p) is not int or not 0 <= p < len(concluded):
+            return f"premise {p!r} is not an earlier step"
+        premises.append(concluded[p])
+    rule, note = step.rule, step.note
+    if rule == "fact" and not premises:
+        return None if (step.conclusion, note) in kb._facts else "no matching base fact in the knowledge base"
+    if c != _rule_conclusion(rule, c, premises):
+        return f"does not match {rule}"
+    if rule != "R4":
+        return None if note == "" else f"carries the note {note!r}, which only fact and R4 steps have"
+    (_, _, _, u), (_, _, _, l) = premises
+    try:
+        model = kb.registry.get(note)
+        witnessed = eval_expr(u, model) < eval_expr(l, model)
+    except TaukbError as e:  # no such model, or it leaves an atom unassigned
+        return str(e)
+    return None if witnessed else f"model {model.name} does not witness {render_expr(u)} < {render_expr(l)}"
 
 
 def replay_all(result: ClosureResult, kb: KnowledgeBase) -> int:
@@ -563,9 +564,9 @@ def replay_all(result: ClosureResult, kb: KnowledgeBase) -> int:
     for (a, b), judgment in result.matrix.items():
         if judgment.verdict is Verdict.UNKNOWN:
             continue
-        final = judgment.trace.steps[-1].conclusion
+        final = judgment.trace.steps[-1].conclusion if judgment.trace.steps else None
         want = "implies" if judgment.verdict is Verdict.IMPLIES else "notimplies"
-        if (final.kind, final.subject, final.object, final.expr) != (want, a, b, None):
+        if not isinstance(final, Claim) or (final.kind, final.subject, final.object, final.expr) != (want, a, b, None):
             raise ReplayError(f"trace for ({a.name}, {b.name}) does not conclude the cell")
         replay_trace(judgment.trace, kb)
         count += 1

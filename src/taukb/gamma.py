@@ -228,6 +228,8 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
         raise SearchSpaceTooLarge(f"{per_row}^{rows} selector tuples exceed budget {budget}")
     if members and hit_quota > rows:  # the walk tests no state when rows == 0
         return None
+    if not rows:  # nothing to choose, so no pool to build
+        return Selector((), hit_quota, exceptions)
     pool = _column_sets(col_bound, size_bound)
     cols = list(zip(*(a.rows for a in members)))  # per row, each member's Row
     # ordered pairs of distinct members; pairs[d ^ 1] is pairs[d] reversed
@@ -319,30 +321,22 @@ def parse_family_file(text: str) -> list[GammaArray]:
     errors: list[tuple[int, str]] = []
     arrays: list[GammaArray] = []
     current: list[Row] = []
-
-    def flush():
-        nonlocal current
-        if current:
-            arrays.append(GammaArray(tuple(current)))
-            current = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # a blank line after the text ends the last block like any other
+    for lineno, raw in enumerate(text.splitlines() + [""], start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            flush()
+            if current:
+                arrays.append(GammaArray(tuple(current)))
+                current = []
             continue
-        if "/" not in line:
+        word, slash, tail = line.rpartition("/")
+        if not slash:
             errors.append((lineno, f"expected <word>/<tailbit>, got {line!r}"))
             continue
-        word, _, tail = line.rpartition("/")
-        if word and not set(word) <= {"0", "1"}:
-            errors.append((lineno, f"word must be a 0/1 string, got {word!r}"))
-            continue
-        if tail not in ("0", "1"):
-            errors.append((lineno, f"tail bit must be 0 or 1, got {tail!r}"))
-            continue
-        current.append(Row(word, int(tail)))
-    flush()
+        try:  # Row refuses a word or a tail that is not 0/1
+            current.append(Row(word, {"0": 0, "1": 1}.get(tail, tail)))
+        except BadShape as e:
+            errors.append((lineno, str(e)))
     if errors:
         raise FamilyParseError(errors)
     return arrays

@@ -178,40 +178,33 @@ class ModelRegistry:
 def parse_models(text: str) -> list[Model]:
     errors: list[tuple[int, int, str]] = []
     models: list[Model] = []
-    name: str | None = None
-    citation = ""
-    levels: dict[CardinalAtom, int] = {}
-
-    def flush(lineno: int) -> None:
-        nonlocal name, citation, levels
-        if name is None:
-            return
-        if not levels:
-            errors.append((lineno, 1, f"model {name!r} has no level lines"))
-        models.append(Model(name, levels, citation))
-        name, citation, levels = None, "", {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    model: Model | None = None  # the open block's model, its levels filled in place
+    # a blank line after the text ends the last block like any other
+    for lineno, raw in enumerate(text.splitlines() + [""], start=1):
         try:
             parts = split_line(raw)
         except ValueError as e:
             errors.append((lineno, 1, str(e)))
             continue
+        if model is not None and (not parts or parts[0] == "model"):
+            if not model.levels:
+                errors.append((lineno, 1, f"model {model.name!r} has no level lines"))
+            model = None
         if not parts:
-            flush(lineno)
             continue
         if parts[0] == "model":
-            flush(lineno)
             if len(parts) != 4 or parts[2] != "cite":
                 errors.append((lineno, 1, "expected: model <name> cite \"<citation>\""))
                 continue
-            name = parts[1]
             try:
                 citation = unquote(parts[3], "citation")
             except ValueError as e:
                 errors.append((lineno, raw.find("cite") + 1, str(e)))
+                citation = ""  # unused: any error drops every model
+            model = Model(parts[1], {}, citation)
+            models.append(model)
         elif parts[0] == "level":
-            if name is None:
+            if model is None:
                 errors.append((lineno, 1, "level line outside a model block"))
                 continue
             if len(parts) != 3:
@@ -230,13 +223,12 @@ def parse_models(text: str) -> list[Model]:
             if lvl < 1:
                 errors.append((lineno, 1, "levels start at 1"))
                 continue
-            if a in levels:
-                errors.append((lineno, 1, f"model {name!r} gives {a} a second level"))
+            if a in model.levels:
+                errors.append((lineno, 1, f"model {model.name!r} gives {a} a second level"))
                 continue
-            levels[a] = lvl
+            model.levels[a] = lvl
         else:
             errors.append((lineno, 1, f"unknown directive {parts[0]!r}"))
-    flush(len(text.splitlines()) + 1)
     if errors:
         raise ModelParseError(errors)
     return models

@@ -494,3 +494,84 @@ def test_explain_is_independent_of_duplicate_fact_order(default_kb):
         result = close(build_knowledge_base(ff, default_kb.registry))
         texts.append(explain(result, serial(18), serial(8)))
     assert texts[0] == texts[1] == "S0 fact [a [cohen]]: Ufin(Gamma,Gamma) -/-> S1(Omega,Gamma)"
+
+
+# one value of each shape a hand-edited or corrupted trace might hold
+_JUNK = (None, -1, 10**6, "0", 1.0, (), ["R2"], "R9", "fact", "R1", atom("b"), serial(3), "", 0)
+
+
+def _junk_steps(step, notes):
+    """step with one field, or one premise index, or one field of its
+    conclusion replaced by a junk value; the note also by each of notes."""
+    for value in _JUNK:
+        yield dataclasses.replace(step, rule=value)
+        yield dataclasses.replace(step, premises=value)
+        for k in range(len(step.premises)):
+            yield dataclasses.replace(step, premises=step.premises[:k] + (value,) + step.premises[k + 1:])
+        yield dataclasses.replace(step, conclusion=value)
+        for field in ("kind", "subject", "object", "expr"):
+            yield dataclasses.replace(step, conclusion=dataclasses.replace(step.conclusion, **{field: value}))
+    for note in _JUNK + notes:
+        yield dataclasses.replace(step, note=note)
+
+
+def test_replay_refuses_every_step_with_a_junk_field(default_kb):
+    # the sandwich KB's traces use every rule; the default KB's have no R5 step
+    kb = _sandwich_kb(default_kb.registry)
+    result = close(kb)
+    traces = [j.trace for j in result.matrix.values() if j.verdict is not Verdict.UNKNOWN]
+    traces += result.exact_traces.values()
+    prefixes = {}  # rule -> the trace prefixes that end in a step of that rule
+    for trace in traces:
+        for k, step in enumerate(trace.steps):
+            prefixes.setdefault(step.rule, []).append(trace.steps[:k + 1])
+    assert sorted(prefixes) == ["R1", "R2", "R3a", "R3b", "R4", "R5", "R6", "fact"]
+    models = tuple(m.name for m in kb.registry)
+    rng = random.Random(15)
+    escaped, tried = [], 0
+    for rule in sorted(prefixes):
+        for *head, step in rng.sample(prefixes[rule], min(6, len(prefixes[rule]))):
+            for bad in _junk_steps(step, models):
+                if bad == step:
+                    continue
+                tried += 1
+                if bad.rule == "R4" and bad.note != step.note and bad.note in models:
+                    # the one tamper that may replay: another model that
+                    # witnesses the same strict inequality
+                    u, l = (head[k].conclusion.expr for k in bad.premises)
+                    model = kb.registry.get(bad.note)
+                    try:
+                        ok = eval_expr(u, model) < eval_expr(l, model)
+                    except engine.TaukbError:
+                        ok = False
+                    if ok:
+                        engine.replay_trace(ProofTrace((*head, bad)), kb)
+                        continue
+                try:
+                    engine.replay_trace(ProofTrace((*head, bad)), kb)
+                    escaped.append((bad, "replays"))
+                except engine.ReplayError:
+                    pass
+                except Exception as e:
+                    escaped.append((bad, type(e).__name__))
+    assert tried > 3000
+    assert escaped == []
+
+
+def test_replay_all_refuses_a_settled_cell_with_an_empty_trace(default_kb, closure):
+    tampered = copy.copy(closure)
+    tampered.matrix = {**closure.matrix, (serial(0), serial(19)): Judgment(Verdict.IMPLIES, ProofTrace(()))}
+    with pytest.raises(engine.ReplayError, match="does not conclude the cell"):
+        replay_all(tampered, default_kb)
+
+
+@pytest.mark.parametrize("case", ["fact-with-forged-citation", "R2-with-note", "R1-with-note"])
+def test_replay_checks_citations_and_notes(default_kb, closure, case):
+    rule = case.split("-")[0]
+    trace = next(j.trace for j in closure.matrix.values()
+                 if j.verdict is not Verdict.UNKNOWN and j.trace.steps[-1].rule == rule)
+    *head, step = trace.steps
+    engine.replay_trace(trace, default_kb)
+    forged = ProofTrace((*head, dataclasses.replace(step, note=step.note + " (forged)")))
+    with pytest.raises(engine.ReplayError):
+        engine.replay_trace(forged, default_kb)

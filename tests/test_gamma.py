@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import naive
+from taukb import gamma
 from taukb.gamma import (
     BadShape,
     Diagonalizer,
@@ -111,6 +112,20 @@ def test_empty_family_vacuously_diagonalizable():
                                           hit_quota=0, exceptions=0)
     assert witness is not None
     assert witness.sets == ()
+
+
+@pytest.mark.parametrize("members, hit_quota, want", [
+    ((), 1, sel([], 1, 0)), ((), 0, sel([], 0, 0)),
+    ((GammaArray(()),), 0, sel([], 0, 0)), ((GammaArray(()),), 1, None),
+])
+def test_family_without_rows_builds_no_column_sets(monkeypatch, members, hit_quota, want):
+    # with no row to choose for, the search needs no candidate pool, however wide
+    def refuse(*bounds):
+        raise AssertionError(f"_column_sets{bounds} built for a family without rows")
+
+    monkeypatch.setattr(gamma, "_column_sets", refuse)
+    assert finitely_tau_diagonalizable(GammaFamily(members), col_bound=300_000, size_bound=1,
+                                       hit_quota=hit_quota, exceptions=0) == want
 
 
 @pytest.mark.parametrize("hit_quota, exceptions", [(-1, 0), (-3, 0), (1, -1), (0, -2)])
