@@ -213,7 +213,7 @@ def odiag(ctx, family_file, col_bound):
     from . import gamma
 
     arrays = gamma.parse_family_file(read_text(family_file))
-    bound = col_bound if col_bound is not None else max((a.max_word_length() for a in arrays), default=0) + 1
+    bound = col_bound if col_bound is not None else gamma.max_word_length(arrays) + 1
     witness = gamma.o_diagonalizable(arrays, bound, budget=ctx.obj["budget"])
     if witness is None:
         _emit(ctx, "not o-diagonalizable within the bounds\n", [{"diagonalizable": False}])

@@ -64,6 +64,7 @@ class KnowledgeBase:
         self.facts: tuple[tuple[Claim, str], ...] = facts  # (claim, citation) per base fact
         self.registry: ModelRegistry = registry
         self._facts = frozenset(facts)  # replay checks fact steps against it
+        self._properties = frozenset(properties)  # and R1 steps against it
 
 
 def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -> KnowledgeBase:
@@ -495,7 +496,7 @@ def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
         key = (c.kind, c.subject, c.object, c.expr) if isinstance(c, Claim) else None
         try:
             why = _step_fault(step, key, concluded, kb)
-        except TypeError as e:  # an unhashable field of a fact step, or an unhashable R4 note
+        except TypeError as e:  # an unhashable field of a fact or R1 step, or an unhashable R4 note
             why = str(e)
         if why is not None:
             try:
@@ -547,6 +548,8 @@ def _step_fault(step: RuleInstance, c: tuple | None, concluded: list[tuple], kb:
         return None if (step.conclusion, note) in kb._facts else "no matching base fact in the knowledge base"
     if c != _rule_conclusion(rule, c, premises):
         return f"does not match {rule}"
+    if rule == "R1" and c[1] not in kb._properties:
+        return "names no property of the knowledge base"
     if rule != "R4":
         return None if note == "" else f"carries the note {note!r}, which only fact and R4 steps have"
     (_, _, _, u), (_, _, _, l) = premises

@@ -69,9 +69,6 @@ class GammaArray(Record):
     def entry(self, n: int, m: int) -> int:
         return self.rows[n].entry(m)
 
-    def max_word_length(self) -> int:
-        return max((len(r.word) for r in self.rows), default=0)
-
 
 def array(rows: list[tuple[str, int]]) -> GammaArray:
     return GammaArray(tuple(Row(w, t) for w, t in rows))
@@ -95,15 +92,13 @@ class GammaFamily(Record):
     def __iter__(self):
         return iter(self.members)
 
-    def __len__(self):
-        return len(self.members)
-
-    @property
-    def row_count(self) -> int:
-        return self.members[0].row_count if self.members else 0
-
     def max_word_length(self) -> int:
-        return max((m.max_word_length() for m in self.members), default=0)
+        return max_word_length(self.members)
+
+
+def max_word_length(arrays) -> int:
+    """The first column past every word: from it on, each row repeats its tail bit."""
+    return max([len(r.word) for a in arrays for r in a.rows], default=0)
 
 
 def family(*arrays: GammaArray) -> GammaFamily:
@@ -230,7 +225,8 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
         return None
     if not rows:  # nothing to choose, so no pool to build
         return Selector((), hit_quota, exceptions)
-    pool = _column_sets(col_bound, size_bound)
+    # columns from L on act alike, and a set reaching past L acts like one no later in order
+    pool = _column_sets(min(col_bound, max_word_length(members) + 1), size_bound)
     cols = list(zip(*(a.rows for a in members)))  # per row, each member's Row
     # ordered pairs of distinct members; pairs[d ^ 1] is pairs[d] reversed
     pairs = [p for ij in combinations(range(len(members)), 2) for p in (ij, ij[::-1])]
@@ -275,7 +271,8 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
     rows = _row_count(members, 0)
     if col_bound ** rows > budget:
         raise SearchSpaceTooLarge(f"{col_bound}^{rows} choice vectors exceed budget {budget}")
-    hitters = _hitters(members, col_bound)
+    width = min(col_bound, max_word_length(members) + 1)  # any choice from L on acts like L
+    hitters = _hitters(members, width)
     everyone = (1 << len(members)) - 1
     rest = [0] * (rows + 1)  # the members with a 1 anywhere in rows n onward
     for n in reversed(range(rows)):
@@ -289,7 +286,7 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
         hit |= hitters[n][c]
         return hit if hit | rest[n + 1] == everyone else None
 
-    path = _lex_first(rows, col_bound, 0, step)
+    path = _lex_first(rows, width, 0, step)
     return None if path is None else Diagonalizer(tuple(path))
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import random
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -555,6 +556,35 @@ def test_replay_refuses_every_step_with_a_junk_field(default_kb):
                 except Exception as e:
                     escaped.append((bad, type(e).__name__))
     assert tried > 3000
+    assert escaped == []
+
+
+# values that name nothing in the default KB, the last a property it does not declare
+_OUTSIDE = ("junk", None, 0, atom("b"),
+            Property(SelectorKind.UFIN, CoverKind.GAMMA, CoverKind.GAMMA, CoverVariant.BOREL))
+
+
+def test_replay_refuses_a_step_with_subject_and_object_both_changed(default_kb, closure):
+    # R1 draws P -> P for whatever P its step names, so a one-field tamper
+    # cannot reach an R1 step about something outside the KB
+    assert _OUTSIDE[-1] not in default_kb.properties
+    steps = {}  # rule -> {step: the trace steps before it}
+    for j in closure.matrix.values():
+        for k, step in enumerate(j.trace.steps):
+            steps.setdefault(step.rule, {}).setdefault(step, j.trace.steps[:k])
+    rng = random.Random(16)
+    escaped, tried = [], 0
+    for rule in ("R1", "R2", "fact"):
+        for step, head in rng.sample(list(steps[rule].items()), 10):
+            for subject, obj in product(_OUTSIDE, repeat=2):
+                c = dataclasses.replace(step.conclusion, subject=subject, object=obj)
+                tried += 1
+                try:
+                    engine.replay_trace(ProofTrace((*head, dataclasses.replace(step, conclusion=c))), default_kb)
+                    escaped.append((rule, c))
+                except engine.ReplayError:
+                    pass
+    assert tried == 750
     assert escaped == []
 
 

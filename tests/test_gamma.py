@@ -270,8 +270,10 @@ def random_arrays(rng, rows, count, tails=(1,)):
 
 
 # each regime: (rows, col_bound, members, size_bound) ranges; the second keeps
-# away from the degenerate corners, where most witnesses come late or not at all
-REGIMES = {"full": ((0, 5), (0, 4), (0, 4), (0, 3)), "dense": ((3, 5), (2, 4), (2, 4), (1, 3))}
+# away from the degenerate corners, where most witnesses come late or not at all;
+# the third bounds the columns past every word (words are at most 5 long)
+REGIMES = {"full": ((0, 5), (0, 4), (0, 4), (0, 3)), "dense": ((3, 5), (2, 4), (2, 4), (1, 3)),
+           "wide": ((1, 3), (6, 9), (1, 3), (0, 2))}
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -294,6 +296,40 @@ def test_search_returns_the_lex_first_witness(seed, regime):
         g = o_diagonalizable(arrays, col_bound)
         assert (None if g is None else g.choices) == lex_first_choices(arrays, col_bound)
         checked += 1
+
+
+# --- no column past the first column past every word ---------------------------
+
+# one row whose word ends at column L = 3; the default budget lets col_bound
+# 300,000 through, where a pool or hitter table that wide would take gigabytes
+ONE_ROW = family(array([("001", 1)]))
+
+
+@pytest.mark.parametrize("name, width_arg, search, witness", [
+    ("_column_sets", 0, lambda fam: finitely_tau_diagonalizable(fam, 300_000, 1, 1, 0), sel([{2}], 1, 0)),
+    ("_hitters", 1, lambda fam: o_diagonalizable(fam, 300_000), Diagonalizer((2,))),
+], ids=["ftau", "odiag"])
+def test_searches_stop_at_the_first_column_past_every_word(monkeypatch, name, width_arg, search, witness):
+    real, limit = getattr(gamma, name), ONE_ROW.max_word_length() + 1
+
+    def checked(*args):
+        if args[width_arg] > limit:
+            raise AssertionError(f"{name} asked for {args[width_arg]} columns")
+        return real(*args)
+
+    monkeypatch.setattr(gamma, name, checked)
+    assert search(ONE_ROW) == witness
+
+
+@pytest.mark.parametrize("search, message", [
+    (lambda fam: finitely_tau_diagonalizable(fam, 2000, 1, 1, 0), "2001^2 selector tuples exceed budget 2000000"),
+    (lambda fam: o_diagonalizable(fam, 2000), "2000^2 choice vectors exceed budget 2000000"),
+])
+def test_budget_guard_counts_every_column_below_the_bound(search, message):
+    # the searches try no column past L + 1 = 4, yet --budget refuses what it always did
+    with pytest.raises(SearchSpaceTooLarge) as e:
+        search(family(array([("001", 1), ("1", 1)])))
+    assert str(e.value) == message
 
 
 # --- both verifiers against the naive definitions, on every candidate ----------
