@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -47,8 +46,8 @@ class Record:
     its class names in __slots__, set once by __init__ in that order.  It
     equals, and hashes like, a record of its own type (or a subclass) with
     the same fields; a slot that a base class adds, such as a declaration's
-    line, takes part in neither.  Defining one costs a fraction of a frozen
-    dataclass, which generates and compiles its methods at import."""
+    line or a property's labels, takes part in neither.  A record that may
+    compare like a tuple is a NamedTuple instead; this base is for the rest."""
 
     __slots__ = ()
 
@@ -67,6 +66,8 @@ class Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         # NotImplemented lets a subclass answer from its side; two unrelated
         # record types, or a record and a tuple, are never equal
         return self._key() == other._key() if isinstance(other, type(self)) else NotImplemented
@@ -259,37 +260,35 @@ def _parse_expr_prefix(text: str) -> tuple[CardinalExpr, str]:
 # Properties
 
 
-@dataclass(frozen=True)
-class Property:
+class _Labels(Record):
+    __slots__ = ("serial", "non", "name", "_hash")  # a property's labels and hash, out of its equality
+
+
+class Property(_Labels):
     """A diagram node, identified structurally by (kind, source, target, variant).
 
-    serial and non are display metadata and do not take part in equality.
+    serial and non are display metadata and do not take part in equality;
+    it hashes like the tuple of its four coordinates.
     """
 
-    kind: SelectorKind
-    source: CoverKind
-    target: CoverKind
-    variant: CoverVariant = CoverVariant.OPEN
-    serial: int | None = field(default=None, compare=False)
-    non: CardinalExpr | None = field(default=None, compare=False)
+    __slots__ = ("kind", "source", "target", "variant")
 
-    @functools.cached_property
-    def name(self) -> str:
-        base = f"{self.kind.label}({self.source.label},{self.target.label})"
-        if self.variant is CoverVariant.OPEN:
-            return base
-        return f"{base}[{self.variant.label}]"
+    def __init__(self, kind: SelectorKind, source: CoverKind, target: CoverKind,
+                 variant: CoverVariant = CoverVariant.OPEN, serial: int | None = None,
+                 non: CardinalExpr | None = None):
+        super().__init__(kind, source, target, variant)
+        name = f"{kind.label}({source.label},{target.label})"
+        if variant is not CoverVariant.OPEN:
+            name = f"{name}[{variant.label}]"
+        for slot, value in zip(_Labels.__slots__, (serial, non, name, hash(self._key()))):
+            object.__setattr__(self, slot, value)
 
     @property
     def key(self) -> tuple[int, int, int, int]:
         return (int(self.kind), int(self.source), int(self.target), int(self.variant))
 
-    def __hash__(self) -> int:  # the dataclass hash, computed once
+    def __hash__(self) -> int:
         return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.kind, self.source, self.target, self.variant))
 
     def __repr__(self) -> str:  # keeps engine traces readable under pytest -v
         return f"Property({self.name})"
@@ -340,8 +339,7 @@ class Verdict(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A single engine statement: an implication edge, a non-implication,
     or a cardinality bound non(subject) >=/<=/= expr.  Base facts and
     derived statements are both claims."""
@@ -352,10 +350,6 @@ class Claim:
     expr: CardinalExpr | None = None
 
     def render(self) -> str:
-        return self._text
-
-    @functools.cached_property
-    def _text(self) -> str:
         if self.kind == "implies":
             return f"{self.subject.name} -> {self.object.name}"
         if self.kind == "notimplies":
@@ -364,8 +358,7 @@ class Claim:
         return f"non({self.subject.name}) {op} {render_expr(self.expr)}"
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     """One trace step: rule id, premise step indices, conclusion.
 
     Base facts enter as rule 'fact' with no premises; note carries the fact

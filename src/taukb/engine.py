@@ -490,12 +490,15 @@ def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
     of kb with its citation, or does not conclude exactly what its rule draws
     from its premises, with a note only on an R4 step.
     """
-    concluded: list[tuple] = []
-    for step in trace.steps:
+    if type(trace.steps) is not tuple:
+        raise ReplayError(f"steps {trace.steps!r} are not a tuple of rule instances")
+    concluded: list[Claim] = []
+    for i, step in enumerate(trace.steps):
+        if not isinstance(step, RuleInstance):
+            raise ReplayError(f"step {i} is not a rule instance: {step!r}")
         c = step.conclusion
-        key = (c.kind, c.subject, c.object, c.expr) if isinstance(c, Claim) else None
         try:
-            why = _step_fault(step, key, concluded, kb)
+            why = _step_fault(step, concluded, kb)
         except TypeError as e:  # an unhashable field of a fact or R1 step, or an unhashable R4 note
             why = str(e)
         if why is not None:
@@ -504,15 +507,15 @@ def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
             except (AttributeError, KeyError, TypeError):  # fields that do not fit its kind, or no claim
                 shown = repr(c)
             raise ReplayError(f"{step.rule} step concluding {shown}: {why}")
-        concluded.append(key)
+        concluded.append(c)
 
 
-def _rule_conclusion(rule: str, c: tuple, premises: list[tuple]) -> tuple | None:
-    """What rule draws from premises, all (kind, subject, object, expr) tuples:
-    R1 from none P -> P for the subject P of c, R2..R6 from two; None for any
-    other rule, premise count or premises.  Replay reads the rules here alone."""
+def _rule_conclusion(rule: str, c: Claim, premises: list[Claim]) -> tuple | None:
+    """What rule draws from premises, as the (kind, subject, object, expr) tuple
+    its claim equals: R1 from none P -> P for the subject P of c, R2..R6 from
+    two; None for any other rule, premise count or premises.  Replay reads the rules here alone."""
     if len(premises) != 2:
-        return ("implies", c[1], c[1], None) if rule == "R1" and not premises else None
+        return ("implies", c.subject, c.subject, None) if rule == "R1" and not premises else None
     (ak, ap, ao, ae), (bk, bp, bo, be) = premises
     if rule == "R2" and (ak, bk) == ("implies", "implies") and ao == bp:
         return ("implies", ap, bo, None)
@@ -531,10 +534,10 @@ def _rule_conclusion(rule: str, c: tuple, premises: list[tuple]) -> tuple | None
     return None
 
 
-def _step_fault(step: RuleInstance, c: tuple | None, concluded: list[tuple], kb: KnowledgeBase) -> str | None:
-    """Why step fails to replay after steps that concluded concluded, c being
-    its own conclusion as a tuple (None if not a claim); None if it replays."""
-    if c is None:
+def _step_fault(step: RuleInstance, concluded: list[Claim], kb: KnowledgeBase) -> str | None:
+    """Why step fails to replay after steps that concluded concluded; None if it replays."""
+    c = step.conclusion
+    if not isinstance(c, Claim):
         return "the conclusion is not a claim"
     if type(step.premises) is not tuple:
         return f"premises {step.premises!r} are not a tuple of step indices"
@@ -545,10 +548,10 @@ def _step_fault(step: RuleInstance, c: tuple | None, concluded: list[tuple], kb:
         premises.append(concluded[p])
     rule, note = step.rule, step.note
     if rule == "fact" and not premises:
-        return None if (step.conclusion, note) in kb._facts else "no matching base fact in the knowledge base"
+        return None if (c, note) in kb._facts else "no matching base fact in the knowledge base"
     if c != _rule_conclusion(rule, c, premises):
         return f"does not match {rule}"
-    if rule == "R1" and c[1] not in kb._properties:
+    if rule == "R1" and c.subject not in kb._properties:
         return "names no property of the knowledge base"
     if rule != "R4":
         return None if note == "" else f"carries the note {note!r}, which only fact and R4 steps have"
@@ -567,9 +570,10 @@ def replay_all(result: ClosureResult, kb: KnowledgeBase) -> int:
     for (a, b), judgment in result.matrix.items():
         if judgment.verdict is Verdict.UNKNOWN:
             continue
-        final = judgment.trace.steps[-1].conclusion if judgment.trace.steps else None
+        steps = judgment.trace.steps
+        last = steps[-1] if type(steps) is tuple and steps else None
         want = "implies" if judgment.verdict is Verdict.IMPLIES else "notimplies"
-        if not isinstance(final, Claim) or (final.kind, final.subject, final.object, final.expr) != (want, a, b, None):
+        if not isinstance(last, RuleInstance) or last.conclusion != (want, a, b, None):
             raise ReplayError(f"trace for ({a.name}, {b.name}) does not conclude the cell")
         replay_trace(judgment.trace, kb)
         count += 1

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -136,10 +134,10 @@ def test_structural_identity_ignores_metadata():
 def test_cached_name_and_hash_follow_the_structural_fields():
     figure = property_by_serial(8)
     bare = Property(SelectorKind.S1, CoverKind.OMEGA, CoverKind.GAMMA)
-    other = dataclasses.replace(figure, serial=3, non=Atom("c"))
+    other = Property(figure.kind, figure.source, figure.target, figure.variant, serial=3, non=Atom("c"))
     assert figure.name == bare.name == other.name == "S1(Omega,Gamma)"
     assert figure == bare == other
-    # the generated dataclass hash, so sets of properties keep their order
+    # the hash of the coordinate tuple, so sets of properties keep their order
     assert hash(figure) == hash(bare) == hash(other) == hash(
         (SelectorKind.S1, CoverKind.OMEGA, CoverKind.GAMMA, CoverVariant.OPEN))
     assert len({figure, bare, other}) == 1
@@ -148,7 +146,7 @@ def test_cached_name_and_hash_follow_the_structural_fields():
 def test_replaced_claim_renders_its_own_fields():
     claim = Claim("lower", property_by_serial(0), expr=Atom("b"))
     assert claim.render() == "non(S1(Gamma,Gamma)) >= b"
-    moved = dataclasses.replace(claim, kind="upper", subject=property_by_serial(8), expr=parse_expr("min{s,b}"))
+    moved = claim._replace(kind="upper", subject=property_by_serial(8), expr=parse_expr("min{s,b}"))
     assert moved.render() == "non(S1(Omega,Gamma)) <= min{b,s}"
     assert claim.render() == "non(S1(Gamma,Gamma)) >= b"
     assert hash(moved) == hash(("upper", property_by_serial(8), None, parse_expr("min{s,b}")))

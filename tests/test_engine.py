@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import random
 import re
@@ -355,10 +354,10 @@ def _tampered_trace(closure, case, registry):
         return list(query(closure, serial(i), serial(j)).trace.steps)
 
     def with_last(trace_steps, **changes):
-        return ProofTrace(tuple(trace_steps[:-1]) + (dataclasses.replace(trace_steps[-1], **changes),))
+        return ProofTrace(tuple(trace_steps[:-1]) + (trace_steps[-1]._replace(**changes),))
 
     def stray(trace_steps, **fields):  # the last conclusion gains a field its kind leaves out
-        return with_last(trace_steps, conclusion=dataclasses.replace(trace_steps[-1].conclusion, **fields))
+        return with_last(trace_steps, conclusion=trace_steps[-1].conclusion._replace(**fields))
 
     fact = steps(0, 18)[0]  # S0 fact: S1(Gamma,Gamma) -> Ufin(Gamma,Gamma)
     chain = steps(0, 19)  # two arrow facts, then R2 from S0, S1
@@ -379,8 +378,8 @@ def _tampered_trace(closure, case, registry):
         "R4-unknown-model": with_last(r4, note="ghost"),
         # odsmall assigns no level to p
         "R4-model-lacks-atom": with_last(r4, note="odsmall"),
-        "fact-with-premise": ProofTrace((fact, dataclasses.replace(fact, premises=(0,)))),
-        "negative-premise-first-step": ProofTrace((dataclasses.replace(chain[2], premises=(-1, -1)),)),
+        "fact-with-premise": ProofTrace((fact, fact._replace(premises=(0,)))),
+        "negative-premise-first-step": ProofTrace((chain[2]._replace(premises=(-1, -1)),)),
         # counted from the end, -2 and -1 name the right steps
         "negative-premise-later-step": with_last(chain, premises=(-2, -1)),
         "premise-from-later-step": with_last(chain, premises=(2, 3)),
@@ -412,8 +411,8 @@ def test_replay_refuses_tampered_step(default_kb, closure, case):
 def test_trace_with_a_replaced_conclusion_renders_and_replays_it(default_kb, closure):
     steps = query(closure, serial(0), serial(19)).trace.steps  # two arrow facts, then R2
     assert render_trace(ProofTrace(steps)).endswith("S2 R2: S1(Gamma,Gamma) -> Ufin(Gamma,T) from S0, S1")
-    wrong = dataclasses.replace(steps[-1].conclusion, object=serial(18))
-    tampered = ProofTrace(steps[:-1] + (dataclasses.replace(steps[-1], conclusion=wrong),))
+    wrong = steps[-1].conclusion._replace(object=serial(18))
+    tampered = ProofTrace(steps[:-1] + (steps[-1]._replace(conclusion=wrong),))
     assert render_trace(tampered).splitlines()[-1] == f"S2 R2: {wrong.render()} from S0, S1"
     with pytest.raises(engine.ReplayError, match=re.escape(f"concluding {wrong.render()}: does not match R2")):
         engine.replay_trace(tampered, default_kb)
@@ -505,15 +504,15 @@ def _junk_steps(step, notes):
     """step with one field, or one premise index, or one field of its
     conclusion replaced by a junk value; the note also by each of notes."""
     for value in _JUNK:
-        yield dataclasses.replace(step, rule=value)
-        yield dataclasses.replace(step, premises=value)
+        yield step._replace(rule=value)
+        yield step._replace(premises=value)
         for k in range(len(step.premises)):
-            yield dataclasses.replace(step, premises=step.premises[:k] + (value,) + step.premises[k + 1:])
-        yield dataclasses.replace(step, conclusion=value)
+            yield step._replace(premises=step.premises[:k] + (value,) + step.premises[k + 1:])
+        yield step._replace(conclusion=value)
         for field in ("kind", "subject", "object", "expr"):
-            yield dataclasses.replace(step, conclusion=dataclasses.replace(step.conclusion, **{field: value}))
+            yield step._replace(conclusion=step.conclusion._replace(**{field: value}))
     for note in _JUNK + notes:
-        yield dataclasses.replace(step, note=note)
+        yield step._replace(note=note)
 
 
 def test_replay_refuses_every_step_with_a_junk_field(default_kb):
@@ -577,10 +576,10 @@ def test_replay_refuses_a_step_with_subject_and_object_both_changed(default_kb, 
     for rule in ("R1", "R2", "fact"):
         for step, head in rng.sample(list(steps[rule].items()), 10):
             for subject, obj in product(_OUTSIDE, repeat=2):
-                c = dataclasses.replace(step.conclusion, subject=subject, object=obj)
+                c = step.conclusion._replace(subject=subject, object=obj)
                 tried += 1
                 try:
-                    engine.replay_trace(ProofTrace((*head, dataclasses.replace(step, conclusion=c))), default_kb)
+                    engine.replay_trace(ProofTrace((*head, step._replace(conclusion=c))), default_kb)
                     escaped.append((rule, c))
                 except engine.ReplayError:
                     pass
@@ -595,6 +594,28 @@ def test_replay_all_refuses_a_settled_cell_with_an_empty_trace(default_kb, closu
         replay_all(tampered, default_kb)
 
 
+@pytest.mark.parametrize("via", ["replay_trace", "replay_all"])
+@pytest.mark.parametrize("case", ["steps-None", "steps-list", "junk-first", "junk-last", "None-last", "tuple-last"])
+def test_replay_refuses_a_step_that_is_not_a_rule_instance(default_kb, closure, via, case):
+    steps = query(closure, serial(0), serial(19)).trace.steps  # two arrow facts, then R2
+    trace = ProofTrace({
+        "steps-None": None,
+        "steps-list": list(steps),
+        "junk-first": ("junk", *steps),
+        "junk-last": (*steps[:-1], "junk"),
+        "None-last": (*steps[:-1], None),
+        # the plain tuple of a step's fields, which the step itself equals
+        "tuple-last": (*steps[:-1], tuple(steps[-1])),
+    }[case])
+    with pytest.raises(engine.ReplayError):
+        if via == "replay_trace":
+            engine.replay_trace(trace, default_kb)
+        else:
+            tampered = copy.copy(closure)
+            tampered.matrix = {**closure.matrix, (serial(0), serial(19)): Judgment(Verdict.IMPLIES, trace)}
+            replay_all(tampered, default_kb)
+
+
 @pytest.mark.parametrize("case", ["fact-with-forged-citation", "R2-with-note", "R1-with-note"])
 def test_replay_checks_citations_and_notes(default_kb, closure, case):
     rule = case.split("-")[0]
@@ -602,6 +623,6 @@ def test_replay_checks_citations_and_notes(default_kb, closure, case):
                  if j.verdict is not Verdict.UNKNOWN and j.trace.steps[-1].rule == rule)
     *head, step = trace.steps
     engine.replay_trace(trace, default_kb)
-    forged = ProofTrace((*head, dataclasses.replace(step, note=step.note + " (forged)")))
+    forged = ProofTrace((*head, step._replace(note=step.note + " (forged)")))
     with pytest.raises(engine.ReplayError):
         engine.replay_trace(forged, default_kb)

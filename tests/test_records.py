@@ -2,8 +2,6 @@
 which of them compare like tuples and which do not, and which fields cannot
 be assigned."""
 
-import dataclasses
-
 import pytest
 
 from taukb import formats
@@ -73,20 +71,26 @@ def test_property_equality_and_hash_ignore_serial_and_non():
     assert hash(bare) == hash(labelled) == hash(property_by_serial(8))
 
 
-def test_claim_render_is_cached():
-    claim = Claim("upper", property_by_serial(14), expr=parse_expr("min{s,b}"))
-    assert claim.render() == "non(Sfin(T,T)) <= min{b,s}"
-    assert claim.render() is claim.render()
-
-
 def test_replace_works_on_property_claim_and_rule_instance():
-    p = dataclasses.replace(property_by_serial(8), serial=None, non=None)
-    assert p == property_by_serial(8) and (p.serial, p.non) == (None, None)
+    figure = property_by_serial(8)
+    p = Property(figure.kind, figure.source, figure.target, figure.variant)
+    assert p == figure and (p.serial, p.non, p.name) == (None, None, figure.name)
     claim = Claim("implies", property_by_serial(0), property_by_serial(1))
-    moved = dataclasses.replace(claim, object=property_by_serial(2))
+    moved = claim._replace(object=property_by_serial(2))
     assert moved.object == property_by_serial(2) and moved.render() == "S1(Gamma,Gamma) -> S1(Gamma,Omega)"
     step = RuleInstance("fact", (), claim, "facts:1")
-    assert dataclasses.replace(step, note="x") == RuleInstance("fact", (), claim, "x")
+    assert step._replace(note="x") == RuleInstance("fact", (), claim, "x")
+
+
+def test_claim_rule_instance_and_property_hash_like_their_tuples():
+    # so sets and dicts of them keep the order they had as frozen dataclasses
+    p, q = property_by_serial(0), property_by_serial(1)
+    assert hash(p) == hash((p.kind, p.source, p.target, p.variant))
+    claim = Claim("upper", p, expr=parse_expr("min{s,b}"))
+    assert claim == ("upper", p, None, claim.expr) and hash(claim) == hash(("upper", p, None, claim.expr))
+    assert Claim("implies", p, q) == ("implies", p, q, None)
+    step = RuleInstance("R2", (0, 1), claim)
+    assert step == ("R2", (0, 1), claim, "") and hash(step) == hash(("R2", (0, 1), claim, ""))
 
 
 _CLAIM = Claim("implies", property_by_serial(0), property_by_serial(1))
