@@ -3,10 +3,13 @@ diagram, with a desk-scale gamma-array diagonalization lab.
 
 The public names below are imported from their modules on first use
 (PEP 562), so that `import taukb` loads no module a caller does not use.
+The names that every command shares are defined here: the errors, `Record`,
+`DEFAULT_BUDGET` and `read_text`; `core` re-exports them.  So `diag` and
+`odiag` load `cli` and `gamma` beside the package, and no diagram type.
 """
 
 _HOMES = {
-    "core": "Atom CardinalAtom CardinalExpr Contradiction CoverKind CoverVariant Judgment Max Min "
+    "core": "Atom CardinalAtom CardinalExpr CoverKind CoverVariant Judgment Max Min "
             "ProofTrace Property SelectorKind Verdict normalize_expr parse_expr property_by_serial "
             "render_expr",
     "engine": "ClosureResult KnowledgeBase build_knowledge_base close derive_cardinality diff explain "
@@ -18,7 +21,7 @@ _HOMES = {
     "models": "Model ModelRegistry ZfcConstraint eval_expr load_default_registry validate_model",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
-__all__ = sorted(_HOME)
+__all__ = sorted([*_HOME, "Contradiction"])  # the one error that is public, defined below
 
 __version__ = "0.1.0"
 
@@ -30,3 +33,90 @@ def __getattr__(name: str):
 
     value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     return value
+
+
+class TaukbError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class MalformedExpr(TaukbError):
+    """A min/max node has fewer than two children after flattening."""
+
+
+class UnknownSerial(TaukbError):
+    """Serial number outside 0..21."""
+
+
+class UnknownProperty(TaukbError):
+    """Reference to a property that is not registered."""
+
+
+class BadShape(TaukbError):
+    """Data does not have the expected shape: a table that is not 22x22, a
+    selector or diagonalizer that does not fit its family, a family whose
+    members disagree, a negative search bound."""
+
+
+class Contradiction(TaukbError):
+    """A pair judged both Implies and NotImplies; the fact base is inconsistent.
+    src and dst are the pair's core.Property objects, and each trace a core.ProofTrace."""
+
+    def __init__(self, src, dst, implies_trace, notimplies_trace):
+        self.src = src
+        self.dst = dst
+        self.implies_trace = implies_trace
+        self.notimplies_trace = notimplies_trace
+        super().__init__(f"contradiction: {src.name} both implies and does not imply {dst.name}")
+
+
+class Record:
+    """Base of the plain immutable records: a record's fields are the slots
+    its class names in __slots__, set once by __init__ in that order.  It
+    equals, and hashes like, a record of its own type (or a subclass) with
+    the same fields; a slot that a base class adds, such as a declaration's
+    line or a property's labels, takes part in neither.  A record that may
+    compare like a tuple is a NamedTuple instead; this base is for the rest."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        # NotImplemented lets a subclass answer from its side; two unrelated
+        # record types, or a record and a tuple, are never equal
+        return self._key() == other._key() if isinstance(other, type(self)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+# Search budget of the gamma lab's exhaustive searches: the largest nominal
+# space they will enumerate.
+DEFAULT_BUDGET = 2_000_000
+
+
+def read_text(path) -> str:
+    """A UTF-8 input file's text; a file that does not decode is a TaukbError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise TaukbError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None

@@ -14,8 +14,7 @@ import sys
 
 import click
 
-from .core import (DEFAULT_BUDGET, CardinalAtom, Contradiction, TaukbError, read_text, render_expr,
-                   render_trace)
+from . import DEFAULT_BUDGET, Contradiction, TaukbError, read_text
 
 EXIT_DIFF = 1
 EXIT_PARSE = 2
@@ -28,7 +27,9 @@ class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except Contradiction as e:
+        except Contradiction as e:  # only the engine raises one, and it has loaded core
+            from .core import render_trace
+
             click.echo(f"contradiction: {e.src.name} vs {e.dst.name}", err=True)
             click.echo("-- implies trace --", err=True)
             click.echo(render_trace(e.implies_trace), err=True)
@@ -127,6 +128,7 @@ def explain(ctx, i, j):
 def card(ctx, i):
     """Critical cardinality of property I: exact value or derived bounds."""
     from . import engine
+    from .core import CardinalAtom, render_expr
 
     result = _close(ctx)
     prop = _serial(result, i)

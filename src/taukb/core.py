@@ -18,80 +18,10 @@ import enum
 import functools
 from typing import NamedTuple
 
-
-class TaukbError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class MalformedExpr(TaukbError):
-    """A min/max node has fewer than two children after flattening."""
-
-
-class UnknownSerial(TaukbError):
-    """Serial number outside 0..21."""
-
-
-class UnknownProperty(TaukbError):
-    """Reference to a property that is not registered."""
-
-
-class BadShape(TaukbError):
-    """Data does not have the expected shape: a table that is not 22x22, a
-    selector or diagonalizer that does not fit its family, a family whose
-    members disagree, a negative search bound."""
-
-
-class Record:
-    """Base of the plain immutable records: a record's fields are the slots
-    its class names in __slots__, set once by __init__ in that order.  It
-    equals, and hashes like, a record of its own type (or a subclass) with
-    the same fields; a slot that a base class adds, such as a declaration's
-    line or a property's labels, takes part in neither.  A record that may
-    compare like a tuple is a NamedTuple instead; this base is for the rest."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        # NotImplemented lets a subclass answer from its side; two unrelated
-        # record types, or a record and a tuple, are never equal
-        return self._key() == other._key() if isinstance(other, type(self)) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
-        return f"{type(self).__name__}({fields})"
-
-
-# Search budget of the gamma lab's exhaustive searches: the largest nominal
-# space they will enumerate.
-DEFAULT_BUDGET = 2_000_000
-
-
-def read_text(path) -> str:
-    """A UTF-8 input file's text; a file that does not decode is a TaukbError naming it."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except UnicodeDecodeError as e:
-        raise TaukbError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+# the names that the gamma path shares live in the package, so that it loads
+# no core; core re-exports them
+from . import (DEFAULT_BUDGET, BadShape, Contradiction, MalformedExpr, Record, TaukbError, UnknownProperty,
+               UnknownSerial, read_text)
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +320,6 @@ EMPTY_TRACE = ProofTrace()
 class Judgment(NamedTuple):
     verdict: Verdict
     trace: ProofTrace = EMPTY_TRACE
-
-
-class Contradiction(TaukbError):
-    """A pair judged both Implies and NotImplies; the fact base is inconsistent."""
-
-    def __init__(self, src: Property, dst: Property, implies_trace: ProofTrace,
-                 notimplies_trace: ProofTrace):
-        self.src = src
-        self.dst = dst
-        self.implies_trace = implies_trace
-        self.notimplies_trace = notimplies_trace
-        super().__init__(f"contradiction: {src.name} both implies and does not imply {dst.name}")
 
 
 def render_trace(trace: ProofTrace) -> str:

@@ -24,22 +24,9 @@ from __future__ import annotations
 from itertools import islice
 from typing import NamedTuple
 
-from . import formats
-from .core import (
-    CardinalExpr,
-    Claim,
-    Contradiction,
-    Judgment,
-    ProofTrace,
-    Property,
-    RuleInstance,
-    TaukbError,
-    UnknownProperty,
-    Verdict,
-    normalize_expr,
-    render_expr,
-    render_trace,
-)
+from . import Contradiction, TaukbError, UnknownProperty, formats
+from .core import (CardinalExpr, Claim, Judgment, ProofTrace, Property, RuleInstance, Verdict, normalize_expr,
+                   render_expr, render_trace)
 from .models import ModelRegistry, eval_expr, load_default_registry
 
 

@@ -30,21 +30,9 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import (
-    BadShape,
-    CoverKind,
-    CoverVariant,
-    MalformedExpr,
-    Property,
-    Record,
-    SelectorKind,
-    SERIAL_COUNT,
-    TaukbError,
-    Verdict,
-    parse_expr,
-    read_text,
-    render_expr,
-)
+from . import BadShape, MalformedExpr, Record, TaukbError, read_text
+from .core import (SERIAL_COUNT, CoverKind, CoverVariant, Property, SelectorKind, Verdict, parse_expr,
+                   render_expr)
 
 # ---------------------------------------------------------------------------
 # Fact DSL

@@ -31,7 +31,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import NamedTuple
 
-from .core import DEFAULT_BUDGET, BadShape, Record, TaukbError
+from . import DEFAULT_BUDGET, BadShape, Record, TaukbError
 
 
 class SearchSpaceTooLarge(TaukbError):
@@ -218,9 +218,16 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
                        f"size_bound={size_bound}, hit_quota={hit_quota}, exceptions={exceptions}")
     members = tuple(fam)
     rows = _row_count(members, 0)
-    per_row = sum(comb(col_bound, i) for i in range(min(size_bound, col_bound) + 1))
+    per_row, sizes = 0, range(min(size_bound, col_bound) + 1)
+    # the partial sums only grow: stop at the first one over budget, or at once
+    # when there are no rows, since 1 tuple is all there is
+    for size in sizes:
+        per_row += comb(col_bound, size)
+        if not rows or per_row ** rows > budget:
+            break
     if per_row ** rows > budget:
-        raise SearchSpaceTooLarge(f"{per_row}^{rows} selector tuples exceed budget {budget}")
+        least = "" if size == sizes[-1] else "at least "
+        raise SearchSpaceTooLarge(f"{least}{per_row}^{rows} selector tuples exceed budget {budget}")
     if members and hit_quota > rows:  # the walk tests no state when rows == 0
         return None
     if not rows:  # nothing to choose, so no pool to build

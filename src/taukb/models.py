@@ -17,17 +17,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (
-    CardinalAtom,
-    CardinalExpr,
-    MalformedExpr,
-    Min,
-    Record,
-    TaukbError,
-    atom,
-    parse_expr,
-    render_expr,
-)
+from . import MalformedExpr, Record, TaukbError
+from .core import CardinalAtom, CardinalExpr, Min, atom, parse_expr, render_expr
 from .formats import bare, quote, split_line, unquote
 
 

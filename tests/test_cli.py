@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from importlib.resources import files
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 
+import taukb
 from taukb import formats
 from taukb.cli import main
 from taukb.formats import CardDecl, render_facts
@@ -148,6 +152,30 @@ def test_budget_flag_guards_search(runner, tmp_path):
     fam.write_text("\n".join(["1/1"] * 20) + "\n", encoding="utf-8")
     result = invoke(runner, "--budget", "10", "odiag", str(fam), "--col-bound", "4")
     assert result.exit_code == 2
+
+
+def _diag_child(tmp_path, family, bound):
+    """`taukb diag` in a child process, on FAMILY with both bounds BOUND."""
+    (tmp_path / "family.txt").write_text(family, encoding="utf-8")
+    src = str(Path(taukb.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "taukb.cli", "diag", "family.txt", "--col-bound", bound,
+                           "--size-bound", bound], capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=10)
+
+
+@pytest.mark.parametrize("bound", ["2000", "10000", "40000"])
+def test_budget_guard_refuses_wide_bounds_at_once(tmp_path, bound):
+    # the guard stops adding column sets at the first partial count over budget;
+    # summing them all takes 13.5 s at bound 10,000 and over a minute at 40,000
+    proc = _diag_child(tmp_path, "01/1\n01/1\n\n10/1\n10/1\n", bound)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: at least {int(bound) + 1}^2 selector tuples exceed budget 2000000\n"
+
+
+def test_budget_guard_sums_nothing_for_a_family_with_no_rows(tmp_path):
+    # one empty tuple whatever the bounds; summing them takes 12 s at bound 10,000
+    proc = _diag_child(tmp_path, "", "40000")
+    assert (proc.returncode, proc.stdout) == (0, "selector: \n")
 
 
 @pytest.mark.parametrize("extra", ["include self.txt", "include other.txt", "include missing.txt",

@@ -35,7 +35,7 @@ _CHILD = ("import atexit, sys\n"
           "main()\n")
 
 _KB = "taukb taukb.cli taukb.core taukb.data taukb.engine taukb.formats taukb.models"
-_GAMMA = "taukb taukb.cli taukb.core taukb.gamma"
+_GAMMA = "taukb taukb.cli taukb.gamma"
 
 
 _CASES = [
@@ -48,7 +48,8 @@ _CASES = [
     (["problems"], 0, "taukb taukb.cli taukb.core taukb.formats"),
     (["diag", "family.txt", "--col-bound", "3"], 0, _GAMMA),
     (["odiag", "family.txt", "--col-bound", "3"], 0, _GAMMA),
-    (["--help"], 0, "taukb taukb.cli taukb.core"),
+    (["diag", "malformed.txt"], 2, _GAMMA),
+    (["--help"], 0, "taukb taukb.cli"),
 ]
 
 
@@ -57,6 +58,7 @@ def _run_child(tmp_path, args, code) -> list[str]:
     facts = (SRC / "taukb" / "data" / "base_facts.txt").read_text(encoding="utf-8")
     (tmp_path / "contradiction.txt").write_text(facts + "arrow 18 8\n", encoding="utf-8")
     (tmp_path / "family.txt").write_text("01/1\n01/1\n\n10/1\n10/1\n", encoding="utf-8")
+    (tmp_path / "malformed.txt").write_text("01/1\n012/1\n", encoding="utf-8")
     proc = subprocess.run([sys.executable, "-c", _CHILD, *args], capture_output=True, text=True,
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert proc.returncode == code, proc.stderr
@@ -68,7 +70,7 @@ def test_subcommand_loads_only_its_modules(tmp_path, args, code, modules):
     assert _run_child(tmp_path, args, code)[-1].split() == modules.split()
 
 
-# taukb defines no dataclass: its records are NamedTuples or core.Record
+# taukb defines no dataclass: its records are NamedTuples or taukb.Record
 # subclasses.  A dataclass on one of these paths fails here, by name.
 _CENSUS = [
     (["table"], ""),
@@ -114,3 +116,24 @@ def test_public_names_resolve_to_their_home_objects():
     assert set(namespace) - {"__builtins__"} == set(names)
     with pytest.raises(AttributeError):
         taukb.no_such_name
+
+
+# the names the gamma path shares are defined in the package; core re-exports them
+_SHARED = ("TaukbError MalformedExpr UnknownSerial UnknownProperty BadShape Contradiction Record "
+           "DEFAULT_BUDGET read_text").split()
+
+
+def test_shared_names_are_the_package_objects():
+    from taukb import core, gamma
+
+    for name in _SHARED:
+        assert getattr(core, name) is getattr(taukb, name), name
+    for name in "TaukbError BadShape Record DEFAULT_BUDGET".split():
+        assert getattr(gamma, name) is getattr(taukb, name), name
+    for call, error in ((lambda: gamma.parse_family_file("012/1\n"), gamma.FamilyParseError),
+                        (lambda: gamma.o_diagonalizable(gamma.parse_family_file("1/1\n1/1\n"), 3, budget=8),
+                         gamma.SearchSpaceTooLarge)):
+        with pytest.raises(core.TaukbError) as e:
+            call()
+        assert type(e.value) is error
+    assert isinstance(gamma.Row("01", 1), core.Record)
