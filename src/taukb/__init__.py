@@ -13,12 +13,14 @@ _HOMES = {
             "ProofTrace Property SelectorKind Verdict normalize_expr parse_expr property_by_serial "
             "render_expr",
     "engine": "ClosureResult KnowledgeBase build_knowledge_base close derive_cardinality diff explain "
-              "load_default_kb query replay_all",
-    "formats": "FactFile ReferenceTable list_problems load_default_facts load_reference_table parse_facts "
-               "parse_table render_facts render_table",
+              "load_default_kb query",
+    "formats": "FactFile ReferenceTable load_default_facts load_reference_table parse_facts parse_table "
+               "render_facts render_table",
+    "ledger": "list_problems",
     "gamma": "Diagonalizer GammaArray GammaFamily Selector finitely_tau_diagonalizable is_gamma_array "
              "o_diagonalizable random_gamma_family verify_selector",
     "models": "Model ModelRegistry ZfcConstraint eval_expr load_default_registry validate_model",
+    "replay": "replay_all",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 __all__ = sorted([*_HOME, "Contradiction"])  # the one error that is public, defined below

@@ -52,6 +52,18 @@ def _close(ctx):
     return engine.close(engine.build_knowledge_base(facts, registry))
 
 
+def _serial_grid(result):
+    """The closure's 22x22 verdict grid; a fact file that leaves a serial
+    undeclared is a TaukbError naming each one."""
+    from .core import SERIAL_COUNT
+
+    declared = {p.serial for p in result.serial_properties()}
+    missing = [str(n) for n in range(SERIAL_COUNT) if n not in declared]
+    if missing:
+        raise TaukbError(f"the fact file declares no property with serial {', '.join(missing)}")
+    return result.serial_grid()
+
+
 def _serial(result, n: int):
     for p in result.properties:
         if p.serial == n:
@@ -90,7 +102,7 @@ def table(ctx):
     """Print the closed 22x22 judgment table."""
     from . import formats
 
-    text = formats.render_table(_close(ctx).serial_grid())
+    text = formats.render_table(_serial_grid(_close(ctx)))
     rows = [{"serial": i, "row": line} for i, line in enumerate(text.strip().splitlines())]
     _emit(ctx, text, rows)
 
@@ -155,7 +167,7 @@ def diff(ctx, path):
     """Diff the computed table against the embedded reference (or PATH)."""
     from . import engine, formats
 
-    grid = _close(ctx).serial_grid()
+    grid = _serial_grid(_close(ctx))
     if path:
         ref_grid, _ = formats.parse_table(read_text(path))
     else:
@@ -174,11 +186,11 @@ def diff(ctx, path):
 @click.pass_context
 def problems(ctx):
     """The monthly problem registry with current statuses."""
-    from . import formats
+    from . import ledger
 
-    entries = formats.list_problems()
-    text = "\n".join(formats.render_problem(p) for p in entries) + "\n"
-    payload = [{"issue": p.issue, "statement": p.statement, **formats.problem_status(p.status)}
+    entries = ledger.list_problems()
+    text = "\n".join(ledger.render_problem(p) for p in entries) + "\n"
+    payload = [{"issue": p.issue, "statement": p.statement, **ledger.problem_status(p.status)}
                for p in entries]
     _emit(ctx, text, payload)
 

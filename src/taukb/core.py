@@ -284,8 +284,10 @@ class Claim(NamedTuple):
             return f"{self.subject.name} -> {self.object.name}"
         if self.kind == "notimplies":
             return f"{self.subject.name} -/-> {self.object.name}"
-        op = {"lower": ">=", "upper": "<=", "exact": "="}[self.kind]
-        return f"non({self.subject.name}) {op} {render_expr(self.expr)}"
+        return f"non({self.subject.name}) {_BOUND_OPS[self.kind]} {render_expr(self.expr)}"
+
+
+_BOUND_OPS = {"lower": ">=", "upper": "<=", "exact": "="}
 
 
 class RuleInstance(NamedTuple):
@@ -323,10 +325,14 @@ class Judgment(NamedTuple):
 
 
 def render_trace(trace: ProofTrace) -> str:
+    return render_steps(trace.steps)
+
+
+def render_steps(steps: tuple[RuleInstance, ...]) -> str:
     """One line per step: index, rule, citation or witnessing model, conclusion, premises."""
     lines = []
-    for i, step in enumerate(trace.steps):
-        src = " from " + ", ".join(f"S{k}" for k in step.premises) if step.premises else ""
-        note = f" [model {step.note}]" if step.rule == "R4" else (f" [{step.note}]" if step.note else "")
-        lines.append(f"S{i} {step.rule}{note}: {step.conclusion.render()}{src}")
+    for i, (rule, premises, conclusion, note) in enumerate(steps):
+        src = " from S" + ", S".join(map(str, premises)) if premises else ""
+        note = f" [model {note}]" if rule == "R4" else (f" [{note}]" if note else "")
+        lines.append(f"S{i} {rule}{note}: {conclusion.render()}{src}")
     return "\n".join(lines)

@@ -21,13 +21,14 @@ depend on the order of the input fact list.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
 from . import Contradiction, TaukbError, UnknownProperty, formats
 from .core import (CardinalExpr, Claim, Judgment, ProofTrace, Property, RuleInstance, Verdict, normalize_expr,
-                   render_expr, render_trace)
-from .models import ModelRegistry, eval_expr, load_default_registry
+                   render_expr, render_steps, render_trace)
+from .models import ModelRegistry, load_default_registry
 
 
 class NothingToExplain(TaukbError):
@@ -36,10 +37,6 @@ class NothingToExplain(TaukbError):
 
 class ShapeMismatch(TaukbError):
     """Judgment matrices with different index sets cannot be diffed."""
-
-
-class ReplayError(TaukbError):
-    """A proof trace step does not check out against the rule definitions."""
 
 
 class KnowledgeBase:
@@ -246,25 +243,63 @@ class ClosureResult:
     """Immutable outcome of close(): judgment matrix, one cardinality report
     per property, traces.
 
-    The closure keeps its provenance, and each trace in matrix and
-    exact_traces builds its steps from it the first time they are read.
+    The closure keeps its implies and notimplies bit rows and its provenance.
+    matrix, a Judgment per ordered pair, is built from them the first time
+    it is read; serial_grid, query and explain read the rows and build none
+    of it.  Each trace in matrix and exact_traces builds its steps from the
+    provenance the first time they are read.
     """
 
-    def __init__(self, properties, matrix, cards, exact_traces, iterations):
+    def __init__(self, properties, rows, traces, cards, exact_traces, iterations):
         self.properties: tuple[Property, ...] = properties
-        self.matrix: dict[tuple[Property, Property], Judgment] = matrix
+        self._index = {p: i for i, p in enumerate(properties)}
+        self._implies, self._notimplies = rows  # bit j of row i: properties[i] (does not) imply properties[j]
+        self._traces: _Traces = traces
         self.cards: dict[Property, CardinalityReport] = cards
         self.exact_traces: dict[tuple[Property, CardinalExpr], ProofTrace] = exact_traces
         self.iterations = iterations
+
+    @cached_property
+    def matrix(self) -> dict[tuple[Property, Property], Judgment]:
+        matrix = {}
+        imp, non = self._implies, self._notimplies
+        build = self._traces.steps  # one bound method, shared by every trace
+        for i, a in enumerate(self.properties):
+            for j, b in enumerate(self.properties):
+                if imp[i] >> j & 1:
+                    matrix[(a, b)] = Judgment(Verdict.IMPLIES, _LazyTrace(build, ("implies", i, j)))
+                elif non[i] >> j & 1:
+                    matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, _LazyTrace(build, ("notimplies", i, j)))
+                else:
+                    matrix[(a, b)] = _UNKNOWN
+        return matrix
 
     def serial_properties(self) -> list[Property]:
         num = [p for p in self.properties if p.serial is not None]
         return sorted(num, key=lambda p: p.serial)
 
     def serial_grid(self) -> list[list[Verdict]]:
-        """22x22 verdict grid over the serial-numbered properties."""
-        ps = self.serial_properties()
-        return [[self.matrix[(a, b)].verdict for b in ps] for a in ps]
+        """Verdict grid over the serial-numbered properties, in serial order:
+        22x22 when the fact file declares every serial."""
+        cols = [self._index[p] for p in self.serial_properties()]
+        imp, non = self._implies, self._notimplies
+        return [[Verdict.IMPLIES if imp[i] >> j & 1 else Verdict.NOT_IMPLIES if non[i] >> j & 1
+                 else Verdict.UNKNOWN for j in cols] for i in cols]
+
+    def _settled(self, p: Property, q: Property) -> tuple | None:
+        """The (p, q) cell's statement, ("implies" or "notimplies", i, j); None if it is Unknown."""
+        try:
+            i, j = self._index[p], self._index[q]
+        except KeyError:
+            raise UnknownProperty(f"pair ({p.name}, {q.name}) not in the matrix") from None
+        if self._implies[i] >> j & 1:
+            return ("implies", i, j)
+        if self._notimplies[i] >> j & 1:
+            return ("notimplies", i, j)
+        return None
+
+
+_UNKNOWN = Judgment(Verdict.UNKNOWN)  # one for every Unknown cell
 
 
 def close(kb: KnowledgeBase) -> ClosureResult:
@@ -405,25 +440,13 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             raise TaukbError(f"interval for {p.name} is inconsistent in model {less[hit]}: "
                              f"{render_expr(exprs[l])} > {render_expr(exprs[u])}")
 
-    matrix: dict[tuple[Property, Property], Judgment] = {}
-    build = traces.steps  # one bound method, shared by every trace
-    unknown = Judgment(Verdict.UNKNOWN)  # one for every Unknown cell
-    for i, a in enumerate(props):
-        for j, b in enumerate(props):
-            if imp[i] >> j & 1:
-                matrix[(a, b)] = Judgment(Verdict.IMPLIES, _LazyTrace(build, ("implies", i, j)))
-            elif non[i] >> j & 1:
-                matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, _LazyTrace(build, ("notimplies", i, j)))
-            else:
-                matrix[(a, b)] = unknown
-
     def values(mask: int) -> tuple[CardinalExpr, ...]:
         return tuple(exprs[k] for k in _bits(mask))
 
     cards = {p: CardinalityReport(values(exact[i]), values(low[i]), values(up[i])) for i, p in enumerate(props)}
-    exact_traces = {(props[i], exprs[k]): _LazyTrace(build, ("exact", i, k))
+    exact_traces = {(props[i], exprs[k]): _LazyTrace(traces.steps, ("exact", i, k))
                     for i in range(n) for k in _bits(exact[i])}
-    return ClosureResult(props, matrix, cards, exact_traces, iterations)
+    return ClosureResult(props, (imp, non), traces, cards, exact_traces, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +454,20 @@ def close(kb: KnowledgeBase) -> ClosureResult:
 
 
 def query(result: ClosureResult, p: Property, q: Property) -> Judgment:
-    try:
-        return result.matrix[(p, q)]
-    except KeyError:
-        raise UnknownProperty(f"pair ({p.name}, {q.name}) not in the matrix") from None
+    """The cell's judgment, equal to result.matrix[(p, q)]."""
+    stmt = result._settled(p, q)
+    if stmt is None:
+        return _UNKNOWN
+    verdict = Verdict.IMPLIES if stmt[0] == "implies" else Verdict.NOT_IMPLIES
+    return Judgment(verdict, _LazyTrace(result._traces.steps, stmt))
 
 
 def explain(result: ClosureResult, p: Property, q: Property) -> str:
     """Human-readable linearization of the cell's proof trace."""
-    j = query(result, p, q)
-    if j.verdict is Verdict.UNKNOWN:
+    stmt = result._settled(p, q)
+    if stmt is None:
         raise NothingToExplain(f"{p.name} vs {q.name} is unsettled; nothing to explain")
-    return render_trace(j.trace)
+    return render_steps(result._traces.steps(stmt))
 
 
 def derive_cardinality(result: ClosureResult, p: Property) -> CardinalityReport:
@@ -466,102 +491,13 @@ def diff(a: list[list[Verdict]], b: list[list[Verdict]]) -> list[tuple[int, int,
     return out
 
 
-# ---------------------------------------------------------------------------
-# Trace replay
+# the replay checker's names, which live in taukb.replay: no KB command loads it
+_REPLAY = ("ReplayError", "replay_trace", "replay_all", "_rule_conclusion", "_step_fault")
 
 
-def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
-    """Re-check every step of a trace against the rule definitions.
+def __getattr__(name: str):
+    if name in _REPLAY:
+        from . import replay
 
-    Raises ReplayError on the first step that is malformed, is not a base fact
-    of kb with its citation, or does not conclude exactly what its rule draws
-    from its premises, with a note only on an R4 step.
-    """
-    if type(trace.steps) is not tuple:
-        raise ReplayError(f"steps {trace.steps!r} are not a tuple of rule instances")
-    concluded: list[Claim] = []
-    for i, step in enumerate(trace.steps):
-        if not isinstance(step, RuleInstance):
-            raise ReplayError(f"step {i} is not a rule instance: {step!r}")
-        c = step.conclusion
-        try:
-            why = _step_fault(step, concluded, kb)
-        except TypeError as e:  # an unhashable field of a fact or R1 step, or an unhashable R4 note
-            why = str(e)
-        if why is not None:
-            try:
-                shown = c.render()
-            except (AttributeError, KeyError, TypeError):  # fields that do not fit its kind, or no claim
-                shown = repr(c)
-            raise ReplayError(f"{step.rule} step concluding {shown}: {why}")
-        concluded.append(c)
-
-
-def _rule_conclusion(rule: str, c: Claim, premises: list[Claim]) -> tuple | None:
-    """What rule draws from premises, as the (kind, subject, object, expr) tuple
-    its claim equals: R1 from none P -> P for the subject P of c, R2..R6 from
-    two; None for any other rule, premise count or premises.  Replay reads the rules here alone."""
-    if len(premises) != 2:
-        return ("implies", c.subject, c.subject, None) if rule == "R1" and not premises else None
-    (ak, ap, ao, ae), (bk, bp, bo, be) = premises
-    if rule == "R2" and (ak, bk) == ("implies", "implies") and ao == bp:
-        return ("implies", ap, bo, None)
-    if rule == "R3a" and (ak, bk) == ("implies", "notimplies") and ao == bo:
-        return ("notimplies", bp, ap, None)
-    if rule == "R3b" and (ak, bk) == ("implies", "notimplies") and ap == bp:
-        return ("notimplies", ao, bo, None)
-    if rule == "R4" and (ak, bk) == ("upper", "lower"):
-        return ("notimplies", bp, ap, None)
-    if rule == "R5" and (ak, bk) == ("implies", "lower") and bp == ap:
-        return ("lower", ao, None, be)
-    if rule == "R5" and (ak, bk) == ("implies", "upper") and bp == ao:
-        return ("upper", ap, None, be)
-    if rule == "R6" and (ak, bk) == ("lower", "upper") and ap == bp and ae == be:
-        return ("exact", ap, None, ae)
-    return None
-
-
-def _step_fault(step: RuleInstance, concluded: list[Claim], kb: KnowledgeBase) -> str | None:
-    """Why step fails to replay after steps that concluded concluded; None if it replays."""
-    c = step.conclusion
-    if not isinstance(c, Claim):
-        return "the conclusion is not a claim"
-    if type(step.premises) is not tuple:
-        return f"premises {step.premises!r} are not a tuple of step indices"
-    premises = []
-    for p in step.premises:
-        if type(p) is not int or not 0 <= p < len(concluded):
-            return f"premise {p!r} is not an earlier step"
-        premises.append(concluded[p])
-    rule, note = step.rule, step.note
-    if rule == "fact" and not premises:
-        return None if (c, note) in kb._facts else "no matching base fact in the knowledge base"
-    if c != _rule_conclusion(rule, c, premises):
-        return f"does not match {rule}"
-    if rule == "R1" and c.subject not in kb._properties:
-        return "names no property of the knowledge base"
-    if rule != "R4":
-        return None if note == "" else f"carries the note {note!r}, which only fact and R4 steps have"
-    (_, _, _, u), (_, _, _, l) = premises
-    try:
-        model = kb.registry.get(note)
-        witnessed = eval_expr(u, model) < eval_expr(l, model)
-    except TaukbError as e:  # no such model, or it leaves an atom unassigned
-        return str(e)
-    return None if witnessed else f"model {model.name} does not witness {render_expr(u)} < {render_expr(l)}"
-
-
-def replay_all(result: ClosureResult, kb: KnowledgeBase) -> int:
-    """Replay every non-Unknown cell's trace; returns the number replayed."""
-    count = 0
-    for (a, b), judgment in result.matrix.items():
-        if judgment.verdict is Verdict.UNKNOWN:
-            continue
-        steps = judgment.trace.steps
-        last = steps[-1] if type(steps) is tuple and steps else None
-        want = "implies" if judgment.verdict is Verdict.IMPLIES else "notimplies"
-        if not isinstance(last, RuleInstance) or last.conclusion != (want, a, b, None):
-            raise ReplayError(f"trace for ({a.name}, {b.name}) does not conclude the cell")
-        replay_trace(judgment.trace, kb)
-        count += 1
-    return count
+        return getattr(replay, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,9 +1,9 @@
 """Parsers and serializers for the knowledge-base file formats.
 
-Everything is line-oriented UTF-8 with '#' comments.  Three formats live
-here: the fact DSL, the judgment-table codec, and the problem registry data.
-The model registry format is owned by taukb.models and the family file
-format by taukb.gamma.
+Everything is line-oriented UTF-8 with '#' comments.  Two formats live
+here: the fact DSL and the judgment-table codec.  The model registry format
+is owned by taukb.models and the family file format by taukb.gamma; the
+problem ledger lives in taukb.ledger, and this module re-exports its names.
 
 Fact DSL grammar, one declaration per line:
 
@@ -419,64 +419,14 @@ def load_reference_table() -> ReferenceTable:
     return ref
 
 
-# ---------------------------------------------------------------------------
-# Problem registry
+# the problem ledger's names, which live in taukb.ledger
+_LEDGER = ("Open", "Solved", "PartiallySolved", "ProblemStatus", "ProblemEntry", "PROBLEMS", "list_problems",
+           "problem_status", "render_problem")
 
 
-class Open(NamedTuple):
-    pass
+def __getattr__(name: str):
+    if name in _LEDGER:
+        from . import ledger
 
-
-class Solved(NamedTuple):
-    answer: str
-    credit: str
-
-
-class PartiallySolved(NamedTuple):
-    note: str
-
-
-ProblemStatus = Open | Solved | PartiallySolved
-
-
-class ProblemEntry(NamedTuple):
-    issue: int
-    statement: str
-    status: ProblemStatus
-
-
-# Monthly-problem ledger: one entry per past issue, plus the current
-# problem of the month (issue 10) on whether cov(M) = od.
-PROBLEMS: tuple[ProblemEntry, ...] = (
-    ProblemEntry(1, "Is (Omega choose Gamma) = (Omega choose T)?", Open()),
-    ProblemEntry(2, "Is Ufin(Gamma,Omega) = Sfin(Gamma,Omega)? If not, does Ufin(Gamma,Gamma) imply Sfin(Gamma,Omega)?", Open()),
-    ProblemEntry(3, "Does there exist (in ZFC) a set satisfying Ufin(O,O) but not Ufin(O,Gamma)?", Solved("Yes", "Lubomyr Zdomsky")),
-    ProblemEntry(4, "Does S1(Omega,T) imply Ufin(Gamma,Gamma)?", Open()),
-    ProblemEntry(5, "Is p = p*?", Open()),
-    ProblemEntry(6, "Does there exist (in ZFC) an uncountable set satisfying S1(Gamma,O)[borel]?", Open()),
-    ProblemEntry(7, "If X has strong measure zero and |X| < b, must all finite powers of X have strong measure zero?", Solved("Yes", "Scheepers; Bartoszyński")),
-    ProblemEntry(8, "Do X not in NON(M) and Y not in D imply that X union Y is not in COF(M)?", Open()),
-    ProblemEntry(9, "Is Split(Lambda,Lambda) preserved under taking finite unions?", PartiallySolved("consistently yes")),
-    ProblemEntry(10, "Problem of the month: Is cov(M) = od?", Open()),
-)
-
-
-def list_problems() -> list[ProblemEntry]:
-    """All monthly problems in issue order, current problem of the month last."""
-    return list(PROBLEMS)
-
-
-def problem_status(status: ProblemStatus) -> dict[str, str]:
-    """The status's name, then the values it carries, in field order: the
-    jsonl fields of a problem, and what its table line shows."""
-    if isinstance(status, Solved):
-        return {"status": "solved", "answer": status.answer, "credit": status.credit}
-    if isinstance(status, PartiallySolved):
-        return {"status": "partially solved", "note": status.note}
-    return {"status": "open"}
-
-
-def render_problem(p: ProblemEntry) -> str:
-    name, *values = problem_status(p.status).values()
-    detail = (f": {values[0]}" + "".join(f" ({v})" for v in values[1:])) if values else ""
-    return f"issue {p.issue}: {p.statement} [{name}{detail}]"
+        return getattr(ledger, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

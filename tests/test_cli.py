@@ -98,6 +98,25 @@ def test_ablated_facts_open_cells_and_diff_exits_1(runner, ablated_facts):
     assert "computed=Unknown" in result.output
 
 
+@pytest.mark.parametrize("command", ["table", "diff"])
+def test_table_and_diff_name_the_undeclared_serials(tmp_path, command):
+    from taukb import engine
+    from taukb.formats import SerialRef
+    from taukb.models import load_default_registry
+
+    gone = {SerialRef(20), SerialRef(21)}
+    ff = formats.load_default_facts().without(
+        lambda d: getattr(d, "serial", None) in (20, 21)
+        or any(getattr(d, field, None) in gone for field in ("src", "dst", "ref")))
+    path = tmp_path / "partial.txt"
+    path.write_text(render_facts(ff), encoding="utf-8")
+    result = CliRunner().invoke(main, ["--facts", str(path), command])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: the fact file declares no property with serial 20, 21\n"
+    grid = engine.close(engine.build_knowledge_base(ff, load_default_registry())).serial_grid()
+    assert len(grid) == 20 and all(len(row) == 20 for row in grid)
+
+
 def test_parse_error_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("arrow 0\n", encoding="utf-8")

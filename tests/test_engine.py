@@ -232,6 +232,34 @@ def test_traces_are_built_on_first_read(default_kb, monkeypatch):
     assert exact == ProofTrace(exact.steps) and len(built) == len(trace) + len(exact)
 
 
+def test_matrix_is_built_on_first_read(default_kb):
+    result = close(default_kb)
+    result.serial_grid()
+    query(result, serial(18), serial(8))
+    explain(result, serial(18), serial(8))
+    assert "matrix" not in vars(result)
+    assert result.matrix is result.matrix and "matrix" in vars(result)
+
+
+def _default_and_od_ablated(default_kb):
+    ff = formats.load_default_facts().without(lambda d: isinstance(d, CardDecl) and d.expr == atom("od"))
+    return [close(default_kb), close(build_knowledge_base(ff, default_kb.registry))]
+
+
+def test_query_equals_the_matrix_cell(default_kb):
+    for result in _default_and_od_ablated(default_kb):
+        assert len(result.matrix) == 784
+        for (a, b), judgment in result.matrix.items():
+            assert query(result, a, b) == judgment
+
+
+def test_explain_renders_the_matrix_cell_trace(default_kb):
+    for result in _default_and_od_ablated(default_kb):
+        settled = [(cell, j) for cell, j in result.matrix.items() if j.verdict is not Verdict.UNKNOWN]
+        for (a, b), judgment in settled:
+            assert explain(result, a, b) == render_trace(judgment.trace)
+
+
 def test_traces_leave_no_cyclic_garbage(default_kb):
     # a closure and the traces it built are freed by reference counting
     # alone, so dropping them leaves the cyclic collector nothing to find
