@@ -22,7 +22,6 @@ depend on the order of the input fact list.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
 from typing import NamedTuple
 
 from . import Contradiction, TaukbError, UnknownProperty, formats
@@ -177,7 +176,7 @@ class _Traces:
         self.prov = prov  # stmt -> (rule, premises, note)
         self.props, self.exprs = props, exprs
         self._claims: dict[tuple, Claim] = {}
-        self._orders: dict[tuple, dict] = {}  # stmt -> {listed stmt: its position}
+        self._orders: dict[tuple, tuple] = {}  # stmt -> the statements its steps conclude
         self._steps: dict[tuple, tuple[RuleInstance, ...]] = {}
 
     def steps(self, stmt: tuple) -> tuple[RuleInstance, ...]:
@@ -185,32 +184,25 @@ class _Traces:
         if steps is None:
             rule, premises, note = self.prov[stmt]
             if premises:
-                head = self.steps(premises[0])
-                pos = self._order(stmt)
-                steps = head + tuple(self._step(s, pos) for s in islice(pos, len(head), None))
+                steps, order = self.steps(premises[0]), self._order(stmt)
+                pos = dict(zip(order, range(len(order))))  # each listed statement's position
+                for s in order[len(steps):]:
+                    rule, premises, note = self.prov[s]
+                    steps += (RuleInstance(rule, (pos[premises[0]], pos[premises[1]]), self._claim(s), note)
+                              if premises else self.steps(s)[0],)
             else:
                 steps = (RuleInstance(rule, (), self._claim(stmt), note),)
             self._steps[stmt] = steps
         return steps
 
-    def _step(self, stmt: tuple, pos: dict) -> RuleInstance:
-        rule, premises, note = self.prov[stmt]
-        if not premises:
-            return self.steps(stmt)[0]
-        return RuleInstance(rule, tuple(map(pos.__getitem__, premises)), self._claim(stmt), note)
-
-    def _order(self, stmt: tuple) -> dict:
-        """stmt's DFS postorder, as a dict from each listed statement to its position."""
-        pos = self._orders.get(stmt)
-        if pos is None:
-            premises = self.prov[stmt][1]
-            pos = dict(self._order(premises[0])) if premises else {}
-            for p in premises[1:]:
-                for s in self._order(p):
-                    pos.setdefault(s, len(pos))
-            pos[stmt] = len(pos)
-            self._orders[stmt] = pos
-        return pos
+    def _order(self, stmt: tuple) -> tuple:
+        """stmt's DFS postorder: the statements its steps conclude, in step order."""
+        order = self._orders.get(stmt)
+        if order is None:
+            premises = self.prov[stmt][1]  # none or, for a derived statement, two
+            listed = self._order(premises[0]) + self._order(premises[1]) if premises else ()
+            order = self._orders[stmt] = tuple(dict.fromkeys(listed + (stmt,)))  # a listed statement keeps its place
+        return order
 
     def _claim(self, stmt: tuple) -> Claim:
         c = self._claims.get(stmt)
@@ -264,12 +256,13 @@ class ClosureResult:
         matrix = {}
         imp, non = self._implies, self._notimplies
         build = self._traces.steps  # one bound method, shared by every trace
+        implies, not_implies = Verdict.IMPLIES, Verdict.NOT_IMPLIES
         for i, a in enumerate(self.properties):
             for j, b in enumerate(self.properties):
                 if imp[i] >> j & 1:
-                    matrix[(a, b)] = Judgment(Verdict.IMPLIES, _LazyTrace(build, ("implies", i, j)))
+                    matrix[(a, b)] = Judgment(implies, _LazyTrace(build, ("implies", i, j)))
                 elif non[i] >> j & 1:
-                    matrix[(a, b)] = Judgment(Verdict.NOT_IMPLIES, _LazyTrace(build, ("notimplies", i, j)))
+                    matrix[(a, b)] = Judgment(not_implies, _LazyTrace(build, ("notimplies", i, j)))
                 else:
                     matrix[(a, b)] = _UNKNOWN
         return matrix
@@ -329,18 +322,19 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     traces = _Traces(prov, props, exprs)
     rows = {kind: [0] * n for kind in ("implies", "notimplies", "lower", "upper", "exact")}
     imp, non, low, up, exact = rows.values()
-    # into[j] is column j of imp; reach[i] the union of above[u] over the
-    # upper bounds u of non(i)
-    into, reach = [0] * n, [0] * n
+    # into[j] is column j of imp; under[l] has bit i set iff bit l of above[u]
+    # is set for some upper bound u of non(i)
+    into, under = [0] * n, [0] * len(exprs)
 
-    def install(stmt: tuple, rule: str, premises: tuple, note: str) -> None:
+    def install(stmt: tuple, derivation: tuple) -> None:
         kind, i, x = stmt
         rows[kind][i] |= 1 << x
         if kind == "implies":
             into[x] |= 1 << i
         elif kind == "upper":
-            reach[i] |= above[x]
-        prov[stmt] = (rule, premises, note)
+            for l in _bits(above[x]):
+                under[l] |= 1 << i
+        prov[stmt] = derivation
 
     for c, cite in base.items():
         if c.kind not in rows:
@@ -350,7 +344,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             stmt = (c.kind, index[c.subject], x)
         except KeyError:
             raise UnknownProperty(f"fact names an unregistered property: {c.render()}") from None
-        install(stmt, "fact", (), cite)
+        install(stmt, ("fact", (), cite))
 
     def check_contradiction() -> None:
         for i in range(n):
@@ -362,7 +356,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     def witness(i: int, j: int) -> tuple[int, int]:
         # the least (u, l) in rendered order, u an upper bound of non(i) and l
         # a lower bound of non(j), that some model puts strictly apart; called
-        # when reach[i] & low[j]
+        # when bit i of under[l] is set for some lower bound l of non(j)
         for u in _bits(up[i]):
             if hit := above[u] & low[j]:
                 return u, next(_bits(hit))
@@ -377,65 +371,72 @@ def close(kb: KnowledgeBase) -> ClosureResult:
         # stmt -> (rule, premises, note).  Each rule skips what is installed,
         # the rules run in the order R1..R6, and each scans the premise that
         # varies between derivations of one statement in ascending order; so
-        # the first proposal of a statement is its least derivation
+        # the first proposal of a statement, which propose keeps, is its least
+        # derivation
         new: dict[tuple, tuple] = {}
-
-        def propose(stmt: tuple, rule: str, premises: tuple, note: str = "") -> None:
-            new.setdefault(stmt, (rule, premises, note))
+        propose = new.setdefault
 
         if iterations == 1:
             for i in range(n):
                 if not imp[i] >> i & 1:
-                    propose(("implies", i, i), "R1", ())
+                    propose(("implies", i, i), ("R1", (), ""))
 
         # R2: compose implications, through the least j
         for i in range(n):
             for j in _bits(imp[i]):
-                for k in _bits(imp[j] & ~imp[i]):
-                    propose(("implies", i, k), "R2", (("implies", i, j), ("implies", j, k)))
+                if fresh := imp[j] & ~imp[i]:
+                    for k in _bits(fresh):
+                        propose(("implies", i, k), ("R2", (("implies", i, j), ("implies", j, k)), ""))
 
         # R3a / R3b: push non-implications against implications, R3a through
         # the least q and R3b from the least p
         for k in range(n):
             for q in _bits(non[k]):
-                for p in _bits(into[q] & ~non[k]):
-                    propose(("notimplies", k, p), "R3a", (("implies", p, q), ("notimplies", k, q)))
+                if fresh := into[q] & ~non[k]:
+                    for p in _bits(fresh):
+                        propose(("notimplies", k, p), ("R3a", (("implies", p, q), ("notimplies", k, q)), ""))
         for p in range(n):
             for q in _bits(imp[p]):
-                for r in _bits(non[p] & ~non[q]):
-                    propose(("notimplies", q, r), "R3b", (("implies", p, q), ("notimplies", p, r)))
+                if fresh := non[p] & ~non[q]:
+                    for r in _bits(fresh):
+                        propose(("notimplies", q, r), ("R3b", (("implies", p, q), ("notimplies", p, r)), ""))
 
-        # R4: consistent strict inequality between bound sets
+        # R4: consistent strict inequality between bound sets, for each p in
+        # under[l] for some lower bound l of non(q)
         for q in range(n):
-            for p in range(n):
-                if reach[p] & low[q] and p != q and not non[q] >> p & 1:
-                    u, l = hit = witness(p, q)
-                    propose(("notimplies", q, p), "R4", (("upper", p, u), ("lower", q, l)), less[hit])
+            cand = 0
+            for l in _bits(low[q]):
+                cand |= under[l]
+            for p in _bits(cand & ~non[q] & ~(1 << q)):
+                u, l = hit = witness(p, q)
+                propose(("notimplies", q, p), ("R4", (("upper", p, u), ("lower", q, l)), less[hit]))
 
         # R5: bounds ride along implications i -> j, lower bounds from the
         # least i and upper bounds from the least j
         for i in range(n):
             for j in _bits(imp[i]):
-                for e in _bits(low[i] & ~low[j]):
-                    propose(("lower", j, e), "R5", (("implies", i, j), ("lower", i, e)))
-                for e in _bits(up[j] & ~up[i]):
-                    propose(("upper", i, e), "R5", (("implies", i, j), ("upper", j, e)))
+                if fresh := low[i] & ~low[j]:
+                    for e in _bits(fresh):
+                        propose(("lower", j, e), ("R5", (("implies", i, j), ("lower", i, e)), ""))
+                if fresh := up[j] & ~up[i]:
+                    for e in _bits(fresh):
+                        propose(("upper", i, e), ("R5", (("implies", i, j), ("upper", j, e)), ""))
 
         # R6: collapse coinciding bounds to an exact value
         for i in range(n):
             for e in _bits(low[i] & up[i] & ~exact[i]):
-                propose(("exact", i, e), "R6", (("lower", i, e), ("upper", i, e)))
+                propose(("exact", i, e), ("R6", (("lower", i, e), ("upper", i, e)), ""))
 
         if not new:
             break
         for stmt, derivation in new.items():
-            install(stmt, *derivation)
+            install(stmt, derivation)
         check_contradiction()
 
     # soundness guard: no model may put an upper bound of non(P) strictly
     # below a lower bound of it
     for i, p in enumerate(props):
-        if reach[i] & low[i]:
+        if any(under[l] >> i & 1 for l in _bits(low[i])):
             u, l = hit = witness(i, i)
             raise TaukbError(f"interval for {p.name} is inconsistent in model {less[hit]}: "
                              f"{render_expr(exprs[l])} > {render_expr(exprs[u])}")

@@ -83,7 +83,7 @@ class GammaFamily(Record):
     __slots__ = ("members",)  # tuple of GammaArray
 
     def __init__(self, members: tuple[GammaArray, ...]):
-        _row_count(members, 0)
+        _shape(members, 0)
         for m in members:
             if not is_gamma_array(m):
                 raise BadShape("family member is not a gamma array (some tail is 0)")
@@ -97,20 +97,26 @@ class GammaFamily(Record):
 
 
 def max_word_length(arrays) -> int:
-    """The first column past every word: from it on, each row repeats its tail bit."""
-    return max([len(r.word) for a in arrays for r in a.rows], default=0)
+    """The first column past every word (each row repeats its tail bit from there); BadShape on unequal row counts."""
+    return _shape(arrays, 0)[1]
 
 
 def family(*arrays: GammaArray) -> GammaFamily:
     return GammaFamily(tuple(arrays))
 
 
-def _row_count(members, default: int) -> int:
-    """The row count the members share, or default when there are none."""
-    counts = {a.row_count for a in members}
+def _shape(members, default: int) -> tuple[int, int]:
+    """The row count the members share, or default when there are none, and
+    L = max_word_length(members), from one walk over the rows."""
+    counts, words = set(), 0
+    for a in members:
+        counts.add(len(a.rows))
+        for r in a.rows:
+            if len(r.word) > words:
+                words = len(r.word)
     if len(counts) > 1:
         raise BadShape(f"members disagree on row count: {sorted(counts)}")
-    return counts.pop() if counts else default
+    return counts.pop() if counts else default, words
 
 
 class Selector(NamedTuple):
@@ -155,7 +161,7 @@ def _hitters(members, col_bound: int) -> list[tuple[int, ...]]:
 def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
     """Check conditions (a) and (b) for the selector against the family."""
     members = tuple(fam)
-    rows = _row_count(members, len(selector.sets))
+    rows = _shape(members, len(selector.sets))[0]
     if len(selector.sets) != rows:
         raise BadShape(f"selector has {len(selector.sets)} sets for {rows} rows")
     for f in selector.sets:
@@ -169,7 +175,7 @@ def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
 def verify_diagonalizer(fam, g: Diagonalizer, col_bound: int) -> bool:
     """True iff every member has a 1 at (n, g(n)) for some row n."""
     members = tuple(fam)
-    rows = _row_count(members, len(g.choices))
+    rows = _shape(members, len(g.choices))[0]
     if len(g.choices) != rows:
         raise BadShape(f"diagonalizer has {len(g.choices)} choices for {rows} rows")
     for c in g.choices:
@@ -217,7 +223,7 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
         raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}, "
                        f"size_bound={size_bound}, hit_quota={hit_quota}, exceptions={exceptions}")
     members = tuple(fam)
-    rows = _row_count(members, 0)
+    rows, words = _shape(members, 0)  # words is L
     per_row, sizes = 0, range(min(size_bound, col_bound) + 1)
     # the partial sums only grow: stop at the first one over budget, or at once
     # when there are no rows, since 1 tuple is all there is
@@ -233,7 +239,7 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
     if not rows:  # nothing to choose, so no pool to build
         return Selector((), hit_quota, exceptions)
     # columns from L on act alike, and a set reaching past L acts like one no later in order
-    pool = _column_sets(min(col_bound, max_word_length(members) + 1), size_bound)
+    pool = _column_sets(min(col_bound, words + 1), size_bound)
     cols = list(zip(*(a.rows for a in members)))  # per row, each member's Row
     # ordered pairs of distinct members; pairs[d ^ 1] is pairs[d] reversed
     pairs = [p for ij in combinations(range(len(members)), 2) for p in (ij, ij[::-1])]
@@ -275,10 +281,10 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
     if col_bound < 0:
         raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}")
     members = tuple(fam)
-    rows = _row_count(members, 0)
+    rows, words = _shape(members, 0)
     if col_bound ** rows > budget:
         raise SearchSpaceTooLarge(f"{col_bound}^{rows} choice vectors exceed budget {budget}")
-    width = min(col_bound, max_word_length(members) + 1)  # any choice from L on acts like L
+    width = min(col_bound, words + 1)  # any choice from L = words on acts like L
     hitters = _hitters(members, width)
     everyone = (1 << len(members)) - 1
     rest = [0] * (rows + 1)  # the members with a 1 anywhere in rows n onward

@@ -178,8 +178,8 @@ def parse_models(text: str) -> list[Model]:
             errors.append((lineno, 1, str(e)))
             continue
         if model is not None and (not parts or parts[0] == "model"):
-            if not model.levels:
-                errors.append((lineno, 1, f"model {model.name!r} has no level lines"))
+            if bare:
+                errors.append((bare, 1, f"model {model.name!r} has no level lines"))
             model = None
         if not parts:
             continue
@@ -192,12 +192,13 @@ def parse_models(text: str) -> list[Model]:
             except ValueError as e:
                 errors.append((lineno, raw.find("cite") + 1, str(e)))
                 citation = ""  # unused: any error drops every model
-            model = Model(parts[1], {}, citation)
+            model, bare = Model(parts[1], {}, citation), lineno  # bare: its line, until a level line
             models.append(model)
         elif parts[0] == "level":
             if model is None:
                 errors.append((lineno, 1, "level line outside a model block"))
                 continue
+            bare = 0
             if len(parts) != 3:
                 errors.append((lineno, 1, "expected: level <atom> <integer>"))
                 continue
@@ -221,7 +222,7 @@ def parse_models(text: str) -> list[Model]:
         else:
             errors.append((lineno, 1, f"unknown directive {parts[0]!r}"))
     if errors:
-        raise ModelParseError(errors)
+        raise ModelParseError(sorted(errors))  # a block's no-level error names its earlier model line
     return models
 
 

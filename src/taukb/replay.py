@@ -105,12 +105,13 @@ def _step_fault(step: RuleInstance, concluded: list[Claim], kb: KnowledgeBase) -
 def replay_all(result: ClosureResult, kb: KnowledgeBase) -> int:
     """Replay every non-Unknown cell's trace; returns the number replayed."""
     count = 0
+    unknown, implies = Verdict.UNKNOWN, Verdict.IMPLIES
     for (a, b), judgment in result.matrix.items():
-        if judgment.verdict is Verdict.UNKNOWN:
+        if judgment.verdict is unknown:
             continue
         steps = judgment.trace.steps
         last = steps[-1] if type(steps) is tuple and steps else None
-        want = "implies" if judgment.verdict is Verdict.IMPLIES else "notimplies"
+        want = "implies" if judgment.verdict is implies else "notimplies"
         if not isinstance(last, RuleInstance) or last.conclusion != (want, a, b, None):
             raise ReplayError(f"trace for ({a.name}, {b.name}) does not conclude the cell")
         replay_trace(judgment.trace, kb)

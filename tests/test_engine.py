@@ -2,6 +2,7 @@ import copy
 import gc
 import random
 import re
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -212,6 +213,14 @@ def test_fact_order_does_not_matter(default_kb, closure):
 
 def test_iteration_bound(closure, default_kb):
     assert closure.iterations <= len(default_kb.properties) ** 2 + 2
+
+
+def test_default_closure_installs_per_rule(closure):
+    # each statement is installed once, by the rule of its first proposal; a
+    # rewrite of a rule's scan that drops or adds a derivation moves these
+    census = Counter(rule for rule, _, _ in closure._traces.prov.values())
+    assert closure.iterations == 4 and sum(census.values()) == 833
+    assert census == {"fact": 107, "R1": 28, "R2": 148, "R3a": 52, "R3b": 29, "R4": 317, "R5": 124, "R6": 28}
 
 
 def test_r4_never_contradicts_an_implication(closure):

@@ -131,6 +131,21 @@ def test_parse_models_aggregates_errors():
     assert 1 in lines and 2 in lines
 
 
+@pytest.mark.parametrize("text, errors", [
+    # a block without level lines is reported at its model line, at the end of the text too
+    ('model a cite "x"\n', [(1, 1, "model 'a' has no level lines")]),
+    ('model a cite "x"\n\nmodel b cite "y"\nlevel c 1\n', [(1, 1, "model 'a' has no level lines")]),
+    ('model a cite "x"\nfoo 1\n', [(1, 1, "model 'a' has no level lines"), (2, 1, "unknown directive 'foo'")]),
+    # a refused level line is the block's one error
+    ('model a cite "x"\nlevel zz 1\n', [(2, 7, "unknown atom 'zz'")]),
+    ('model a cite "x"\nlevel c 0\n\nmodel b cite "y"\nlevel c 1\n', [(2, 1, "levels start at 1")]),
+], ids=["at-end", "before-a-blank", "beside-a-bad-directive", "refused-atom", "refused-level"])
+def test_parse_models_reports_a_block_without_levels_at_its_model_line(text, errors):
+    with pytest.raises(ModelParseError) as exc:
+        parse_models(text)
+    assert exc.value.errors == errors
+
+
 def test_validate_flags_s_above_d():
     m = Model("bad", {CardinalAtom.ALEPH1: 1, CardinalAtom.D: 1, CardinalAtom.S: 2,
                            CardinalAtom.C: 2}, "test")

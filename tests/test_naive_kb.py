@@ -1,10 +1,13 @@
 """Differential sweep: the engine's closure against the naive oracle in
-naive_kb.py, on the default KB and on each one-line ablation of it."""
+naive_kb.py, on the default KB, on each one-line ablation of it, and on the
+default facts under registries with models left out."""
 
 import naive_kb
+import pytest
 
-from taukb import formats
+from taukb import engine, formats
 from taukb.core import Verdict
+from taukb.models import ModelRegistry, load_default_registry
 
 # the fact lines whose removal leaves the closure's statements unchanged
 REDUNDANT = {
@@ -33,3 +36,21 @@ def test_closure_agrees_with_naive_oracle_on_every_one_line_ablation(default_kb,
                  for d, kb, result in ablations if _agree(kb, result) == default}
     assert len(ablations) == 79
     assert redundant == REDUNDANT
+
+
+# registry -> the settled cells of the default facts under it: no model, one
+# model alone, and every model but one.  No settled cell needs ch
+SETTLED_UNDER = {
+    (): 450, ("ch",): 450, ("cohen",): 539, ("laver",): 539, ("odsmall",): 514,
+    ("cohen", "laver", "odsmall"): 625, ("ch", "laver", "odsmall"): 562,
+    ("ch", "cohen", "odsmall"): 600, ("ch", "cohen", "laver"): 602,
+}
+
+
+@pytest.mark.parametrize("names", SETTLED_UNDER, ids=lambda names: "+".join(names) or "none")
+def test_closure_agrees_with_naive_oracle_under_each_registry_ablation(names):
+    registry = ModelRegistry([m for m in load_default_registry() if m.name in names])
+    kb = engine.build_knowledge_base(formats.load_default_facts(), registry)
+    result = engine.close(kb)
+    _agree(kb, result)
+    assert engine.replay_all(result, kb) == SETTLED_UNDER[names]
