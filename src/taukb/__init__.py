@@ -77,7 +77,9 @@ class Record:
     equals, and hashes like, a record of its own type (or a subclass) with
     the same fields; a slot that a base class adds, such as a declaration's
     line or a property's labels, takes part in neither.  A record that may
-    compare like a tuple is a NamedTuple instead; this base is for the rest."""
+    compare like a tuple is a NamedTuple instead; this base is for the rest.
+    A record may keep its hash in a _hash slot; copy and pickle compute that
+    afresh, since a hash may depend on the interpreter's hash seed."""
 
     __slots__ = ()
 
@@ -108,6 +110,24 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
         return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle restore the slots past __setattr__, labels included;
+        # a subclass that adds no slots, such as a lazily built proof trace,
+        # comes back as the record it equals
+        cls = next(c for c in type(self).__mro__ if "__slots__" in vars(c))
+        names = [name for c in cls.__mro__ for name in vars(c).get("__slots__", ()) if name != "_hash"]
+        return _restore, (cls, {name: getattr(self, name) for name in names})
+
+
+def _restore(cls, state: dict):
+    """The record of class cls whose slots hold state, as Record.__reduce__ gives them."""
+    record = cls.__new__(cls)
+    for name, value in state.items():
+        object.__setattr__(record, name, value)
+    if hasattr(cls, "_hash"):
+        object.__setattr__(record, "_hash", Record.__hash__(record))
+    return record
 
 
 # Search budget of the gamma lab's exhaustive searches: the largest nominal

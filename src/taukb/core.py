@@ -91,7 +91,7 @@ class CardinalAtom(enum.Enum):
     __hash__ = object.__hash__
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 _ATOM_ALIASES = {a.value: a for a in CardinalAtom}
@@ -125,7 +125,7 @@ def atom(name: str | CardinalAtom) -> CardinalAtom:
 
 def render_expr(e: CardinalExpr) -> str:
     if isinstance(e, CardinalAtom):
-        return e.value
+        return e._value_  # the member's own attribute; Enum's value property is a Python-level call
     inner = ",".join(render_expr(a) for a in e.args)
     return ("min" if isinstance(e, Min) else "max") + "{" + inner + "}"
 
@@ -266,7 +266,7 @@ class Verdict(enum.Enum):
     UNKNOWN = "Unknown"
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 class Claim(NamedTuple):

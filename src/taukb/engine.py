@@ -189,7 +189,7 @@ class _Traces:
                 for s in order[len(steps):]:
                     rule, premises, note = self.prov[s]
                     steps += (RuleInstance(rule, (pos[premises[0]], pos[premises[1]]), self._claim(s), note)
-                              if premises else self.steps(s)[0],)
+                              if premises else (self._steps.get(s) or self.steps(s))[0],)
             else:
                 steps = (RuleInstance(rule, (), self._claim(stmt), note),)
             self._steps[stmt] = steps
@@ -213,22 +213,22 @@ class _Traces:
         return c
 
 
+class _BuiltOnRead:
+    """A _LazyTrace's steps, built by build(stmt) on first read into its dict, where later reads look first."""
+
+    def __get__(self, trace, owner=None):
+        return trace.__dict__.setdefault("steps", trace._build(trace._stmt))
+
+
 class _LazyTrace(ProofTrace):
     """A proof trace whose steps are built on first read, by build(stmt).
     It keeps build and stmt outside the slots, so it equals, hashes and
     prints like a plain ProofTrace of its steps."""
 
-    def __init__(self, build, stmt: tuple):
-        object.__setattr__(self, "_build", build)
-        object.__setattr__(self, "_stmt", stmt)
+    steps = _BuiltOnRead()
 
-    def __getattr__(self, name: str):
-        # reached only while the steps slot is unset, so at most once per trace
-        if name != "steps":
-            raise AttributeError(name)
-        steps = self._build(self._stmt)
-        object.__setattr__(self, "steps", steps)
-        return steps
+    def __init__(self, build, stmt: tuple):
+        self.__dict__.update(_build=build, _stmt=stmt)  # Record's __setattr__ refuses them
 
 
 class ClosureResult:

@@ -28,16 +28,28 @@ def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
     of kb with its citation, or does not conclude exactly what its rule draws
     from its premises, with a note only on an R4 step.
     """
-    if type(trace.steps) is not tuple:
-        raise ReplayError(f"steps {trace.steps!r} are not a tuple of rule instances")
+    steps = trace.steps
+    if type(steps) is not tuple:
+        raise ReplayError(f"steps {steps!r} are not a tuple of rule instances")
+    _replay(steps, kb, {}, set())
+
+
+def _replay(steps: tuple, kb: KnowledgeBase, checked: dict, witnessed: set) -> None:
+    """replay_trace on a tuple of steps, skipping a premise-free step that
+    checked, {id(step): step}, already holds.  A premise-free step that
+    checks out is recorded there if it is an exact RuleInstance, whose fields
+    cannot change; the dict keeps it alive, so its id names no other step."""
     concluded: list[Claim] = []
-    for i, step in enumerate(trace.steps):
+    for i, step in enumerate(steps):
         if not isinstance(step, RuleInstance):
             raise ReplayError(f"step {i} is not a rule instance: {step!r}")
         c = step.conclusion
+        if checked.get(id(step)) is step:
+            concluded.append(c)
+            continue
         try:
-            why = _step_fault(step, concluded, kb)
-        except TypeError as e:  # an unhashable field of a fact or R1 step, or an unhashable R4 note
+            why = _step_fault(step, concluded, kb, witnessed)
+        except TypeError as e:  # an unhashable field of a fact or R1 step, or of an R4 witness
             why = str(e)
         if why is not None:
             try:
@@ -45,6 +57,8 @@ def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
             except (AttributeError, KeyError, TypeError):  # fields that do not fit its kind, or no claim
                 shown = repr(c)
             raise ReplayError(f"{step.rule} step concluding {shown}: {why}")
+        if not step.premises and type(step) is RuleInstance:
+            checked[id(step)] = step
         concluded.append(c)
 
 
@@ -72,8 +86,10 @@ def _rule_conclusion(rule: str, c: Claim, premises: list[Claim]) -> tuple | None
     return None
 
 
-def _step_fault(step: RuleInstance, concluded: list[Claim], kb: KnowledgeBase) -> str | None:
-    """Why step fails to replay after steps that concluded concluded; None if it replays."""
+def _step_fault(step: RuleInstance, concluded: list[Claim], kb: KnowledgeBase, witnessed: set) -> str | None:
+    """Why step fails to replay after steps that concluded concluded; None if
+    it replays.  An R4 witness (u, l, model name) in witnessed is not
+    evaluated again, and one that checks out is added."""
     c = step.conclusion
     if not isinstance(c, Claim):
         return "the conclusion is not a claim"
@@ -94,17 +110,29 @@ def _step_fault(step: RuleInstance, concluded: list[Claim], kb: KnowledgeBase) -
     if rule != "R4":
         return None if note == "" else f"carries the note {note!r}, which only fact and R4 steps have"
     (_, _, _, u), (_, _, _, l) = premises
+    if (u, l, note) in witnessed:
+        return None
     try:
         model = kb.registry.get(note)
-        witnessed = eval_expr(u, model) < eval_expr(l, model)
+        if not eval_expr(u, model) < eval_expr(l, model):
+            return f"model {model.name} does not witness {render_expr(u)} < {render_expr(l)}"
     except TaukbError as e:  # no such model, or it leaves an atom unassigned
         return str(e)
-    return None if witnessed else f"model {model.name} does not witness {render_expr(u)} < {render_expr(l)}"
+    witnessed.add((u, l, note))
+    return None
 
 
 def replay_all(result: ClosureResult, kb: KnowledgeBase) -> int:
-    """Replay every non-Unknown cell's trace; returns the number replayed."""
+    """Replay every non-Unknown cell's trace; returns the number replayed.
+
+    The traces share their fact and R1 steps, and many R4 steps cite one
+    witness.  So within one call each premise-free step object is checked
+    once, and each R4 witness (u, l, model name) is evaluated once; every
+    other step is checked in every trace that lists it.
+    """
     count = 0
+    checked: dict[int, RuleInstance] = {}
+    witnessed: set[tuple] = set()
     unknown, implies = Verdict.UNKNOWN, Verdict.IMPLIES
     for (a, b), judgment in result.matrix.items():
         if judgment.verdict is unknown:
@@ -114,6 +142,6 @@ def replay_all(result: ClosureResult, kb: KnowledgeBase) -> int:
         want = "implies" if judgment.verdict is implies else "notimplies"
         if not isinstance(last, RuleInstance) or last.conclusion != (want, a, b, None):
             raise ReplayError(f"trace for ({a.name}, {b.name}) does not conclude the cell")
-        replay_trace(judgment.trace, kb)
+        _replay(steps, kb, checked, witnessed)
         count += 1
     return count

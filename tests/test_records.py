@@ -1,10 +1,17 @@
 """The contract of the records: what takes part in their equality and hash,
-which of them compare like tuples and which do not, and which fields cannot
-be assigned."""
+which of them compare like tuples and which do not, which fields cannot
+be assigned, and how they copy and pickle."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from taukb import formats
+from taukb import formats, gamma, models
 from taukb.core import (
     Atom,
     Claim,
@@ -120,6 +127,67 @@ def test_lazy_trace_equals_the_plain_trace_with_its_steps():
     plain = ProofTrace((_STEP,))
     assert lazy == plain and plain == lazy and hash(lazy) == hash(plain)
     assert lazy != ProofTrace() and ProofTrace() != lazy
+
+
+def test_lazy_trace_builds_its_steps_once_on_first_read():
+    built = []
+    lazy = _LazyTrace(lambda stmt: built.append(stmt) or (_STEP,), ("implies", 0, 1))
+    assert "steps" not in vars(lazy) and built == []
+    assert lazy.steps == (_STEP,) and lazy.steps is lazy.steps
+    assert built == [("implies", 0, 1)] and vars(lazy)["steps"] == (_STEP,)
+    with pytest.raises(AttributeError):
+        lazy.steps = ()
+    assert lazy.steps == (_STEP,) and len(built) == 1
+
+
+# one record of each type, and the labels outside its equality
+_RECORDS = [
+    (property_by_serial(8), ("serial", "non", "name")),
+    (Property(SelectorKind.S1, CoverKind.TAU, CoverKind.OMEGA, CoverVariant.BOREL), ("serial", "non", "name")),
+    (Min(ARGS), ()),
+    (Max((Atom("d"), Min(ARGS))), ()),
+    (ProofTrace((_STEP,)), ()),
+    (models.load_default_registry().get("laver"), ()),
+    *((_DECLS[kind](17), ("line",)) for kind in _DECLS),
+    (gamma.Row("0110", 1), ()),
+    (gamma.array([("01", 1), ("1", 1)]), ()),
+    (gamma.family(gamma.array([("01", 1)]), gamma.array([("", 1)])), ()),
+]
+_COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda r: pickle.loads(pickle.dumps(r))}
+
+
+@pytest.mark.parametrize("how", _COPIES)
+@pytest.mark.parametrize("record,labels", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
+def test_records_copy_and_pickle_equal_with_their_labels(record, labels, how):
+    twin = _COPIES[how](record)
+    assert type(twin) is type(record) and twin == record
+    if not isinstance(record, models.Model):  # a model's levels are a dict, so it has no hash
+        assert hash(twin) == hash(record)
+    assert all(getattr(twin, label) == getattr(record, label) for label in labels)
+    with pytest.raises(AttributeError):
+        setattr(twin, type(record).__slots__[0], None)
+
+
+def test_a_lazy_trace_copies_and_pickles_as_the_plain_trace_of_its_steps():
+    lazy = _LazyTrace(lambda stmt: (_STEP,), ("implies", 0, 1))
+    for how in _COPIES.values():
+        twin = how(lazy)
+        assert type(twin) is ProofTrace and twin == ProofTrace((_STEP,)) and twin.steps == (_STEP,)
+
+
+def test_a_pickled_property_hashes_like_a_fresh_one_under_another_hash_seed():
+    # the hash is computed again on load, not carried over from the seed it was pickled under
+    make = "Property(SelectorKind.UFIN, CoverKind.TAU, CoverKind.GAMMA, CoverVariant.CLOPEN, 4, Atom('b'))"
+    prelude = "import pickle, sys\nfrom taukb.core import *\n"
+    src = str(Path(formats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    dumped = subprocess.run([sys.executable, "-c", prelude + f"sys.stdout.buffer.write(pickle.dumps({make}))"],
+                            env={**env, "PYTHONHASHSEED": "0"}, capture_output=True, check=True).stdout
+    load = (prelude + "p = pickle.loads(sys.stdin.buffer.read())\n"
+            f"print(hash(p) == hash({make}) == hash(p._key()), p.serial, p.non, p.name)")
+    out = subprocess.run([sys.executable, "-c", load], input=dumped, env={**env, "PYTHONHASHSEED": "1"},
+                         capture_output=True, check=True).stdout
+    assert out.decode().split() == ["True", "4", "b", "Ufin(T,Gamma)[clopen]"]
 
 
 def test_problem_statuses_compare_as_criterion_10_reads_them():
