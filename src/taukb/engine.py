@@ -235,11 +235,12 @@ class ClosureResult:
     """Immutable outcome of close(): judgment matrix, one cardinality report
     per property, traces.
 
-    The closure keeps its implies and notimplies bit rows and its provenance.
-    matrix, a Judgment per ordered pair, is built from them the first time
-    it is read; serial_grid, query and explain read the rows and build none
-    of it.  Each trace in matrix and exact_traces builds its steps from the
-    provenance the first time they are read.
+    The closure keeps its implies and notimplies bit rows and its provenance,
+    and _cell is the one reader of a cell's bits.  matrix, a Judgment per
+    ordered pair, is built through it the first time it is read; serial_grid,
+    query and explain read cells through it and build none of matrix.  Each
+    trace in matrix and exact_traces builds its steps from the provenance the
+    first time they are read.
     """
 
     def __init__(self, properties, rows, traces, cards, exact_traces, iterations):
@@ -254,17 +255,11 @@ class ClosureResult:
     @cached_property
     def matrix(self) -> dict[tuple[Property, Property], Judgment]:
         matrix = {}
-        imp, non = self._implies, self._notimplies
-        build = self._traces.steps  # one bound method, shared by every trace
-        implies, not_implies = Verdict.IMPLIES, Verdict.NOT_IMPLIES
+        build, cell = self._traces.steps, self._cell  # build: one bound method, shared by every trace
         for i, a in enumerate(self.properties):
             for j, b in enumerate(self.properties):
-                if imp[i] >> j & 1:
-                    matrix[(a, b)] = Judgment(implies, _LazyTrace(build, ("implies", i, j)))
-                elif non[i] >> j & 1:
-                    matrix[(a, b)] = Judgment(not_implies, _LazyTrace(build, ("notimplies", i, j)))
-                else:
-                    matrix[(a, b)] = _UNKNOWN
+                stmt = cell(i, j)
+                matrix[(a, b)] = Judgment(_VERDICT[stmt[0]], _LazyTrace(build, stmt)) if stmt else _UNKNOWN
         return matrix
 
     def serial_properties(self) -> list[Property]:
@@ -275,24 +270,27 @@ class ClosureResult:
         """Verdict grid over the serial-numbered properties, in serial order:
         22x22 when the fact file declares every serial."""
         cols = [self._index[p] for p in self.serial_properties()]
-        imp, non = self._implies, self._notimplies
-        return [[Verdict.IMPLIES if imp[i] >> j & 1 else Verdict.NOT_IMPLIES if non[i] >> j & 1
-                 else Verdict.UNKNOWN for j in cols] for i in cols]
+        return [[_VERDICT[stmt[0]] if (stmt := self._cell(i, j)) else Verdict.UNKNOWN for j in cols] for i in cols]
 
-    def _settled(self, p: Property, q: Property) -> tuple | None:
-        """The (p, q) cell's statement, ("implies" or "notimplies", i, j); None if it is Unknown."""
-        try:
-            i, j = self._index[p], self._index[q]
-        except KeyError:
-            raise UnknownProperty(f"pair ({p.name}, {q.name}) not in the matrix") from None
+    def _cell(self, i: int, j: int) -> tuple | None:
+        """Cell (i, j)'s statement, ("implies" or "notimplies", i, j); None if it is Unknown."""
         if self._implies[i] >> j & 1:
             return ("implies", i, j)
         if self._notimplies[i] >> j & 1:
             return ("notimplies", i, j)
         return None
 
+    def _settled(self, p: Property, q: Property) -> tuple | None:
+        """The (p, q) cell's statement, read by _cell; UnknownProperty if p or q is not in the closure."""
+        try:
+            i, j = self._index[p], self._index[q]
+        except KeyError:
+            raise UnknownProperty(f"pair ({p.name}, {q.name}) not in the matrix") from None
+        return self._cell(i, j)
+
 
 _UNKNOWN = Judgment(Verdict.UNKNOWN)  # one for every Unknown cell
+_VERDICT = {"implies": Verdict.IMPLIES, "notimplies": Verdict.NOT_IMPLIES}  # a settled cell's kind -> its verdict
 
 
 def close(kb: KnowledgeBase) -> ClosureResult:
@@ -457,10 +455,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
 def query(result: ClosureResult, p: Property, q: Property) -> Judgment:
     """The cell's judgment, equal to result.matrix[(p, q)]."""
     stmt = result._settled(p, q)
-    if stmt is None:
-        return _UNKNOWN
-    verdict = Verdict.IMPLIES if stmt[0] == "implies" else Verdict.NOT_IMPLIES
-    return Judgment(verdict, _LazyTrace(result._traces.steps, stmt))
+    return Judgment(_VERDICT[stmt[0]], _LazyTrace(result._traces.steps, stmt)) if stmt else _UNKNOWN
 
 
 def explain(result: ClosureResult, p: Property, q: Property) -> str:

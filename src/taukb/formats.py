@@ -316,11 +316,15 @@ def _load_facts(path, chain: tuple) -> FactFile:
     return FactFile(tuple(decls))
 
 
-def load_default_facts() -> FactFile:
+def data_text(name: str) -> str:
+    """The text of the embedded data file taukb/data/NAME."""
     from importlib.resources import files
 
-    text = files("taukb.data").joinpath("base_facts.txt").read_text(encoding="utf-8")
-    return parse_facts(text)
+    return files("taukb.data").joinpath(name).read_text(encoding="utf-8")
+
+
+def load_default_facts() -> FactFile:
+    return parse_facts(data_text("base_facts.txt"))
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +404,7 @@ def parse_table(text: str) -> tuple[Grid, set[tuple[int, int]]]:
 
 def load_reference_table() -> ReferenceTable:
     """The embedded known-implications table, structurally checked at load."""
-    from importlib.resources import files
-
-    text = files("taukb.data").joinpath("table1.txt").read_text(encoding="utf-8")
-    grid, frames = parse_table(text)
+    grid, frames = parse_table(data_text("table1.txt"))
     ref = ReferenceTable(tuple(tuple(r) for r in grid), frozenset(frames))
     for i in range(SERIAL_COUNT):
         if ref.grid[i][i] is not Verdict.IMPLIES:

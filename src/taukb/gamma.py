@@ -152,12 +152,6 @@ def _selector_ok(members, sets: tuple[int, ...], hit_quota: int, exceptions: int
     return True
 
 
-def _hitters(members, col_bound: int) -> list[tuple[int, ...]]:
-    """Per row and column, the members with a 1 there, as a bitmask over members."""
-    return [tuple(sum((r.bits >> c & 1) << i for i, r in enumerate(row)) for c in range(col_bound))
-            for row in zip(*(a.rows for a in members))]
-
-
 def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
     """Check conditions (a) and (b) for the selector against the family."""
     members = tuple(fam)
@@ -232,7 +226,7 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
         if not rows or per_row ** rows > budget:
             break
     if per_row ** rows > budget:
-        least = "" if size == sizes[-1] else "at least "
+        least = "" if not rows or size == sizes[-1] else "at least "  # no rows: exactly 1 tuple
         raise SearchSpaceTooLarge(f"{least}{per_row}^{rows} selector tuples exceed budget {budget}")
     if members and hit_quota > rows:  # the walk tests no state when rows == 0
         return None
@@ -285,18 +279,16 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
     if col_bound ** rows > budget:
         raise SearchSpaceTooLarge(f"{col_bound}^{rows} choice vectors exceed budget {budget}")
     width = min(col_bound, words + 1)  # any choice from L = words on acts like L
-    hitters = _hitters(members, width)
-    everyone = (1 << len(members)) - 1
-    rest = [0] * (rows + 1)  # the members with a 1 anywhere in rows n onward
+    cols = list(zip(*(a.rows for a in members)))  # per row, each member's Row
+    everyone, below = (1 << len(members)) - 1, (1 << width) - 1
+    rest = [0] * (rows + 1)  # the members with a 1 below width anywhere in rows n onward
     for n in reversed(range(rows)):
-        rest[n] = rest[n + 1]
-        for h in hitters[n]:
-            rest[n] |= h
+        rest[n] = rest[n + 1] | sum(1 << i for i, r in enumerate(cols[n]) if r.bits & below)
     if rest[0] != everyone:  # the walk tests no state when rows == 0
         return None
 
     def step(n, hit, c):
-        hit |= hitters[n][c]
+        hit |= sum(1 << i for i, r in enumerate(cols[n]) if r.bits >> c & 1)  # the members with a 1 at (n, c)
         return hit if hit | rest[n + 1] == everyone else None
 
     path = _lex_first(rows, width, 0, step)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import MalformedExpr, Record, TaukbError
 from .core import CardinalAtom, CardinalExpr, Min, atom, parse_expr, render_expr
-from .formats import bare, quote, split_line, unquote
+from .formats import bare, data_text, quote, split_line, unquote
 
 
 class UnknownAtom(TaukbError):
@@ -178,8 +178,8 @@ def parse_models(text: str) -> list[Model]:
             errors.append((lineno, 1, str(e)))
             continue
         if model is not None and (not parts or parts[0] == "model"):
-            if bare:
-                errors.append((bare, 1, f"model {model.name!r} has no level lines"))
+            if unleveled:
+                errors.append((unleveled, 1, f"model {model.name!r} has no level lines"))
             model = None
         if not parts:
             continue
@@ -192,13 +192,13 @@ def parse_models(text: str) -> list[Model]:
             except ValueError as e:
                 errors.append((lineno, raw.find("cite") + 1, str(e)))
                 citation = ""  # unused: any error drops every model
-            model, bare = Model(parts[1], {}, citation), lineno  # bare: its line, until a level line
+            model, unleveled = Model(parts[1], {}, citation), lineno  # unleveled: its line, until a level line
             models.append(model)
         elif parts[0] == "level":
             if model is None:
                 errors.append((lineno, 1, "level line outside a model block"))
                 continue
-            bare = 0
+            unleveled = 0
             if len(parts) != 3:
                 errors.append((lineno, 1, "expected: level <atom> <integer>"))
                 continue
@@ -241,7 +241,4 @@ def load_registry(text: str) -> ModelRegistry:
 
 
 def load_default_registry() -> ModelRegistry:
-    from importlib.resources import files
-
-    text = files("taukb.data").joinpath("models.txt").read_text(encoding="utf-8")
-    return load_registry(text)
+    return load_registry(data_text("models.txt"))

@@ -253,6 +253,45 @@ def test_bad_input_file_exits_2_without_traceback(tmp_path, monkeypatch, args):
     assert "Traceback" not in result.output
 
 
+_P0 = 'property 0 "S1(Gamma,Gamma)" non=b\n'
+# (flag, file text, the one stderr line); each file is refused before any closure
+_REFUSALS = [
+    ("--facts", _P0 + 'property 0 "S1(Gamma,T)" non=b\n',
+     "fact file does not resolve: line 2: duplicate property S1(Gamma,T) / serial 0"),
+    ("--facts", _P0 + 'property 1 "S1(Gamma,Gamma)" non=b\n',
+     "fact file does not resolve: line 2: duplicate property S1(Gamma,Gamma) / serial 1"),
+    ("--facts", "variant S1 T T borel\nvariant S1 T T borel\n",
+     "fact file does not resolve: line 2: duplicate variant S1(T,T)[borel]"),
+    ("--facts", _P0 + "arrow 0 S1:T:T:borel\n",
+     "fact file does not resolve: line 2: property S1:T:T:borel is not declared"),
+    ("--facts", _P0 + "arrow 0 0\n", "fact file does not resolve: line 2: arrow endpoints must be distinct"),
+    ("--facts", _P0 + "arrow 0 S1:Gamma:Foo:open\n", "line 2, col 1: bad property coordinates S1 Gamma Foo open"),
+    ("--facts", _P0 + "arrow 0 a:b\n", "line 2, col 1: ref must be a serial or kind:from:to:variant, got 'a:b'"),
+    ("--facts", 'property 30 "S1(Gamma,Gamma)"\n', "line 1, col 1: serial must be an integer in 0..21, got '30'"),
+    ("--facts", 'property 0 "Foo"\n', 'line 1, col 1: property name must look like S1(Gamma,Omega), got "Foo"'),
+    ("--facts", _P0 + 'property 1 "S1(Gamma,T)"\narrow 0 1 cite=x\n',
+     "line 3, col 1: cite value must be double-quoted"),
+    ("--facts", 'property 0 "S1(Gamma,Gamma)" non=min{b;s}\n', "line 1, col 1: expected ',' or '}' in 'min{b;s}'"),
+    ("--facts", ",\n", "line 1, col 1: unknown declaration ','"),
+    ("--models", "model m cite x\nlevel p 1\n", "line 1, col 9: citation must be double-quoted"),
+    ("--models", 'model m cite "x"\nlevel b\n', "line 2, col 1: expected: level <atom> <integer>"),
+    ("--models", 'model m cite "x"\nlevel b x\n', "line 2, col 1: level must be an integer, got 'x'"),
+    ("diff", "+" * 22 + "\nframes 40\n" + ("+" * 22 + "\n") * 21, "line 2: bad frame column '40'"),
+]
+
+
+@pytest.mark.parametrize("flag, text, message", _REFUSALS, ids=[m for _, _, m in _REFUSALS])
+def test_refused_input_prints_one_error_line(tmp_path, flag, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    args = ["diff", str(path)] if flag == "diff" else [flag, str(path), "table"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {message}\n"
+    assert "Traceback" not in result.output
+
+
 # --- fuzz: generated input files through every command --------------------
 
 _BASE = {name: files("taukb.data").joinpath(name).read_text(encoding="utf-8").splitlines()

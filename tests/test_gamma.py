@@ -301,13 +301,14 @@ def test_search_returns_the_lex_first_witness(seed, regime):
 # --- no column past the first column past every word ---------------------------
 
 # one row whose word ends at column L = 3; the default budget lets col_bound
-# 300,000 through, where a pool or hitter table that wide would take gigabytes
+# 300,000 through, where a pool that wide would take gigabytes, so neither
+# search may ask for more than L + 1 columns
 ONE_ROW = family(array([("001", 1)]))
 
 
 @pytest.mark.parametrize("name, width_arg, search, witness", [
     ("_column_sets", 0, lambda fam: finitely_tau_diagonalizable(fam, 300_000, 1, 1, 0), sel([{2}], 1, 0)),
-    ("_hitters", 1, lambda fam: o_diagonalizable(fam, 300_000), Diagonalizer((2,))),
+    ("_lex_first", 1, lambda fam: o_diagonalizable(fam, 300_000), Diagonalizer((2,))),
 ], ids=["ftau", "odiag"])
 def test_searches_stop_at_the_first_column_past_every_word(monkeypatch, name, width_arg, search, witness):
     real, limit = getattr(gamma, name), ONE_ROW.max_word_length() + 1
@@ -330,6 +331,15 @@ def test_budget_guard_counts_every_column_below_the_bound(search, message):
     with pytest.raises(SearchSpaceTooLarge) as e:
         search(family(array([("001", 1), ("1", 1)])))
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("members", [(), (GammaArray(()),)], ids=["no members", "a member with no rows"])
+@pytest.mark.parametrize("col_bound", [0, 3])
+def test_budget_guard_counts_the_one_tuple_of_a_family_with_no_rows(members, col_bound):
+    # a family with no rows has exactly one selector tuple, the empty one, whatever the bounds
+    with pytest.raises(SearchSpaceTooLarge) as e:
+        finitely_tau_diagonalizable(GammaFamily(members), col_bound, 1, 1, 0, budget=0)
+    assert str(e.value) == "1^0 selector tuples exceed budget 0"
 
 
 # --- both verifiers against the naive definitions, on every candidate ----------
