@@ -191,6 +191,13 @@ verdicts = st.sampled_from([Verdict.IMPLIES, Verdict.NOT_IMPLIES, Verdict.UNKNOW
 grids = st.lists(st.lists(verdicts, min_size=22, max_size=22), min_size=22, max_size=22)
 
 
+@given(grids)
+def test_table_round_trip(grid):
+    parsed, frames = parse_table(render_table(grid))
+    assert parsed == grid
+    assert frames == set()
+
+
 @given(grids, st.sets(st.tuples(st.integers(0, 21), st.integers(0, 21)), max_size=12))
 def test_table_round_trip_with_frames(grid, frames):
     # an empty draw renders through the no-frames call
