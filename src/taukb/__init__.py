@@ -22,19 +22,30 @@ _HOMES = {
     "models": "Model ModelRegistry ZfcConstraint eval_expr load_default_registry validate_model",
     "replay": "replay_all",
 }
-_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
-__all__ = sorted([*_HOME, "Contradiction"])  # the one error that is public, defined below
+__all__ = sorted([*" ".join(_HOMES.values()).split(), "Contradiction"])  # the one error that is public, defined below
 
 __version__ = "0.1.0"
 
 
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+def _forward(namespace: dict, homes: dict):
+    """A PEP 562 __getattr__ for the module whose globals are namespace.  homes
+    maps a module of taukb to the names it holds, space-separated, as _HOMES
+    does; a name is imported from taukb.<module> on first read and kept in
+    namespace, where later reads find it."""
+    home = {name: module for module, names in homes.items() for name in names.split()}
 
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
-    return value
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        value = namespace[name] = getattr(import_module(f"{__name__}.{home[name]}"), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _forward(globals(), _HOMES)
 
 
 class TaukbError(Exception):

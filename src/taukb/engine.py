@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from . import Contradiction, TaukbError, UnknownProperty, formats
+from . import Contradiction, TaukbError, UnknownProperty, _forward, formats
 from .core import (CardinalExpr, Claim, Judgment, ProofTrace, Property, RuleInstance, Verdict, normalize_expr,
                    render_expr, render_steps, render_trace)
 from .models import ModelRegistry, load_default_registry
@@ -47,7 +47,7 @@ class KnowledgeBase:
         self.facts: tuple[tuple[Claim, str], ...] = facts  # (claim, citation) per base fact
         self.registry: ModelRegistry = registry
         self._facts = frozenset(facts)  # replay checks fact steps against it
-        self._properties = frozenset(properties)  # and R1 steps against it
+        self._index = {p: i for i, p in enumerate(properties)}  # and R1 steps; close() numbers properties by it
 
 
 def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -> KnowledgeBase:
@@ -243,9 +243,9 @@ class ClosureResult:
     first time they are read.
     """
 
-    def __init__(self, properties, rows, traces, cards, exact_traces, iterations):
-        self.properties: tuple[Property, ...] = properties
-        self._index = {p: i for i, p in enumerate(properties)}
+    def __init__(self, kb, rows, traces, cards, exact_traces, iterations):
+        self.properties: tuple[Property, ...] = kb.properties
+        self._index: dict[Property, int] = kb._index  # the KB's own index, not a copy
         self._implies, self._notimplies = rows  # bit j of row i: properties[i] (does not) imply properties[j]
         self._traces: _Traces = traces
         self.cards: dict[Property, CardinalityReport] = cards
@@ -305,8 +305,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     for c, cite in kb.facts:
         base[c] = min(cite, base.get(c, cite))
     props = kb.properties
-    n = len(props)
-    index = {p: i for i, p in enumerate(props)}
+    n, index = len(props), kb._index
     # the closure moves and marks only the expressions the base facts name
     exprs = sorted({c.expr for c in base if c.expr is not None}, key=render_expr)
     eindex = {e: k for k, e in enumerate(exprs)}
@@ -445,7 +444,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     cards = {p: CardinalityReport(values(exact[i]), values(low[i]), values(up[i])) for i, p in enumerate(props)}
     exact_traces = {(props[i], exprs[k]): _LazyTrace(traces.steps, ("exact", i, k))
                     for i in range(n) for k in _bits(exact[i])}
-    return ClosureResult(props, (imp, non), traces, cards, exact_traces, iterations)
+    return ClosureResult(kb, (imp, non), traces, cards, exact_traces, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +487,4 @@ def diff(a: list[list[Verdict]], b: list[list[Verdict]]) -> list[tuple[int, int,
 
 
 # the replay checker's names, which live in taukb.replay: no KB command loads it
-_REPLAY = ("ReplayError", "replay_trace", "replay_all", "_rule_conclusion", "_step_fault")
-
-
-def __getattr__(name: str):
-    if name in _REPLAY:
-        from . import replay
-
-        return getattr(replay, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _forward(globals(), {"replay": "ReplayError replay_trace replay_all _rule_conclusion _step_fault"})

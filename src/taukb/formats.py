@@ -30,7 +30,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from . import BadShape, MalformedExpr, Record, TaukbError, read_text
+from . import BadShape, MalformedExpr, Record, TaukbError, _forward, read_text
 from .core import (SERIAL_COUNT, CoverKind, CoverVariant, Property, SelectorKind, Verdict, parse_expr,
                    render_expr)
 
@@ -421,13 +421,5 @@ def load_reference_table() -> ReferenceTable:
 
 
 # the problem ledger's names, which live in taukb.ledger
-_LEDGER = ("Open", "Solved", "PartiallySolved", "ProblemStatus", "ProblemEntry", "PROBLEMS", "list_problems",
-           "problem_status", "render_problem")
-
-
-def __getattr__(name: str):
-    if name in _LEDGER:
-        from . import ledger
-
-        return getattr(ledger, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _forward(globals(), {"ledger": "Open Solved PartiallySolved ProblemStatus ProblemEntry PROBLEMS "
+                                             "list_problems problem_status render_problem"})

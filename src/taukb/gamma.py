@@ -83,7 +83,7 @@ class GammaFamily(Record):
     __slots__ = ("members",)  # tuple of GammaArray
 
     def __init__(self, members: tuple[GammaArray, ...]):
-        _shape(members, 0)
+        _shape(members)
         for m in members:
             if not is_gamma_array(m):
                 raise BadShape("family member is not a gamma array (some tail is 0)")
@@ -98,15 +98,15 @@ class GammaFamily(Record):
 
 def max_word_length(arrays) -> int:
     """The first column past every word (each row repeats its tail bit from there); BadShape on unequal row counts."""
-    return _shape(arrays, 0)[1]
+    return _shape(arrays)[1]
 
 
 def family(*arrays: GammaArray) -> GammaFamily:
     return GammaFamily(tuple(arrays))
 
 
-def _shape(members, default: int) -> tuple[int, int]:
-    """The row count the members share, or default when there are none, and
+def _shape(members) -> tuple[int, int]:
+    """The row count the members share, 0 when there are none, and
     L = max_word_length(members), from one walk over the rows."""
     counts, words = set(), 0
     for a in members:
@@ -116,7 +116,7 @@ def _shape(members, default: int) -> tuple[int, int]:
                 words = len(r.word)
     if len(counts) > 1:
         raise BadShape(f"members disagree on row count: {sorted(counts)}")
-    return counts.pop() if counts else default, words
+    return counts.pop() if counts else 0, words
 
 
 class Selector(NamedTuple):
@@ -135,8 +135,23 @@ def _mask(columns) -> int:
     return sum(1 << m for m in columns)
 
 
-def _selector_ok(members, sets: tuple[int, ...], hit_quota: int, exceptions: int) -> bool:
-    """Conditions (a) and (b) for the members and one column-set mask per row."""
+def _fits(members, per_row, what: str, columns, col_bound: int) -> None:
+    """BadShape unless the members share a row count, per_row has one entry per
+    row (any count fits no members), and each of columns is in range(col_bound).
+    what is the message's subject, with {} for the number of entries."""
+    rows = _shape(members)[0]
+    if members and len(per_row) != rows:
+        raise BadShape(f"{what.format(len(per_row))} for {rows} rows")
+    for m in columns:
+        if not (0 <= m < col_bound):
+            raise BadShape(f"column {m} outside bound {col_bound}")
+
+
+def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
+    """Check conditions (a) and (b) for the selector against the family."""
+    members, (sets, hit_quota, exceptions) = tuple(fam), selector
+    _fits(members, sets, "selector has {} sets", (m for f in sets for m in f), col_bound)
+    sets = tuple(map(_mask, sets))  # one column mask per row
     # (a): each member hits a selected column in at least hit_quota rows
     for a in members:
         if sum(1 for r, f in zip(a.rows, sets) if r.bits & f) < hit_quota:
@@ -152,29 +167,10 @@ def _selector_ok(members, sets: tuple[int, ...], hit_quota: int, exceptions: int
     return True
 
 
-def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
-    """Check conditions (a) and (b) for the selector against the family."""
-    members = tuple(fam)
-    rows = _shape(members, len(selector.sets))[0]
-    if len(selector.sets) != rows:
-        raise BadShape(f"selector has {len(selector.sets)} sets for {rows} rows")
-    for f in selector.sets:
-        for m in f:
-            if not (0 <= m < col_bound):
-                raise BadShape(f"column {m} outside bound {col_bound}")
-    return _selector_ok(members, tuple(map(_mask, selector.sets)), selector.hit_quota,
-                        selector.exceptions)
-
-
 def verify_diagonalizer(fam, g: Diagonalizer, col_bound: int) -> bool:
     """True iff every member has a 1 at (n, g(n)) for some row n."""
     members = tuple(fam)
-    rows = _shape(members, len(g.choices))[0]
-    if len(g.choices) != rows:
-        raise BadShape(f"diagonalizer has {len(g.choices)} choices for {rows} rows")
-    for c in g.choices:
-        if not (0 <= c < col_bound):
-            raise BadShape(f"column {c} outside bound {col_bound}")
+    _fits(members, g.choices, "diagonalizer has {} choices", g.choices, col_bound)
     return all(any(r.bits >> c & 1 for r, c in zip(a.rows, g.choices)) for a in members)
 
 
@@ -217,7 +213,7 @@ def finitely_tau_diagonalizable(fam, col_bound: int, size_bound: int,
         raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}, "
                        f"size_bound={size_bound}, hit_quota={hit_quota}, exceptions={exceptions}")
     members = tuple(fam)
-    rows, words = _shape(members, 0)  # words is L
+    rows, words = _shape(members)  # words is L
     per_row, sizes = 0, range(min(size_bound, col_bound) + 1)
     # the partial sums only grow: stop at the first one over budget, or at once
     # when there are no rows, since 1 tuple is all there is
@@ -275,7 +271,7 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
     if col_bound < 0:
         raise BadShape(f"search bounds must not be negative, got col_bound={col_bound}")
     members = tuple(fam)
-    rows, words = _shape(members, 0)
+    rows, words = _shape(members)
     if col_bound ** rows > budget:
         raise SearchSpaceTooLarge(f"{col_bound}^{rows} choice vectors exceed budget {budget}")
     width = min(col_bound, words + 1)  # any choice from L = words on acts like L
@@ -316,7 +312,7 @@ def random_gamma_family(seed: int, rows: int, col_bound: int, count: int,
 
 # ---------------------------------------------------------------------------
 # Family file format: one array per block, rows as "<word>/<tailbit>", blocks
-# separated by blank lines, '#' comments.
+# separated by blank lines, '#' comments; a comment-only line ends no block.
 
 
 def parse_family_file(text: str) -> list[GammaArray]:
@@ -327,7 +323,7 @@ def parse_family_file(text: str) -> list[GammaArray]:
     for lineno, raw in enumerate(text.splitlines() + [""], start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            if current:
+            if current and not raw.strip():  # a blank line, not a comment line
                 arrays.append(GammaArray(tuple(current)))
                 current = []
             continue

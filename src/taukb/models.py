@@ -163,7 +163,8 @@ class ModelRegistry:
 #   model <name> cite "<citation>"
 #   level <atom> <integer>
 # with '#' comments, read by the fact DSL's tokenizer: a '#' inside the
-# quoted citation is text.  Each atom gets at most one level per model.
+# quoted citation is text, and a comment-only line ends no block.  Each atom
+# gets at most one level per model.
 
 
 def parse_models(text: str) -> list[Model]:
@@ -177,7 +178,7 @@ def parse_models(text: str) -> list[Model]:
         except ValueError as e:
             errors.append((lineno, 1, str(e)))
             continue
-        if model is not None and (not parts or parts[0] == "model"):
+        if model is not None and (not raw.strip() or parts[:1] == ["model"]):  # a blank line or the next model
             if unleveled:
                 errors.append((unleveled, 1, f"model {model.name!r} has no level lines"))
             model = None

@@ -105,7 +105,7 @@ def _step_fault(step: RuleInstance, concluded: list[Claim], kb: KnowledgeBase, w
         return None if (c, note) in kb._facts else "no matching base fact in the knowledge base"
     if c != _rule_conclusion(rule, c, premises):
         return f"does not match {rule}"
-    if rule == "R1" and c.subject not in kb._properties:
+    if rule == "R1" and c.subject not in kb._index:
         return "names no property of the knowledge base"
     if rule != "R4":
         return None if note == "" else f"carries the note {note!r}, which only fact and R4 steps have"

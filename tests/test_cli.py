@@ -151,6 +151,25 @@ def test_diag_and_odiag_commands(runner, tmp_path):
     assert "not o-diagonalizable" in result.output
 
 
+def test_a_comment_line_ends_no_family_block(runner, tmp_path):
+    # one array of two rows either way: only a blank line separates arrays
+    fam = tmp_path / "family.txt"
+    for text in ("01/1\n# note\n10/1\n", "01/1\n10/1\n"):
+        fam.write_text(text, encoding="utf-8")
+        assert invoke(runner, "odiag", str(fam)).output == "g = 0 0\n"
+        assert invoke(runner, "diag", str(fam)).output == "selector: {} {0}\n"
+
+
+def test_a_comment_line_ends_no_model_block(runner, tmp_path):
+    # the level line after the comment still belongs to model m
+    models = tmp_path / "models.txt"
+    models.write_text('model m cite "x"\n# c\nlevel p 1\n', encoding="utf-8")
+    result = invoke(runner, "--models", str(models), "table")
+    assert result.exit_code == 0, result.output
+    models.write_text('model m cite "x"\nlevel p 1\n', encoding="utf-8")
+    assert invoke(runner, "--models", str(models), "table").output == result.output
+
+
 @pytest.mark.parametrize("args, output", [
     (["diag", "--size-bound", "0", "--hit-quota", "0"], "selector: " + " ".join(["{}"] * 3000) + "\n"),
     (["diag", "--col-bound", "0"], "not finitely tau-diagonalizable within the bounds\n"),

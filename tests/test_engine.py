@@ -369,6 +369,29 @@ def test_od_ablation_reverts_expected_cells_to_unknown(default_kb, closure, refe
     }
 
 
+# the settled cells, by serial, that rest on exactly one legacy:Table1 line: the line each needs
+_LEGACY_ALONE = {
+    (0, 17): "nonimp 0 17", (4, 16): "nonimp 4 16", (11, 20): "nonimp 11 20", (17, 3): "nonimp 17 3",
+    (18, 3): "nonimp 18 3", (18, 12): "nonimp 18 12", (19, 17): "nonimp 0 17", (19, 18): "nonimp 19 18",
+    (20, 17): "nonimp 0 17",
+}
+
+
+def test_the_fact_lines_each_settled_cell_cannot_lose(closure, ablations):
+    settled = [cell for cell, j in closure.matrix.items() if j.verdict is not Verdict.UNKNOWN]
+    needs: dict[tuple, list[int]] = {}  # settled cell -> the ablations that leave it Unknown
+    for k, (_, _, result) in enumerate(ablations):
+        for cell in settled:
+            if result.matrix[cell].verdict is Verdict.UNKNOWN:
+                needs.setdefault(cell, []).append(k)
+    alone = {cell: ablations[ks[0]][0] for cell, ks in needs.items() if len(ks) == 1}
+    assert (len(settled), len(needs), len(alone)) == (625, 298, 174)
+    assert Counter(type(d).__name__ for d in alone.values()) == {"CardDecl": 89, "ArrowDecl": 76, "NonImpDecl": 9}
+    assert len(set().union(*needs.values())) == 59  # of the 79 lines, those some cell cannot lose
+    assert {(a.serial, b.serial): formats.render_decl(d).split(" cite=")[0]
+            for (a, b), d in alone.items() if d.cite == "legacy:Table1"} == _LEGACY_ALONE
+
+
 def test_legacy_facts_are_exactly_the_documented_eight():
     ff = formats.load_default_facts()
     imported = [(d.src.serial, d.dst.serial) for d in ff.decls

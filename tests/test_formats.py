@@ -19,6 +19,7 @@ from taukb.formats import (
     PropertyDecl,
     SerialRef,
     Solved,
+    data_text,
     list_problems,
     load_default_facts,
     load_reference_table,
@@ -299,3 +300,17 @@ def test_parsers_return_or_raise_taukb_error(text):
             parse(text)
         except TaukbError:
             pass
+
+
+# a '#' comment line is skipped wherever it stands: only a blank line ends a
+# block of a family or registry file
+@pytest.mark.parametrize("parse, text", [
+    (parse_facts, data_text("base_facts.txt")),
+    (parse_models, data_text("models.txt")),
+    (parse_table, data_text("table1.txt")),
+    (parse_family_file, "01/1\n10/1\n\n1/1\n0/1\n"),
+], ids=["facts", "models", "table", "family"])
+def test_a_comment_line_never_changes_what_a_file_says(parse, text):
+    lines, want = text.splitlines(keepends=True), parse(text)
+    for k in range(len(lines)):
+        assert parse("".join(lines[:k] + ["# c\n"] + lines[k:])) == want, f"# c before line {k + 1}"

@@ -88,6 +88,33 @@ def test_selector_column_out_of_bound():
         verify_selector(fam, sel([{5}], q=1, e=0), col_bound=2)
 
 
+_ONE, _TWO = array([("", 1)]), array([("", 1), ("", 1)])
+
+
+# (verifier, members, selector's sets or diagonalizer's choices, BadShape message); a family's
+# shape is checked first, then the count per row, then each column, negative ones included
+@pytest.mark.parametrize("verify, members, per_row, message", [
+    ("selector", (_TWO,), [{0}], "selector has 1 sets for 2 rows"),
+    ("diagonalizer", (_TWO,), [0, 0, 0], "diagonalizer has 3 choices for 2 rows"),
+    ("selector", (_ONE,), [{0, 5}], "column 5 outside bound 2"),
+    ("selector", (_ONE,), [{-1}], "column -1 outside bound 2"),
+    ("diagonalizer", (_ONE,), [2], "column 2 outside bound 2"),
+    ("diagonalizer", (_ONE,), [-1], "column -1 outside bound 2"),
+    ("selector", (), [{0}, {-3}], "column -3 outside bound 2"),
+    ("diagonalizer", (), [0, 2], "column 2 outside bound 2"),
+    ("selector", (_TWO,), [{5}], "selector has 1 sets for 2 rows"),
+    ("selector", (_ONE, _TWO), [{5}], "members disagree on row count: [1, 2]"),
+    ("diagonalizer", (_TWO, _ONE), [5], "members disagree on row count: [1, 2]"),
+])
+def test_verifiers_refuse_a_misfit_with_its_message(verify, members, per_row, message):
+    with pytest.raises(BadShape) as e:
+        if verify == "selector":
+            verify_selector(members, sel(per_row, q=0, e=0), col_bound=2)
+        else:
+            verify_diagonalizer(members, Diagonalizer(tuple(per_row)), col_bound=2)
+    assert str(e.value) == message
+
+
 # --- finitely_tau_diagonalizable --------------------------------------------
 
 def test_singleton_family_has_witness():
