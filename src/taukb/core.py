@@ -328,11 +328,24 @@ def render_trace(trace: ProofTrace) -> str:
     return render_steps(trace.steps)
 
 
-def render_steps(steps: tuple[RuleInstance, ...]) -> str:
-    """One line per step: index, rule, citation or witnessing model, conclusion, premises."""
+def render_steps(steps: tuple[RuleInstance, ...], memo: dict | None = None) -> str:
+    """One line per step: index, rule, citation or witnessing model, conclusion, premises.
+
+    memo, {id(step): (step, text)}, keeps each premise-free exact
+    RuleInstance's text after its index; an entry counts only for the very
+    step it holds, which it keeps alive, so its id names no other step.
+    """
     lines = []
-    for i, (rule, premises, conclusion, note) in enumerate(steps):
+    for i, step in enumerate(steps):
+        hit = memo.get(id(step)) if memo is not None else None
+        if hit is not None and hit[0] is step:
+            lines.append(f"S{i} {hit[1]}")
+            continue
+        rule, premises, conclusion, note = step
         src = " from S" + ", S".join(map(str, premises)) if premises else ""
         note = f" [model {note}]" if rule == "R4" else (f" [{note}]" if note else "")
-        lines.append(f"S{i} {rule}{note}: {conclusion.render()}{src}")
+        text = f"{rule}{note}: {conclusion.render()}{src}"
+        if memo is not None and not premises and type(step) is RuleInstance:
+            memo[id(step)] = (step, text)
+        lines.append(f"S{i} {text}")
     return "\n".join(lines)

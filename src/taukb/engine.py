@@ -21,7 +21,7 @@ depend on the order of the input fact list.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import Contradiction, TaukbError, UnknownProperty, _forward, formats
@@ -60,23 +60,25 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
     """
     props: dict[Property, Property] = {}
     by_serial: dict[int, Property] = {}
+    lines: dict[Property, int] = {}  # each declared property's line
     models = {m.name for m in registry}
     errors: list[str] = []
 
     for d in fact_file.decls:
         if isinstance(d, formats.PropertyDecl):
-            p = d.to_property()
-            if p in props or d.serial in by_serial:
-                errors.append(f"line {d.line}: duplicate property {p.name} / serial {d.serial}")
+            p, taken = d.to_property(), by_serial.get(d.serial)
+            for what, first in ((f"property {p.name}", props.get(p)), (f"serial {d.serial}", taken)):
+                if first is not None:
+                    errors.append(f"line {d.line}: duplicate {what}, first declared on line {lines[first]}")
+            if p in props or taken is not None:
                 continue
-            props[p] = p
-            by_serial[d.serial] = p
+            props[p], by_serial[d.serial], lines[p] = p, p, d.line
         elif isinstance(d, formats.VariantDecl):
             p = Property(d.kind, d.source, d.target, d.variant, non=d.non)
             if p in props:
                 errors.append(f"line {d.line}: duplicate variant {p.name}")
                 continue
-            props[p] = p
+            props[p], lines[p] = p, d.line
         elif isinstance(d, formats.IncludeDecl):
             errors.append(f"line {d.line}: include {d.path} is not resolved; read the file with load_facts")
 
@@ -140,11 +142,14 @@ def load_default_kb() -> KnowledgeBase:
 _EDGE_KINDS = ("implies", "notimplies")
 
 
-def _bits(mask: int):
+@lru_cache(maxsize=4096)  # a closure decodes few distinct masks, most of them many times
+def _bits(mask: int) -> tuple[int, ...]:
     """The indices of the set bits of mask, in ascending order."""
+    out = []
     while mask:
-        yield (mask & -mask).bit_length() - 1
+        out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
+    return tuple(out)
 
 
 class CardinalityReport(NamedTuple):
@@ -178,6 +183,7 @@ class _Traces:
         self._claims: dict[tuple, Claim] = {}
         self._orders: dict[tuple, tuple] = {}  # stmt -> the statements its steps conclude
         self._steps: dict[tuple, tuple[RuleInstance, ...]] = {}
+        self.texts: dict[int, tuple] = {}  # explain's render_steps memo: {id(step): (step, text)}
 
     def steps(self, stmt: tuple) -> tuple[RuleInstance, ...]:
         steps = self._steps.get(stmt)
@@ -311,8 +317,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     eindex = {e: k for k, e in enumerate(exprs)}
     # (u, l) -> first registered model with u < l: R4's premise and the
     # interval guard's refutation; above[u] has bit l set for each such l
-    less = {(u, l): w for u, x in enumerate(exprs) for l, y in enumerate(exprs)
-            if (w := kb.registry.consistently_less(x, y)) is not None}
+    less = kb.registry.less_table(exprs)
     above = [sum(1 << l for l in range(len(exprs)) if (u, l) in less) for u in range(len(exprs))]
 
     prov: dict[tuple, tuple] = {}  # stmt -> (rule, premises, note)
@@ -346,7 +351,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     def check_contradiction() -> None:
         for i in range(n):
             if both := imp[i] & non[i]:
-                j = next(_bits(both))
+                j = _bits(both)[0]
                 raise Contradiction(props[i], props[j], ProofTrace(traces.steps(("implies", i, j))),
                                     ProofTrace(traces.steps(("notimplies", i, j))))
 
@@ -356,7 +361,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
         # when bit i of under[l] is set for some lower bound l of non(j)
         for u in _bits(up[i]):
             if hit := above[u] & low[j]:
-                return u, next(_bits(hit))
+                return u, _bits(hit)[0]
 
     check_contradiction()
     iterations = 0
@@ -462,7 +467,7 @@ def explain(result: ClosureResult, p: Property, q: Property) -> str:
     stmt = result._settled(p, q)
     if stmt is None:
         raise NothingToExplain(f"{p.name} vs {q.name} is unsettled; nothing to explain")
-    return render_steps(result._traces.steps(stmt))
+    return render_steps(result._traces.steps(stmt), result._traces.texts)
 
 
 def derive_cardinality(result: ClosureResult, p: Property) -> CardinalityReport:

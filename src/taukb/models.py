@@ -145,17 +145,27 @@ class ModelRegistry:
         return {m.name: validate_model(m) for m in self.models}
 
     def consistently_less(self, x: CardinalExpr, y: CardinalExpr) -> str | None:
-        """Name of the first registered model with eval(x) < eval(y), if any.
+        """Name of the first registered model with eval(x) < eval(y), if any: less_table's one pair."""
+        return self.less_table([x, y]).get((0, 1))
 
-        Models missing an atom of x or y are unusable for the query.
-        """
+    def less_table(self, exprs: list[CardinalExpr]) -> dict[tuple[int, int], str]:
+        """(u, l) -> name of the first registered model with eval(exprs[u]) <
+        eval(exprs[l]), for each pair that some model separates.  Each
+        expression is evaluated once per model; a model missing one of its
+        atoms is unusable for it."""
+        table: dict[tuple[int, int], str] = {}
         for m in self.models:
-            try:
-                if eval_expr(x, m) < eval_expr(y, m):
-                    return m.name
-            except UnknownAtom:
-                continue
-        return None
+            known = []  # (k, level of exprs[k]) for each expression the model can evaluate
+            for k, e in enumerate(exprs):
+                try:
+                    known.append((k, eval_expr(e, m)))
+                except UnknownAtom:
+                    continue
+            for u, x in known:
+                for l, y in known:
+                    if x < y:
+                        table.setdefault((u, l), m.name)
+        return table
 
 
 # ---------------------------------------------------------------------------

@@ -276,9 +276,9 @@ _P0 = 'property 0 "S1(Gamma,Gamma)" non=b\n'
 # (flag, file text, the one stderr line); each file is refused before any closure
 _REFUSALS = [
     ("--facts", _P0 + 'property 0 "S1(Gamma,T)" non=b\n',
-     "fact file does not resolve: line 2: duplicate property S1(Gamma,T) / serial 0"),
+     "fact file does not resolve: line 2: duplicate serial 0, first declared on line 1"),
     ("--facts", _P0 + 'property 1 "S1(Gamma,Gamma)" non=b\n',
-     "fact file does not resolve: line 2: duplicate property S1(Gamma,Gamma) / serial 1"),
+     "fact file does not resolve: line 2: duplicate property S1(Gamma,Gamma), first declared on line 1"),
     ("--facts", "variant S1 T T borel\nvariant S1 T T borel\n",
      "fact file does not resolve: line 2: duplicate variant S1(T,T)[borel]"),
     ("--facts", _P0 + "arrow 0 S1:T:T:borel\n",

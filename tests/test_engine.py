@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from taukb import engine, formats
+from taukb import engine, formats, models
 from taukb.core import (
     Atom,
     CardinalAtom,
@@ -24,6 +24,7 @@ from taukb.core import (
     atom,
     parse_expr,
     property_by_serial,
+    render_steps,
     render_trace,
 )
 from taukb.engine import (
@@ -223,6 +224,33 @@ def test_default_closure_installs_per_rule(closure):
     assert census == {"fact": 107, "R1": 28, "R2": 148, "R3a": 52, "R3b": 29, "R4": 317, "R5": 124, "R6": 28}
 
 
+def test_bits_lists_the_set_bits_in_ascending_order():
+    rng = random.Random(5)
+    masks = [0, *(1 << k for k in range(70)), *(rng.getrandbits(28) for _ in range(200)),
+             *(rng.getrandbits(200) | 1 << 199 for _ in range(20))]
+    for mask in masks:
+        assert engine._bits(mask) == tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def test_close_evaluates_each_expression_once_per_model(default_kb, monkeypatch):
+    calls, depth = [], [0]  # the top-level calls; how deep the current call is
+    real = models.eval_expr
+
+    def counting(e, m):
+        if not depth[0]:
+            calls.append((e, m.name))
+        depth[0] += 1
+        try:
+            return real(e, m)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(models, "eval_expr", counting)
+    close(default_kb)
+    # 8 expressions in each of the 4 models; building less pairwise took 422
+    assert len(calls) == len(set(calls)) == 32
+
+
 def test_r4_never_contradicts_an_implication(closure):
     for (a, b), judgment in closure.matrix.items():
         if judgment.verdict is Verdict.NOT_IMPLIES and judgment.trace.steps[-1].rule == "R4":
@@ -267,6 +295,34 @@ def test_explain_renders_the_matrix_cell_trace(default_kb):
         settled = [(cell, j) for cell, j in result.matrix.items() if j.verdict is not Verdict.UNKNOWN]
         for (a, b), judgment in settled:
             assert explain(result, a, b) == render_trace(judgment.trace)
+
+
+def test_explain_memo_renders_what_no_memo_renders(default_kb):
+    result = close(default_kb)
+    settled = [(cell, j.trace.steps) for cell, j in result.matrix.items() if j.verdict is not Verdict.UNKNOWN]
+    assert len(settled) == 625
+    for _ in range(2):  # the first pass fills the closure's memo, the second reads it
+        for (a, b), steps in settled:
+            assert explain(result, a, b) == render_steps(steps)
+        # one entry per shared fact or R1 step object, each holding its step
+        texts = result._traces.texts
+        assert len(texts) == 121
+        assert all(texts[id(s)][0] is s for _, steps in settled for s in steps if not s.premises)
+
+
+def test_render_memo_uses_an_entry_only_for_the_step_it_holds(closure):
+    step = closure.matrix[(serial(18), serial(8))].trace.steps[0]
+    assert step.rule == "fact" and not step.premises
+    twin = RuleInstance(*step)  # equal to step, another object
+    assert twin == step and twin is not step
+    memo = {id(step): (twin, "forged")}
+    assert render_steps((step,), memo) == render_steps((step,)) == f"S0 fact [{step.note}]: {step.conclusion.render()}"
+    assert memo[id(step)][0] is step  # the stale entry is replaced by the step rendered
+    # a step that is not an exact RuleInstance is rendered but not kept
+    class Step(RuleInstance):
+        pass
+    memo = {}
+    assert render_steps((Step(*step),), memo) == render_steps((step,)) and memo == {}
 
 
 def test_traces_leave_no_cyclic_garbage(default_kb):

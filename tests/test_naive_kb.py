@@ -1,13 +1,14 @@
 """Differential sweep: the engine's closure against the naive oracle in
 naive_kb.py, on the default KB, on each one-line ablation of it, and on the
-default facts under registries with models left out."""
+default facts under registries with models left out; and R4's less table
+against a pairwise first-model search under those registries."""
 
 import naive_kb
 import pytest
 
 from taukb import engine, formats
-from taukb.core import Verdict
-from taukb.models import ModelRegistry, load_default_registry
+from taukb.core import Verdict, render_expr
+from taukb.models import ModelRegistry, UnknownAtom, eval_expr, load_default_registry
 
 # the fact lines whose removal leaves the closure's statements unchanged
 REDUNDANT = {
@@ -54,3 +55,28 @@ def test_closure_agrees_with_naive_oracle_under_each_registry_ablation(names):
     result = engine.close(kb)
     _agree(kb, result)
     assert engine.replay_all(result, kb) == SETTLED_UNDER[names]
+
+
+def _first_less(x, y, registry):
+    """The first model of registry with x < y, models missing an atom skipped; None if none."""
+    for m in registry:
+        try:
+            if eval_expr(x, m) < eval_expr(y, m):
+                return m.name
+        except UnknownAtom:
+            continue
+    return None
+
+
+@pytest.mark.parametrize("names", [None, *SETTLED_UNDER], ids=lambda names: "default" if names is None
+                         else "+".join(names) or "none")
+def test_less_table_is_consistently_less_on_every_pair(names):
+    registry = load_default_registry()
+    if names is not None:
+        registry = ModelRegistry([m for m in registry if m.name in names])
+    kb = engine.build_knowledge_base(formats.load_default_facts(), registry)
+    exprs = sorted({c.expr for c, _ in kb.facts if c.expr is not None}, key=render_expr)
+    assert len(exprs) == 8
+    want = {(u, l): w for u, x in enumerate(exprs) for l, y in enumerate(exprs)
+            if (w := _first_less(x, y, registry)) is not None}
+    assert registry.less_table(exprs) == want
