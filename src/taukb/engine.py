@@ -65,20 +65,17 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
     errors: list[str] = []
 
     for d in fact_file.decls:
-        if isinstance(d, formats.PropertyDecl):
-            p, taken = d.to_property(), by_serial.get(d.serial)
-            for what, first in ((f"property {p.name}", props.get(p)), (f"serial {d.serial}", taken)):
+        if isinstance(d, (formats.PropertyDecl, formats.VariantDecl)):
+            p = d.to_property()
+            taken = by_serial.get(p.serial)  # a variant's serial is None, never a key
+            for what, first in ((f"property {p.name}", props.get(p)), (f"serial {p.serial}", taken)):
                 if first is not None:
                     errors.append(f"line {d.line}: duplicate {what}, first declared on line {lines[first]}")
             if p in props or taken is not None:
                 continue
-            props[p], by_serial[d.serial], lines[p] = p, p, d.line
-        elif isinstance(d, formats.VariantDecl):
-            p = Property(d.kind, d.source, d.target, d.variant, non=d.non)
-            if p in props:
-                errors.append(f"line {d.line}: duplicate variant {p.name}")
-                continue
             props[p], lines[p] = p, d.line
+            if p.serial is not None:
+                by_serial[p.serial] = p
         elif isinstance(d, formats.IncludeDecl):
             errors.append(f"line {d.line}: include {d.path} is not resolved; read the file with load_facts")
 
@@ -492,4 +489,4 @@ def diff(a: list[list[Verdict]], b: list[list[Verdict]]) -> list[tuple[int, int,
 
 
 # the replay checker's names, which live in taukb.replay: no KB command loads it
-__getattr__ = _forward(globals(), {"replay": "ReplayError replay_trace replay_all _rule_conclusion _step_fault"})
+__getattr__ = _forward(globals(), {"replay": "ReplayError replay_trace replay_all"})

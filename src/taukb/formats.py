@@ -3,7 +3,7 @@
 Everything is line-oriented UTF-8 with '#' comments.  Two formats live
 here: the fact DSL and the judgment-table codec.  The model registry format
 is owned by taukb.models and the family file format by taukb.gamma; the
-problem ledger lives in taukb.ledger, and this module re-exports its names.
+problem ledger lives in taukb.ledger, and this module re-exports some names.
 
 Fact DSL grammar, one declaration per line:
 
@@ -20,8 +20,8 @@ Fact DSL grammar, one declaration per line:
 The cite=, model= and non= options come last on a line, each at most once,
 in any order.  A '#' starts a comment only outside a double-quoted string.
 
-Parse errors are aggregated: every malformed line is reported with line and
-column, not just the first.
+Parse errors are aggregated into one message: every malformed line, with line
+and column, and an included file's errors at its include line.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from .core import (SERIAL_COUNT, CoverKind, CoverVariant, Property, SelectorKind
 
 
 class FactParseError(TaukbError):
-    """Aggregated syntax errors: list of (line, column, message)."""
+    """Aggregated syntax errors: list of (line, column, message), reported on one line."""
 
     def __init__(self, errors: list[tuple[int, int, str]]):
         self.errors = list(errors)
-        super().__init__("\n".join(f"line {l}, col {c}: {m}" for l, c, m in self.errors))
+        super().__init__("; ".join(f"line {l}, col {c}: {m}" for l, c, m in self.errors))
 
 
 class SerialRef(NamedTuple):
@@ -82,6 +82,9 @@ class PropertyDecl(_Decl):
 
 class VariantDecl(_Decl):
     __slots__ = ("kind", "source", "target", "variant", "non")
+
+    def to_property(self) -> Property:
+        return Property(self.kind, self.source, self.target, self.variant, non=self.non)
 
 
 class ArrowDecl(_Decl):
@@ -311,8 +314,9 @@ def _load_facts(path, chain: tuple) -> FactFile:
             raise FactParseError([(d.line, 1, f"include {d.path} forms a cycle")])
         try:
             decls.extend(_load_facts(target, chain + (target.resolve(),)).decls)
-        except OSError as e:
-            raise FactParseError([(d.line, 1, f"include {d.path}: {e.strerror}")]) from None
+        except (OSError, FactParseError) as e:  # reported at this file's include line
+            why = e.strerror if isinstance(e, OSError) else e
+            raise FactParseError([(d.line, 1, f"include {d.path}: {why}")]) from None
     return FactFile(tuple(decls))
 
 
@@ -421,5 +425,4 @@ def load_reference_table() -> ReferenceTable:
 
 
 # the problem ledger's names, which live in taukb.ledger
-__getattr__ = _forward(globals(), {"ledger": "Open Solved PartiallySolved ProblemStatus ProblemEntry PROBLEMS "
-                                             "list_problems problem_status render_problem"})
+__getattr__ = _forward(globals(), {"ledger": "Open Solved PartiallySolved list_problems"})

@@ -19,17 +19,15 @@ from typing import NamedTuple
 
 from . import MalformedExpr, Record, TaukbError
 from .core import CardinalAtom, CardinalExpr, Min, atom, parse_expr, render_expr
-from .formats import bare, data_text, quote, split_line, unquote
+from .formats import FactParseError, bare, data_text, quote, split_line, unquote
 
 
 class UnknownAtom(TaukbError):
     """Expression references an atom the model does not assign."""
 
 
-class ModelParseError(TaukbError):
-    def __init__(self, errors: list[tuple[int, int, str]]):
-        self.errors = errors
-        super().__init__("; ".join(f"line {l}, col {c}: {m}" for l, c, m in errors))
+class ModelParseError(FactParseError):
+    """Aggregated errors of a registry file, reported as a fact file's are."""
 
 
 class Model(Record):

@@ -280,7 +280,7 @@ _REFUSALS = [
     ("--facts", _P0 + 'property 1 "S1(Gamma,Gamma)" non=b\n',
      "fact file does not resolve: line 2: duplicate property S1(Gamma,Gamma), first declared on line 1"),
     ("--facts", "variant S1 T T borel\nvariant S1 T T borel\n",
-     "fact file does not resolve: line 2: duplicate variant S1(T,T)[borel]"),
+     "fact file does not resolve: line 2: duplicate property S1(T,T)[borel], first declared on line 1"),
     ("--facts", _P0 + "arrow 0 S1:T:T:borel\n",
      "fact file does not resolve: line 2: property S1:T:T:borel is not declared"),
     ("--facts", _P0 + "arrow 0 0\n", "fact file does not resolve: line 2: arrow endpoints must be distinct"),
@@ -296,6 +296,11 @@ _REFUSALS = [
     ("--models", 'model m cite "x"\nlevel b\n', "line 2, col 1: expected: level <atom> <integer>"),
     ("--models", 'model m cite "x"\nlevel b x\n', "line 2, col 1: level must be an integer, got 'x'"),
     ("diff", "+" * 22 + "\nframes 40\n" + ("+" * 22 + "\n") * 21, "line 2: bad frame column '40'"),
+    # several bad lines are one error line
+    ("--facts", _P0 + "foo\nbar\n",
+     "line 2, col 1: unknown declaration 'foo'; line 3, col 1: unknown declaration 'bar'"),
+    ("--models", 'model m cite "x"\nlevel b x\nlevel zz 1\n',
+     "line 2, col 1: level must be an integer, got 'x'; line 3, col 7: unknown atom 'zz'"),
 ]
 
 
@@ -309,6 +314,36 @@ def test_refused_input_prints_one_error_line(tmp_path, flag, text, message):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == f"error: {message}\n"
     assert "Traceback" not in result.output
+
+
+# id -> (arguments, the files they name, the one stderr line): a property
+# and a variant line share one duplicate rule, an included file's error is
+# reported at its include line, and a family file's bad lines are one line
+_DUPLICATE = "fact file does not resolve: line 2: duplicate property S1(Gamma,Gamma), first declared on line 1"
+_FILE_REFUSALS = {
+    "property-then-variant": (["--facts", "main.txt", "table"], {"main.txt": _P0 + "variant S1 Gamma Gamma open\n"},
+                              _DUPLICATE),
+    "variant-then-property": (["--facts", "main.txt", "table"], {"main.txt": "variant S1 Gamma Gamma open\n" + _P0},
+                              _DUPLICATE),
+    "bad-line-in-include": (["--facts", "main.txt", "table"],
+                            {"main.txt": "include sub.txt\n", "sub.txt": "\n" * 4 + "bogus line\n"},
+                            "line 1, col 1: include sub.txt: line 5, col 1: unknown declaration 'bogus'"),
+    "include-cycle": (["--facts", "main.txt", "table"],
+                      {"main.txt": "include sub.txt\n", "sub.txt": "# back again\ninclude main.txt\n"},
+                      "line 1, col 1: include sub.txt: line 2, col 1: include main.txt forms a cycle"),
+    "two-bad-family-lines": (["odiag", "fam.txt"], {"fam.txt": "01/1\nbogus\n\n2/1\n"},
+                             "line 2: expected <word>/<tailbit>, got 'bogus'; "
+                             "line 4: row must be a 0/1 word and a 0/1 tail, got '2' and 1"),
+}
+
+
+@pytest.mark.parametrize("args, files, message", _FILE_REFUSALS.values(), ids=_FILE_REFUSALS)
+def test_refused_files_print_one_error_line(tmp_path, args, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, [str(tmp_path / a) if a in files else a for a in args])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}\n"
 
 
 # --- fuzz: generated input files through every command --------------------

@@ -144,10 +144,9 @@ def test_shared_names_are_the_package_objects():
 def test_moved_names_are_the_objects_of_their_new_modules():
     from taukb import engine, formats, ledger, replay
 
-    for name in "ReplayError replay_trace replay_all _rule_conclusion _step_fault".split():
+    for name in "ReplayError replay_trace replay_all".split():
         assert getattr(engine, name) is getattr(replay, name), name
-    for name in ("Open Solved PartiallySolved ProblemStatus ProblemEntry PROBLEMS list_problems problem_status "
-                 "render_problem").split():
+    for name in "Open Solved PartiallySolved list_problems".split():
         assert getattr(formats, name) is getattr(ledger, name), name
     from taukb.engine import replay_all
     from taukb.formats import list_problems

@@ -1,7 +1,10 @@
 """Differential sweep: the engine's closure against the naive oracle in
-naive_kb.py, on the default KB, on each one-line ablation of it, and on the
-default facts under registries with models left out; and R4's less table
-against a pairwise first-model search under those registries."""
+naive_kb.py, on the default KB, on each one-line ablation of it, on seeded
+multi-line ablations with their declarations shuffled, and on the default
+facts under registries with models left out; and R4's less table against a
+pairwise first-model search under those registries."""
+
+import random
 
 import naive_kb
 import pytest
@@ -37,6 +40,25 @@ def test_closure_agrees_with_naive_oracle_on_every_one_line_ablation(default_kb,
                  for d, kb, result in ablations if _agree(kb, result) == default}
     assert len(ablations) == 79
     assert redundant == REDUNDANT
+
+
+def test_closure_agrees_with_naive_oracle_on_seeded_multi_line_ablations():
+    # each variant drops 2-8 arrow, card or nonimp lines and shuffles every declaration
+    rng = random.Random(2025)
+    ff, registry = formats.load_default_facts(), load_default_registry()
+    lines = [k for k, d in enumerate(ff.decls) if isinstance(d, (formats.ArrowDecl, formats.CardDecl,
+                                                                  formats.NonImpDecl))]
+    settled = []
+    for _ in range(40):
+        dropped = set(rng.sample(lines, rng.randint(2, 8)))
+        decls = [d for k, d in enumerate(ff.decls) if k not in dropped]
+        rng.shuffle(decls)
+        kb = engine.build_knowledge_base(formats.FactFile(tuple(decls)), registry)
+        result = engine.close(kb)
+        _agree(kb, result)
+        settled.append(engine.replay_all(result, kb))
+        assert settled[-1] == sum(j.verdict is not Verdict.UNKNOWN for j in result.matrix.values())
+    assert (min(settled), max(settled), len(set(settled))) == (552, 619, 31)
 
 
 # registry -> the settled cells of the default facts under it: no model, one
