@@ -177,7 +177,6 @@ class _Traces:
     def __init__(self, prov: dict, props: tuple, exprs: list):
         self.prov = prov  # stmt -> (rule, premises, note)
         self.props, self.exprs = props, exprs
-        self._claims: dict[tuple, Claim] = {}
         self._orders: dict[tuple, tuple] = {}  # stmt -> the statements its steps conclude
         self._steps: dict[tuple, tuple[RuleInstance, ...]] = {}
         self.texts: dict[int, tuple] = {}  # explain's render_steps memo: {id(step): (step, text)}
@@ -188,11 +187,10 @@ class _Traces:
             rule, premises, note = self.prov[stmt]
             if premises:
                 steps, order = self.steps(premises[0]), self._order(stmt)
-                pos = dict(zip(order, range(len(order))))  # each listed statement's position
-                for s in order[len(steps):]:
+                for s in order[len(steps):]:  # a fresh step finds its premises' positions in order
                     rule, premises, note = self.prov[s]
-                    steps += (RuleInstance(rule, (pos[premises[0]], pos[premises[1]]), self._claim(s), note)
-                              if premises else (self._steps.get(s) or self.steps(s))[0],)
+                    steps += (RuleInstance(rule, (order.index(premises[0]), order.index(premises[1])),
+                                           self._claim(s), note) if premises else self.steps(s)[0],)
             else:
                 steps = (RuleInstance(rule, (), self._claim(stmt), note),)
             self._steps[stmt] = steps
@@ -208,12 +206,9 @@ class _Traces:
         return order
 
     def _claim(self, stmt: tuple) -> Claim:
-        c = self._claims.get(stmt)
-        if c is None:
-            kind, i, x = stmt
-            c = self._claims[stmt] = (Claim(kind, self.props[i], self.props[x]) if kind in _EDGE_KINDS
-                                      else Claim(kind, self.props[i], expr=self.exprs[x]))
-        return c
+        kind, i, x = stmt
+        return (Claim(kind, self.props[i], self.props[x]) if kind in _EDGE_KINDS
+                else Claim(kind, self.props[i], expr=self.exprs[x]))
 
 
 class _BuiltOnRead:
