@@ -1,12 +1,23 @@
+import itertools
+
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 import hypothesis.strategies as st
 
-from taukb.core import Atom, CardinalAtom, Min, atom, parse_expr
+from taukb import TaukbError
+from taukb.cli import main
+from taukb.core import Atom, CardinalAtom, Min, atom, parse_expr, render_expr
+from taukb.engine import build_knowledge_base, close
+from taukb.formats import data_text, load_default_facts
 from taukb.models import (
+    ZFC_ORDER,
     Model,
     ModelParseError,
+    ModelRegistry,
     UnknownAtom,
+    ZfcConstraint,
+    atom_order,
     eval_expr,
     load_default_registry,
     parse_models,
@@ -150,3 +161,67 @@ def test_validate_flags_s_above_d():
     m = Model("bad", {CardinalAtom.ALEPH1: 1, CardinalAtom.D: 1, CardinalAtom.S: 2,
                            CardinalAtom.C: 2}, "test")
     assert any("s <= d" in v for v in validate_model(m))
+
+
+def test_zfc_order_splits_min_constraints_and_closes_transitively():
+    assert len(ZFC_ORDER) == 43
+    derived = [f"{x} <= {y}" for (x, y), con in ZFC_ORDER.items() if con is None]
+    assert len(derived) == 11 and "t <= b" in derived and "p <= od" in derived
+    h, b, s = atom("h"), atom("b"), atom("s")
+    assert ZFC_ORDER[(h, b)] is ZFC_ORDER[(h, s)] and render_expr(ZFC_ORDER[(h, s)].rhs) == "min{b,s}"
+
+
+@pytest.mark.parametrize("rhs", ["max{b,s}", "min{b,max{s,d}}"])
+def test_atom_order_refuses_a_constraint_of_another_form(rhs):
+    with pytest.raises(TaukbError, match="is not of the form x <= y or x <= min"):
+        atom_order([ZfcConstraint(atom("h"), parse_expr(rhs), "test")])
+
+
+def _model(levels: str) -> Model:
+    return Model("bad", {atom(a): int(v) for a, v in (pair.split() for pair in levels.split(","))}, "test")
+
+
+@pytest.mark.parametrize("levels, message", [
+    # t <= h <= min{s,b}: a model that leaves out h may not put t above b
+    ("aleph1 1, t 2, b 1, c 2", "violates t <= b, which follows from the constraint list"),
+    # one half of a min constraint is checked though the model leaves out the other atom
+    ("aleph1 1, h 2, s 1, c 2", "violates h <= min{b,s} (Balcar-Pelant-Simon; Handbook of Set Theory survey)"),
+])
+def test_validate_checks_every_pair_of_the_derived_order_the_model_assigns(levels, message):
+    assert validate_model(_model(levels)) == [message]
+
+
+def test_validate_names_a_violated_min_constraint_once():
+    assert validate_model(_model("aleph1 1, h 2, s 1, b 1, c 2")) == [
+        "violates h <= min{b,s} (Balcar-Pelant-Simon; Handbook of Set Theory survey)"]
+
+
+def test_registry_with_a_derived_violation_exits_2(tmp_path):
+    path = tmp_path / "bad.models"
+    path.write_text(data_text("models.txt") + '\nmodel bad cite "x"\nlevel aleph1 1\nlevel t 2\nlevel b 1\nlevel c 2\n',
+                    encoding="utf-8")
+    result = CliRunner().invoke(main, ["--models", str(path), "table"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == ("error: registry failed validation: bad: "
+                             "violates t <= b, which follows from the constraint list\n")
+
+
+def test_two_level_census_bounds_what_any_valid_registry_settles():
+    # Any valid model separating u < l thresholds to a valid two-level model
+    # that still does, so these models bound what every valid registry settles
+    others = [a for a in CardinalAtom if a is not CardinalAtom.ALEPH1]
+    two_level = []
+    for k, levels in enumerate(itertools.product((1, 2), repeat=len(others))):
+        m = Model(f"two{k}", {CardinalAtom.ALEPH1: 1, **dict(zip(others, levels))}, "two-level")
+        if 2 in levels and not validate_model(m):
+            two_level.append(m)
+    assert len(two_level) == 70
+    default, facts = load_default_registry(), load_default_facts()
+
+    def changed(extra):
+        grids = [close(build_knowledge_base(facts, ModelRegistry([*default, *ms]))).serial_grid() for ms in ((), extra)]
+        return [(i, j) for i, row in enumerate(grids[0]) for j, v in enumerate(row) if grids[1][i][j] is not v]
+
+    assert changed(two_level) == [(6, 10), (6, 11), (7, 11)]  # each needs cov(M) < od
+    rest = [m for m in two_level if m.levels[CardinalAtom.COV_M] >= m.levels[CardinalAtom.OD]]
+    assert len(rest) == 50 and changed(rest) == []
