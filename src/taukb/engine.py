@@ -60,9 +60,15 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
     """
     props: dict[Property, Property] = {}
     by_serial: dict[int, Property] = {}
-    lines: dict[Property, int] = {}  # each declared property's line
+    places: dict[Property, str] = {}  # each declared property's place
     models = {m.name for m in registry}
     errors: list[str] = []
+
+    def place(d: formats.Decl) -> str:  # where d was read, as an error names it
+        return f"line {d.line}" if d.origin is None else f"include {d.origin}: line {d.line}"
+
+    def cite(d: formats.Decl) -> str:  # d's citation, by default the file and line it was read from
+        return d.cite or f"{d.origin or 'facts'}:{d.line}"
 
     for d in fact_file.decls:
         if isinstance(d, (formats.PropertyDecl, formats.VariantDecl)):
@@ -70,52 +76,52 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
             taken = by_serial.get(p.serial)  # a variant's serial is None, never a key
             for what, first in ((f"property {p.name}", props.get(p)), (f"serial {p.serial}", taken)):
                 if first is not None:
-                    errors.append(f"line {d.line}: duplicate {what}, first declared on line {lines[first]}")
+                    errors.append(f"{place(d)}: duplicate {what}, first declared on {places[first]}")
             if p in props or taken is not None:
                 continue
-            props[p], lines[p] = p, d.line
+            props[p], places[p] = p, place(d)
             if p.serial is not None:
                 by_serial[p.serial] = p
         elif isinstance(d, formats.IncludeDecl):
-            errors.append(f"line {d.line}: include {d.path} is not resolved; read the file with load_facts")
+            errors.append(f"{place(d)}: include {d.path} is not resolved; read the file with load_facts")
 
-    def resolve(ref: formats.Ref, line: int) -> Property | None:
+    def resolve(ref: formats.Ref, d: formats.Decl) -> Property | None:
         if isinstance(ref, formats.SerialRef):
             p = by_serial.get(ref.serial)
             if p is None:
-                errors.append(f"line {line}: serial {ref.serial} is not declared")
+                errors.append(f"{place(d)}: serial {ref.serial} is not declared")
             return p
         p = props.get(ref)
         if p is None:
-            errors.append(f"line {line}: property {formats.render_ref(ref)} is not declared")
+            errors.append(f"{place(d)}: property {formats.render_ref(ref)} is not declared")
         return p
 
     facts: list[tuple[Claim, str]] = []
     for d in fact_file.decls:
         if isinstance(d, formats.ArrowDecl):
-            src, dst = resolve(d.src, d.line), resolve(d.dst, d.line)
+            src, dst = resolve(d.src, d), resolve(d.dst, d)
             if src is None or dst is None:
                 continue
             if src == dst:
-                errors.append(f"line {d.line}: arrow endpoints must be distinct")
+                errors.append(f"{place(d)}: arrow endpoints must be distinct")
                 continue
-            facts.append((Claim("implies", src, dst), d.cite or f"facts:{d.line}"))
+            facts.append((Claim("implies", src, dst), cite(d)))
         elif isinstance(d, formats.NonImpDecl):
-            src, dst = resolve(d.src, d.line), resolve(d.dst, d.line)
+            src, dst = resolve(d.src, d), resolve(d.dst, d)
             if src is None or dst is None:
                 continue
             if d.model is not None and d.model not in models:
-                errors.append(f"line {d.line}: model {d.model} is not registered")
+                errors.append(f"{place(d)}: model {d.model} is not registered")
                 continue
             witness = d.model if d.model is not None else d.cite
             facts.append((Claim("notimplies", src, dst), f"{d.cite or f'model {d.model}'} [{witness}]"))
         elif isinstance(d, formats.CardDecl):
-            p = resolve(d.ref, d.line)
+            p = resolve(d.ref, d)
             if p is None:
                 continue
             expr = normalize_expr(d.expr)
             kinds = {"eq": ("lower", "upper"), "ge": ("lower",), "le": ("upper",)}[d.rel]
-            facts += [(Claim(k, p, expr=expr), d.cite or f"facts:{d.line}") for k in kinds]
+            facts += [(Claim(k, p, expr=expr), cite(d)) for k in kinds]
     if errors:
         raise TaukbError("fact file does not resolve: " + "; ".join(errors))
     ordered = tuple(sorted(props.values(), key=lambda p: p.key))

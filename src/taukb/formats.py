@@ -61,16 +61,19 @@ def render_ref(ref: Ref) -> str:
 
 
 class _Decl(Record):
-    """A declaration, and the line it was read from (0 if it was not read).
-    The line is a slot of this base, so it stays out of equality and hash."""
+    """A declaration, the line it was read from (0 if it was not read) and
+    the include path, as written, of the file that line is in (None for the
+    file load_facts was given).  Both are slots of this base, so they stay
+    out of equality and hash."""
 
-    __slots__ = ("line",)
+    __slots__ = ("line", "origin")
 
     def __init__(self, *values, line: int = 0):
         if len(values) > len(self.__slots__):  # the line given last, by position
             *values, line = values
         super().__init__(*values)
         object.__setattr__(self, "line", line)
+        object.__setattr__(self, "origin", None)
 
 
 class PropertyDecl(_Decl):
@@ -301,19 +304,21 @@ def load_facts(path) -> FactFile:
     return _load_facts(path, (path.resolve(),))
 
 
-def _load_facts(path, chain: tuple) -> FactFile:
-    # chain: the resolved paths of the files being read, to refuse include cycles
+def _load_facts(path, chain: tuple, origin: str | None = None) -> FactFile:
+    # chain: the resolved paths of the files being read, to refuse include
+    # cycles; origin: the include path that names this file, as written
     ff = parse_facts(read_text(path))
     decls: list[Decl] = []
     for d in ff.decls:
         if not isinstance(d, IncludeDecl):
+            object.__setattr__(d, "origin", origin)  # d is fresh from the parse, seen by no one else
             decls.append(d)
             continue
         target = path.parent / d.path
         if target.resolve() in chain:
             raise FactParseError([(d.line, 1, f"include {d.path} forms a cycle")])
         try:
-            decls.extend(_load_facts(target, chain + (target.resolve(),)).decls)
+            decls.extend(_load_facts(target, chain + (target.resolve(),), d.path).decls)
         except (OSError, FactParseError) as e:  # reported at this file's include line
             why = e.strerror if isinstance(e, OSError) else e
             raise FactParseError([(d.line, 1, f"include {d.path}: {why}")]) from None

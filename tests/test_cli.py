@@ -50,6 +50,15 @@ def test_card_outputs(runner):
     assert invoke(runner, "card", "10").output == "non(S1(Omega,Omega)) = cov(M)\n"
 
 
+def test_explain_cites_a_fact_read_from_an_include_by_its_file(tmp_path, runner):
+    base = formats.data_text("base_facts.txt").replace("arrow 18 19\n", "", 1)
+    (tmp_path / "main.txt").write_text(base + "include sub.txt\n", encoding="utf-8")
+    (tmp_path / "sub.txt").write_text("# moved here\n\narrow 18 19\n", encoding="utf-8")
+    result = invoke(runner, "--facts", str(tmp_path / "main.txt"), "explain", "18", "19")
+    assert result.exit_code == 0, result.output
+    assert result.output == "S0 fact [sub.txt:3]: Ufin(Gamma,Gamma) -> Ufin(Gamma,T)\n"
+
+
 def test_explain_mentions_witness_model(runner):
     result = invoke(runner, "explain", "18", "8")
     assert result.exit_code == 0
@@ -328,6 +337,11 @@ _FILE_REFUSALS = {
     "bad-line-in-include": (["--facts", "main.txt", "table"],
                             {"main.txt": "include sub.txt\n", "sub.txt": "\n" * 4 + "bogus line\n"},
                             "line 1, col 1: include sub.txt: line 5, col 1: unknown declaration 'bogus'"),
+    "duplicate-in-include": (["--facts", "main.txt", "table"],
+                             {"main.txt": 'property 0 "S1(Gamma,Gamma)"\ninclude inc.txt\n',
+                              "inc.txt": '# a comment\nproperty 0 "S1(Gamma,T)"\n'},
+                             "fact file does not resolve: include inc.txt: line 2: duplicate serial 0, "
+                             "first declared on line 1"),
     "include-cycle": (["--facts", "main.txt", "table"],
                       {"main.txt": "include sub.txt\n", "sub.txt": "# back again\ninclude main.txt\n"},
                       "line 1, col 1: include sub.txt: line 2, col 1: include main.txt forms a cycle"),

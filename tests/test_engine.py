@@ -756,3 +756,17 @@ def test_replay_checks_citations_and_notes(default_kb, closure, case):
     forged = ProofTrace((*head, step._replace(note=step.note + " (forged)")))
     with pytest.raises(engine.ReplayError):
         engine.replay_trace(forged, default_kb)
+
+
+def test_a_fact_read_from_an_include_cites_its_file_and_replays_only_so(tmp_path):
+    base = formats.data_text("base_facts.txt").splitlines()
+    assert base[43] == "arrow 18 19"
+    (tmp_path / "main.txt").write_text("\n".join(base[:43] + base[44:] + ["include sub.txt"]) + "\n", encoding="utf-8")
+    (tmp_path / "sub.txt").write_text("# moved here\n\narrow 18 19\n", encoding="utf-8")
+    kb = build_knowledge_base(formats.load_facts(tmp_path / "main.txt"), models.load_default_registry())
+    result = close(kb)
+    assert explain(result, serial(18), serial(19)) == "S0 fact [sub.txt:3]: Ufin(Gamma,Gamma) -> Ufin(Gamma,T)"
+    steps = query(result, serial(18), serial(19)).trace.steps
+    engine.replay_trace(ProofTrace(steps), kb)
+    with pytest.raises(engine.ReplayError, match="no matching base fact"):  # line 3 of main.txt is a comment
+        engine.replay_trace(ProofTrace((steps[0]._replace(note="facts:3"),)), kb)
