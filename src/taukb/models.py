@@ -98,16 +98,17 @@ def atom_order(constraints: list[ZfcConstraint]) -> dict[tuple[CardinalAtom, Car
             raise TaukbError(f"constraint {con.render()} is not of the form x <= y or x <= min{{y,z}}")
         for y in uppers:
             order.setdefault((con.lhs, y), con)
-    for k in CardinalAtom:  # Warshall's transitive closure
-        for x in CardinalAtom:
-            for y in CardinalAtom:
-                if (x, k) in order and (k, y) in order and x is not y:
-                    order.setdefault((x, y), None)
+    atoms = list(CardinalAtom)
+    for k in atoms:  # Warshall's transitive closure
+        for x in atoms:
+            if (x, k) in order:
+                for y in atoms:
+                    if (k, y) in order and x is not y:
+                        order.setdefault((x, y), None)
     return order
 
 
-DEFAULT_CONSTRAINTS = constraint_list()
-ZFC_ORDER = atom_order(DEFAULT_CONSTRAINTS)  # the order every registered model must respect
+ZFC_ORDER = atom_order(constraint_list())  # the order every registered model must respect
 
 
 def validate_model(model: Model) -> list[str]:
