@@ -8,6 +8,7 @@ at import, so the records are tuples or plain classes, and the census below
 checks that no command path defines one.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -155,3 +156,22 @@ def test_moved_names_are_the_objects_of_their_new_modules():
     for module in (engine, formats):
         with pytest.raises(AttributeError):
             module.no_such_name
+
+
+def _imports(path: Path) -> list[tuple[str, tuple]]:
+    """(module, names) for each import statement of a file; names is () for a plain import."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out += [(a.name, ()) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append(("." * node.level + (node.module or ""), tuple(a.name for a in node.names)))
+    return out
+
+
+def test_the_test_oracles_stay_independent_of_the_package():
+    # the naive oracles check the package, so they may share only the atom and min types with it
+    here = Path(__file__).parent
+    assert not [m for m, _ in _imports(here / "naive.py") if m.split(".")[0] in ("taukb", "")]
+    ours = [(m, names) for m, names in _imports(here / "naive_kb.py") if m.split(".")[0] in ("taukb", "")]
+    assert ours == [("taukb.core", ("CardinalAtom", "Min"))]
