@@ -46,7 +46,9 @@ class KnowledgeBase:
         self.properties: tuple[Property, ...] = properties
         self.facts: tuple[tuple[Claim, str], ...] = facts  # (claim, citation) per base fact
         self.registry: ModelRegistry = registry
-        self._facts = frozenset(facts)  # replay checks fact steps against it
+        self._facts: dict[Claim, set[str]] = {}  # each claim's citations: close() cites the least, replay any
+        for c, cite in facts:
+            self._facts.setdefault(c, set()).add(cite)
         self._index = {p: i for i, p in enumerate(properties)}  # and R1 steps; close() numbers properties by it
 
 
@@ -303,15 +305,10 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     Raises Contradiction if any ordered pair derives both verdicts; no
     partial result is produced in that case.
     """
-    # a claim stated by several facts carries the least of their citations,
-    # whatever the order of the facts
-    base: dict[Claim, str] = {}
-    for c, cite in kb.facts:
-        base[c] = min(cite, base.get(c, cite))
     props = kb.properties
     n, index = len(props), kb._index
     # the closure moves and marks only the expressions the base facts name
-    exprs = sorted({c.expr for c in base if c.expr is not None}, key=render_expr)
+    exprs = sorted({c.expr for c in kb._facts if c.expr is not None}, key=render_expr)
     eindex = {e: k for k, e in enumerate(exprs)}
     # (u, l) -> first registered model with u < l: R4's premise and the
     # interval guard's refutation; above[u] has bit l set for each such l
@@ -336,7 +333,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
                 under[l] |= 1 << i
         prov[stmt] = derivation
 
-    for c, cite in base.items():
+    for c, cites in kb._facts.items():  # a claim stated twice carries its least citation, whatever the order
         if c.kind not in rows:
             raise TaukbError(f"fact has unknown claim kind {c.kind!r}")
         try:
@@ -344,14 +341,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             stmt = (c.kind, index[c.subject], x)
         except KeyError:
             raise UnknownProperty(f"fact names an unregistered property: {c.render()}") from None
-        install(stmt, ("fact", (), cite))
-
-    def check_contradiction() -> None:
-        for i in range(n):
-            if both := imp[i] & non[i]:
-                j = _bits(both)[0]
-                raise Contradiction(props[i], props[j], ProofTrace(traces.steps(("implies", i, j))),
-                                    ProofTrace(traces.steps(("notimplies", i, j))))
+        install(stmt, ("fact", (), min(cites)))
 
     def witness(i: int, j: int) -> tuple[int, int]:
         # the least (u, l) in rendered order, u an upper bound of non(i) and l
@@ -361,10 +351,14 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             if hit := above[u] & low[j]:
                 return u, _bits(hit)[0]
 
-    check_contradiction()
     iterations = 0
     max_rounds = n * n + 2
     while True:
+        for i in range(n):  # each round starts from a state with no pair judged both ways
+            if both := imp[i] & non[i]:
+                j = _bits(both)[0]
+                raise Contradiction(props[i], props[j], ProofTrace(traces.steps(("implies", i, j))),
+                                    ProofTrace(traces.steps(("notimplies", i, j))))
         iterations += 1
         if iterations > max_rounds:
             raise TaukbError(f"fixpoint did not settle within {max_rounds} rounds")
@@ -431,7 +425,6 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             break
         for stmt, derivation in new.items():
             install(stmt, derivation)
-        check_contradiction()
 
     # soundness guard: no model may put an upper bound of non(P) strictly
     # below a lower bound of it

@@ -25,8 +25,8 @@ def replay_trace(trace: ProofTrace, kb: KnowledgeBase) -> None:
     """Re-check every step of a trace against the rule definitions.
 
     Raises ReplayError on the first step that is malformed, is not a base fact
-    of kb with its citation, or does not conclude exactly what its rule draws
-    from its premises, with a note only on an R4 step.
+    of kb with a citation kb states for it, or does not conclude exactly what
+    its rule draws from its premises, with a note only on an R4 step.
     """
     steps = trace.steps
     if type(steps) is not tuple:
@@ -102,7 +102,7 @@ def _step_fault(step: RuleInstance, concluded: list[Claim], kb: KnowledgeBase, w
         premises.append(concluded[p])
     rule, note = step.rule, step.note
     if rule == "fact" and not premises:
-        return None if (c, note) in kb._facts else "no matching base fact in the knowledge base"
+        return None if note in kb._facts.get(c, frozenset()) else "no matching base fact in the knowledge base"
     if c != _rule_conclusion(rule, c, premises):
         return f"does not match {rule}"
     if rule == "R1" and c.subject not in kb._index:
