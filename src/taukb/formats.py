@@ -26,6 +26,7 @@ and column, and an included file's errors at its include line.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -306,7 +307,7 @@ def load_facts(path) -> FactFile:
 
 def _load_facts(path, chain: tuple, origin: str | None = None) -> FactFile:
     # chain: the resolved paths of the files being read, to refuse include
-    # cycles; origin: the include path that names this file, as written
+    # cycles; origin: its include path as written, on its includer's directory
     ff = parse_facts(read_text(path))
     decls: list[Decl] = []
     for d in ff.decls:
@@ -318,7 +319,8 @@ def _load_facts(path, chain: tuple, origin: str | None = None) -> FactFile:
         if target.resolve() in chain:
             raise FactParseError([(d.line, 1, f"include {d.path} forms a cycle")])
         try:
-            decls.extend(_load_facts(target, chain + (target.resolve(),), d.path).decls)
+            decls.extend(_load_facts(target, chain + (target.resolve(),),
+                                     os.path.join(os.path.dirname(origin or ""), d.path)).decls)
         except (OSError, FactParseError) as e:  # reported at this file's include line
             why = e.strerror if isinstance(e, OSError) else e
             raise FactParseError([(d.line, 1, f"include {d.path}: {why}")]) from None

@@ -59,6 +59,40 @@ def test_explain_cites_a_fact_read_from_an_include_by_its_file(tmp_path, runner)
     assert result.output == "S0 fact [sub.txt:3]: Ufin(Gamma,Gamma) -> Ufin(Gamma,T)\n"
 
 
+def test_nested_includes_cite_each_file_by_its_path_from_the_top_file(tmp_path, runner):
+    # a/inc.txt's "include sub.txt" names a/sub.txt; main.txt's names sub.txt
+    base = formats.data_text("base_facts.txt").replace("arrow 18 19\n", "", 1).replace("arrow 0 1\n", "", 1)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "main.txt").write_text(base + "include a/inc.txt\ninclude sub.txt\n", encoding="utf-8")
+    (tmp_path / "a" / "inc.txt").write_text("include sub.txt\n", encoding="utf-8")
+    (tmp_path / "a" / "sub.txt").write_text("arrow 18 19\n", encoding="utf-8")
+    (tmp_path / "sub.txt").write_text("arrow 0 1\n", encoding="utf-8")
+    for cell, line in ((("18", "19"), "S0 fact [a/sub.txt:1]: Ufin(Gamma,Gamma) -> Ufin(Gamma,T)\n"),
+                       (("0", "1"), "S0 fact [sub.txt:1]: S1(Gamma,Gamma) -> S1(Gamma,T)\n")):
+        result = invoke(runner, "--facts", str(tmp_path / "main.txt"), "explain", *cell)
+        assert result.exit_code == 0, result.output
+        assert result.output == line
+
+
+def test_nested_include_error_names_the_file_by_its_path_from_the_top_file(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "main.txt").write_text('property 0 "S1(Gamma,Gamma)"\ninclude a/dupinc.txt\n', encoding="utf-8")
+    (tmp_path / "a" / "dupinc.txt").write_text("include sub2.txt\n", encoding="utf-8")
+    (tmp_path / "a" / "sub2.txt").write_text('# a comment\nproperty 0 "S1(Gamma,T)"\n', encoding="utf-8")
+    result = CliRunner().invoke(main, ["--facts", str(tmp_path / "main.txt"), "table"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == ("error: fact file does not resolve: include a/sub2.txt: line 2: duplicate serial 0, "
+                             "first declared on line 1\n")
+
+
+def test_card_line_with_a_missing_operand_exits_2(tmp_path, runner):
+    path = tmp_path / "facts.txt"
+    path.write_text(formats.data_text("base_facts.txt") + "card 0 eq min{,b}\n", encoding="utf-8")
+    result = invoke(runner, "--facts", str(path), "table")
+    assert result.exit_code == 2, result.output
+    assert "expected expression at ',b}'" in result.stderr
+
+
 def test_explain_mentions_witness_model(runner):
     result = invoke(runner, "explain", "18", "8")
     assert result.exit_code == 0

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -14,6 +16,7 @@ from taukb.core import (
     Min,
     Property,
     SelectorKind,
+    TaukbError,
     UnknownSerial,
     atom,
     normalize_expr,
@@ -86,6 +89,26 @@ def test_parse_expr_rejects_garbage():
         parse_expr("min{b}")
     with pytest.raises(MalformedExpr):
         parse_expr("frobnicate")
+
+
+@pytest.mark.parametrize("text, rest", [("", ""), ("min{,b}", ",b}"), ("min{b,}", "}"), ("max{}", "}")])
+def test_parse_expr_refuses_a_missing_operand(text, rest):
+    with pytest.raises(MalformedExpr, match=re.escape(f"expected expression at {rest!r}")):
+        parse_expr(text)
+
+
+def test_figure_properties_refuse_embedded_facts_that_lack_a_serial(monkeypatch):
+    from taukb import core, formats
+
+    base = formats.data_text("base_facts.txt")
+    core._figure_properties.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(formats, "data_text", lambda name: base.replace('property 5 "S1(T,T)" non=t\n', "", 1))
+            with pytest.raises(TaukbError, match="embedded facts must declare each serial 0..21 once"):
+                core._figure_properties()
+    finally:
+        core._figure_properties.cache_clear()  # no other test sees the bad cache
 
 
 def test_property_by_serial_8():

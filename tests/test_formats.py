@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from taukb import formats
 from taukb.core import (CardinalAtom, CoverKind, CoverVariant, Property, SelectorKind, TaukbError, Verdict,
                         parse_expr)
 from taukb.formats import (
@@ -11,6 +12,7 @@ from taukb.formats import (
     BadShape,
     BadSymbol,
     CardDecl,
+    CorruptReferenceData,
     FactParseError,
     IncludeDecl,
     NonImpDecl,
@@ -226,6 +228,16 @@ def test_render_table_requires_22x22():
         render_table([[Verdict.UNKNOWN] * 3] * 3)
 
 
+def test_render_decl_refuses_a_model_name_that_does_not_read_back():
+    with pytest.raises(TaukbError, match=re.escape("""model name 'a"b' cannot be written: it does not read back""")):
+        render_decl(NonImpDecl(SerialRef(0), SerialRef(1), 'a"b', None, 1))
+
+
+def test_render_decl_refuses_a_non_declaration():
+    with pytest.raises(TypeError, match="not a declaration"):
+        render_decl(object())
+
+
 # --- embedded reference ----------------------------------------------------------
 
 
@@ -235,6 +247,24 @@ def test_reference_table_invariants():
     assert sum(row.count(Verdict.UNKNOWN) for row in ref.grid) == 55
     assert len(ref.frames) == 21
     assert all(ref.grid[r][c] is Verdict.NOT_IMPLIES for r, c in ref.frames)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: "-" + row[1:], "diagonal cell (0,0) is not Implies"),
+    (lambda row: row.replace("?", "+", 1), "expected 55 Unknown cells, found 54"),
+    (lambda row: row.replace("\nframes 5 6 7 14\n", "\nframes 5 6 7\n", 1), "expected 21 framed cells, found 20"),
+    (lambda row: row.replace("\nframes 5 6 7 14\n", "\nframes 0 5 6 7\n", 1), "framed cell (0,0) is not NotImplies"),
+], ids=["diagonal", "unknown-count", "frame-count", "frame-on-implies"])
+def test_reference_table_refuses_corrupt_data(monkeypatch, edit, message):
+    text = data_text("table1.txt")
+    lines = text.splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    # the first grid row and its frames line, edited as one piece
+    edited = "".join(lines[:k] + [edit(lines[k] + lines[k + 1])] + lines[k + 2:])
+    assert edited != text
+    monkeypatch.setattr(formats, "data_text", lambda name: edited)
+    with pytest.raises(CorruptReferenceData, match=re.escape(message)):
+        load_reference_table()
 
 
 def test_reference_spot_cells():

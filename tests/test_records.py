@@ -122,6 +122,11 @@ def test_fields_cannot_be_assigned(record, field):
     assert getattr(record, field) == before
 
 
+def test_a_record_refuses_the_wrong_number_of_fields():
+    with pytest.raises(TypeError, match="Model takes 3 fields, got 2"):
+        models.Model("m", {})
+
+
 def test_lazy_trace_equals_the_plain_trace_with_its_steps():
     lazy = _LazyTrace(lambda stmt: (_STEP,), ("implies", 0, 1))
     plain = ProofTrace((_STEP,))

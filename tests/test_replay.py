@@ -4,10 +4,11 @@ trace it is given.  These tests pin those counts, and show that no skipped
 check lets a forged step through."""
 
 import copy
+import random
 
 import pytest
 
-from taukb import replay
+from taukb import engine, replay
 from taukb.core import Judgment, ProofTrace, RuleInstance, Verdict
 from taukb.engine import ReplayError, replay_all, replay_trace
 
@@ -28,6 +29,24 @@ def _with_cells(closure, cells):
     tampered = copy.copy(closure)
     tampered.matrix = {**closure.matrix, **cells}
     return tampered
+
+
+def test_a_claim_stated_twice_is_cited_by_its_least_citation_and_replays_with_either(default_kb):
+    claim, cite = next((c, cite) for c, cite in default_kb.facts if c.kind == "implies")
+    twice = [(claim, "aaa-stated")] + list(default_kb.facts)
+    orders = [twice, twice[::-1]] + [random.Random(seed).sample(twice, len(twice)) for seed in range(3)]
+    for facts in orders:
+        kb = engine.KnowledgeBase(default_kb.properties, tuple(facts), default_kb.registry)
+        result = engine.close(kb)
+        notes = {step.note for _, j in _settled(result) for step in j.trace.steps
+                 if step.rule == "fact" and step.conclusion == claim}
+        assert notes == {"aaa-stated"}
+        cell = result.matrix[(claim.subject, claim.object)]
+        assert cell.trace.steps == (RuleInstance("fact", (), claim, "aaa-stated"),)
+        assert replay_all(result, kb) == 625
+    replay_trace(ProofTrace((RuleInstance("fact", (), claim, cite),)), kb)  # the other stated citation
+    with pytest.raises(ReplayError, match="no matching base fact"):
+        replay_trace(ProofTrace((RuleInstance("fact", (), claim, "zzz-unstated"),)), kb)
 
 
 def test_replay_all_checks_each_shared_step_and_witness_once_per_call(default_kb, closure, monkeypatch):
