@@ -250,10 +250,11 @@ def test_reference_table_invariants():
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda row: "-" + row[1:], "diagonal cell (0,0) is not Implies"),
-    (lambda row: row.replace("?", "+", 1), "expected 55 Unknown cells, found 54"),
-    (lambda row: row.replace("\nframes 5 6 7 14\n", "\nframes 5 6 7\n", 1), "expected 21 framed cells, found 20"),
-    (lambda row: row.replace("\nframes 5 6 7 14\n", "\nframes 0 5 6 7\n", 1), "framed cell (0,0) is not NotImplies"),
+    (lambda piece: "-" + piece[1:], "diagonal cell (0,0) is not Implies"),
+    (lambda piece: piece.replace("?", "+", 1), "expected 55 Unknown cells, found 54"),
+    (lambda piece: piece.replace("\nframes 5 6 7 14\n", "\nframes 5 6 7\n", 1), "expected 21 framed cells, found 20"),
+    (lambda piece: piece.replace("\nframes 5 6 7 14\n", "\nframes 0 5 6 7\n", 1),
+     "framed cell (0,0) is not NotImplies"),
 ], ids=["diagonal", "unknown-count", "frame-count", "frame-on-implies"])
 def test_reference_table_refuses_corrupt_data(monkeypatch, edit, message):
     text = data_text("table1.txt")
