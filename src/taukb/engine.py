@@ -173,45 +173,40 @@ class _Traces:
     """The proof traces of one closure, built from its provenance on demand.
 
     A statement's trace lists, in DFS postorder, the statements its proof
-    uses: its first premise's order, then each further premise's order minus
+    uses: its first premise's order, then its second premise's order minus
     what is already listed, then the statement itself.  Every listed set is
     closed under premises, so this is the order of one DFS from the
     statement, and the first premise's steps are a prefix of its steps.
-    Each trace is built at most once, as that prefix plus fresh steps for
-    the rest.  A fact or R1 step names no position, so it is built once per
-    statement and shared.
+    Each statement's order and steps are built together, at most once, from
+    its premises' entries: that prefix plus fresh steps.  A fact or R1 step
+    names no position, so it is built once per statement and shared.
     """
 
     def __init__(self, prov: dict, props: tuple, exprs: list):
         self.prov = prov  # stmt -> (rule, premises, note)
         self.props, self.exprs = props, exprs
-        self._orders: dict[tuple, tuple] = {}  # stmt -> the statements its steps conclude
-        self._steps: dict[tuple, tuple[RuleInstance, ...]] = {}
+        self._memo: dict[tuple, tuple] = {}  # stmt -> (the statements its steps conclude, its steps)
         self.texts: dict[int, tuple] = {}  # explain's render_steps memo: {id(step): (step, text)}
 
     def steps(self, stmt: tuple) -> tuple[RuleInstance, ...]:
-        steps = self._steps.get(stmt)
-        if steps is None:
-            rule, premises, note = self.prov[stmt]
+        return self._trace(stmt)[1]
+
+    def _trace(self, stmt: tuple) -> tuple[tuple, tuple[RuleInstance, ...]]:
+        """stmt's DFS postorder, the statements its steps conclude in step order, and its steps."""
+        entry = self._memo.get(stmt)
+        if entry is None:
+            rule, premises, note = self.prov[stmt]  # none or, for a derived statement, two premises
             if premises:
-                steps, order = self.steps(premises[0]), self._order(stmt)
+                (order, steps), (later, _) = self._trace(premises[0]), self._trace(premises[1])
+                order = tuple(dict.fromkeys(order + later + (stmt,)))  # a listed statement keeps its place
                 for s in order[len(steps):]:  # a fresh step finds its premises' positions in order
                     rule, premises, note = self.prov[s]
                     steps += (RuleInstance(rule, (order.index(premises[0]), order.index(premises[1])),
                                            self._claim(s), note) if premises else self.steps(s)[0],)
             else:
-                steps = (RuleInstance(rule, (), self._claim(stmt), note),)
-            self._steps[stmt] = steps
-        return steps
-
-    def _order(self, stmt: tuple) -> tuple:
-        """stmt's DFS postorder: the statements its steps conclude, in step order."""
-        order = self._orders.get(stmt)
-        if order is None:
-            premises = self.prov[stmt][1]  # none or, for a derived statement, two
-            listed = self._order(premises[0]) + self._order(premises[1]) if premises else ()
-            order = self._orders[stmt] = tuple(dict.fromkeys(listed + (stmt,)))  # a listed statement keeps its place
-        return order
+                order, steps = (stmt,), (RuleInstance(rule, (), self._claim(stmt), note),)
+            entry = self._memo[stmt] = order, steps
+        return entry
 
     def _claim(self, stmt: tuple) -> Claim:
         kind, i, x = stmt
@@ -351,29 +346,21 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             if hit := above[u] & low[j]:
                 return u, _bits(hit)[0]
 
+    # stmt -> (rule, premises, note).  Each rule skips what is installed,
+    # the rules run in the order R1..R6, and each scans the premise that
+    # varies between derivations of one statement in ascending order; so
+    # the first proposal of a statement, which propose keeps, is its least
+    # derivation.  R1 is proposed once, into round 1's dict
+    new: dict[tuple, tuple] = {("implies", i, i): ("R1", (), "") for i in range(n) if not imp[i] >> i & 1}
     iterations = 0
-    max_rounds = n * n + 2
-    while True:
+    while True:  # each rule proposes only what is not installed, so each round installs a new statement
         for i in range(n):  # each round starts from a state with no pair judged both ways
             if both := imp[i] & non[i]:
                 j = _bits(both)[0]
                 raise Contradiction(props[i], props[j], ProofTrace(traces.steps(("implies", i, j))),
                                     ProofTrace(traces.steps(("notimplies", i, j))))
         iterations += 1
-        if iterations > max_rounds:
-            raise TaukbError(f"fixpoint did not settle within {max_rounds} rounds")
-        # stmt -> (rule, premises, note).  Each rule skips what is installed,
-        # the rules run in the order R1..R6, and each scans the premise that
-        # varies between derivations of one statement in ascending order; so
-        # the first proposal of a statement, which propose keeps, is its least
-        # derivation
-        new: dict[tuple, tuple] = {}
         propose = new.setdefault
-
-        if iterations == 1:
-            for i in range(n):
-                if not imp[i] >> i & 1:
-                    propose(("implies", i, i), ("R1", (), ""))
 
         # R2: compose implications, through the least j
         for i in range(n):
@@ -425,6 +412,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             break
         for stmt, derivation in new.items():
             install(stmt, derivation)
+        new = {}
 
     # soundness guard: no model may put an upper bound of non(P) strictly
     # below a lower bound of it
