@@ -113,10 +113,8 @@ class Max(Record):
 CardinalExpr = CardinalAtom | Min | Max
 
 
-def atom(name: str | CardinalAtom) -> CardinalAtom:
-    """The CardinalAtom itself, or the one its rendered name names ('covM' accepted)."""
-    if isinstance(name, CardinalAtom):
-        return name
+def atom(name: str) -> CardinalAtom:
+    """The CardinalAtom its rendered name names ('covM' accepted)."""
     try:
         return _ATOM_ALIASES[name]
     except KeyError:

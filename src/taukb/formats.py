@@ -307,7 +307,7 @@ def load_facts(path) -> FactFile:
 
 def _load_facts(path, chain: tuple, origin: str | None = None) -> FactFile:
     # chain: the resolved paths of the files being read, to refuse include
-    # cycles; origin: its include path as written, on its includer's directory
+    # cycles; origin: its include path as written, on its includer's directory, normalised
     ff = parse_facts(read_text(path))
     decls: list[Decl] = []
     for d in ff.decls:
@@ -320,7 +320,7 @@ def _load_facts(path, chain: tuple, origin: str | None = None) -> FactFile:
             raise FactParseError([(d.line, 1, f"include {d.path} forms a cycle")])
         try:
             decls.extend(_load_facts(target, chain + (target.resolve(),),
-                                     os.path.join(os.path.dirname(origin or ""), d.path)).decls)
+                                     os.path.normpath(os.path.join(os.path.dirname(origin or ""), d.path))).decls)
         except (OSError, FactParseError) as e:  # reported at this file's include line
             why = e.strerror if isinstance(e, OSError) else e
             raise FactParseError([(d.line, 1, f"include {d.path}: {why}")]) from None

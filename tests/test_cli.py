@@ -74,6 +74,21 @@ def test_nested_includes_cite_each_file_by_its_path_from_the_top_file(tmp_path, 
         assert result.output == line
 
 
+@pytest.mark.parametrize("files", [
+    # one file reached two ways, from a/ and from the top file, has one name
+    {"main.txt": "include a/inc.txt\ninclude x.txt\n", "a/inc.txt": "include ../x.txt\n", "x.txt": "arrow 18 19\n"},
+    {"main.txt": "include ./x.txt\n", "x.txt": "arrow 18 19\n"},
+], ids=["two-ways", "dot-slash"])
+def test_an_included_file_is_cited_by_its_normalised_path(tmp_path, runner, files):
+    (tmp_path / "a").mkdir()
+    base = formats.data_text("base_facts.txt").replace("arrow 18 19\n", "", 1)
+    for name, text in files.items():
+        (tmp_path / name).write_text(base + text if name == "main.txt" else text, encoding="utf-8")
+    result = invoke(runner, "--facts", str(tmp_path / "main.txt"), "explain", "18", "19")
+    assert result.exit_code == 0, result.output
+    assert result.output == "S0 fact [x.txt:1]: Ufin(Gamma,Gamma) -> Ufin(Gamma,T)\n"
+
+
 def test_nested_include_error_names_the_file_by_its_path_from_the_top_file(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "main.txt").write_text('property 0 "S1(Gamma,Gamma)"\ninclude a/dupinc.txt\n', encoding="utf-8")
@@ -327,6 +342,9 @@ _REFUSALS = [
     ("--facts", _P0 + "arrow 0 S1:T:T:borel\n",
      "fact file does not resolve: line 2: property S1:T:T:borel is not declared"),
     ("--facts", _P0 + "arrow 0 0\n", "fact file does not resolve: line 2: arrow endpoints must be distinct"),
+    ("--facts", _P0 + 'nonimp 0 25 cite="x"\n', "fact file does not resolve: line 2: serial 25 is not declared"),
+    ("--facts", _P0 + 'nonimp 0 S1:Gamma:Gamma:borel cite="x"\n',
+     "fact file does not resolve: line 2: property S1:Gamma:Gamma:borel is not declared"),
     ("--facts", _P0 + "arrow 0 S1:Gamma:Foo:open\n", "line 2, col 1: bad property coordinates S1 Gamma Foo open"),
     ("--facts", _P0 + "arrow 0 a:b\n", "line 2, col 1: ref must be a serial or kind:from:to:variant, got 'a:b'"),
     ("--facts", 'property 30 "S1(Gamma,Gamma)"\n', "line 1, col 1: serial must be an integer in 0..21, got '30'"),
