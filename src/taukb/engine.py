@@ -353,7 +353,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     # derivation.  R1 is proposed once, into round 1's dict
     new: dict[tuple, tuple] = {("implies", i, i): ("R1", (), "") for i in range(n) if not imp[i] >> i & 1}
     iterations = 0
-    while True:  # each rule proposes only what is not installed, so each round installs a new statement
+    while True:  # each rule proposes only what is not installed, so a round that goes on installs something new
         for i in range(n):  # each round starts from a state with no pair judged both ways
             if both := imp[i] & non[i]:
                 j = _bits(both)[0]
