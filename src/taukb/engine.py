@@ -314,16 +314,13 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     traces = _Traces(prov, props, exprs)
     rows = {kind: [0] * n for kind in ("implies", "notimplies", "lower", "upper", "exact")}
     imp, non, low, up, exact = rows.values()
-    # into[j] is column j of imp; under[l] has bit i set iff bit l of above[u]
-    # is set for some upper bound u of non(i)
-    into, under = [0] * n, [0] * len(exprs)
+    # under[l] has bit i set iff bit l of above[u] is set for some upper bound u of non(i)
+    under = [0] * len(exprs)
 
     def install(stmt: tuple, derivation: tuple) -> None:
         kind, i, x = stmt
         rows[kind][i] |= 1 << x
-        if kind == "implies":
-            into[x] |= 1 << i
-        elif kind == "upper":
+        if kind == "upper":
             for l in _bits(above[x]):
                 under[l] |= 1 << i
         prov[stmt] = derivation
@@ -346,13 +343,15 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             if hit := above[u] & low[j]:
                 return u, _bits(hit)[0]
 
-    # stmt -> (rule, premises, note).  Each rule skips what is installed,
-    # the rules run in the order R1..R6, and each scans the premise that
-    # varies between derivations of one statement in ascending order; so
-    # the first proposal of a statement, which propose keeps, is its least
-    # derivation.  R1 is proposed once, into round 1's dict
+    # stmt -> (rule, premises, note).  Each rule skips what is installed and
+    # scans the premise that varies between derivations of one statement in
+    # ascending order, and propose keeps a statement's first proposal; so only
+    # the order of the rules that propose one kind matters: implies from R1,
+    # then R2; notimplies from R3a, then R3b, then R4, three passes in that
+    # order; the bounds from R5 and exact from R6 alone.  Then the first
+    # proposal is the least derivation.  R1 is proposed once, into round 1's dict
     new: dict[tuple, tuple] = {("implies", i, i): ("R1", (), "") for i in range(n) if not imp[i] >> i & 1}
-    iterations = 0
+    full, iterations = (1 << n) - 1, 0
     while True:  # each rule proposes only what is not installed, so a round that goes on installs something new
         for i in range(n):  # each round starts from a state with no pair judged both ways
             if both := imp[i] & non[i]:
@@ -362,25 +361,32 @@ def close(kb: KnowledgeBase) -> ClosureResult:
         iterations += 1
         propose = new.setdefault
 
-        # R2: compose implications, through the least j
-        for i in range(n):
-            for j in _bits(imp[i]):
-                if fresh := imp[j] & ~imp[i]:
-                    for k in _bits(fresh):
-                        propose(("implies", i, k), ("R2", (("implies", i, j), ("implies", j, k)), ""))
-
-        # R3a / R3b: push non-implications against implications, R3a through
-        # the least q and R3b from the least p
+        # R3a: K -/-> P through the least q with P -> q and K -/-> q
         for k in range(n):
-            for q in _bits(non[k]):
-                if fresh := into[q] & ~non[k]:
-                    for p in _bits(fresh):
-                        propose(("notimplies", k, p), ("R3a", (("implies", p, q), ("notimplies", k, q)), ""))
+            for p in _bits(full & ~non[k]):
+                if via := imp[p] & non[k]:
+                    q = _bits(via)[0]
+                    propose(("notimplies", k, p), ("R3a", (("implies", p, q), ("notimplies", k, q)), ""))
+
+        # one walk of the implications p -> q: R2 through the least q, R3b
+        # from the least p, R5 lower bounds from the least p and upper bounds
+        # through the least q; then R6 collapses p's coinciding bounds
         for p in range(n):
             for q in _bits(imp[p]):
+                if fresh := imp[q] & ~imp[p]:
+                    for r in _bits(fresh):
+                        propose(("implies", p, r), ("R2", (("implies", p, q), ("implies", q, r)), ""))
                 if fresh := non[p] & ~non[q]:
                     for r in _bits(fresh):
                         propose(("notimplies", q, r), ("R3b", (("implies", p, q), ("notimplies", p, r)), ""))
+                if fresh := low[p] & ~low[q]:
+                    for e in _bits(fresh):
+                        propose(("lower", q, e), ("R5", (("implies", p, q), ("lower", p, e)), ""))
+                if fresh := up[q] & ~up[p]:
+                    for e in _bits(fresh):
+                        propose(("upper", p, e), ("R5", (("implies", p, q), ("upper", q, e)), ""))
+            for e in _bits(low[p] & up[p] & ~exact[p]):
+                propose(("exact", p, e), ("R6", (("lower", p, e), ("upper", p, e)), ""))
 
         # R4: consistent strict inequality between bound sets, for each p in
         # under[l] for some lower bound l of non(q)
@@ -391,22 +397,6 @@ def close(kb: KnowledgeBase) -> ClosureResult:
             for p in _bits(cand & ~non[q] & ~(1 << q)):
                 u, l = hit = witness(p, q)
                 propose(("notimplies", q, p), ("R4", (("upper", p, u), ("lower", q, l)), less[hit]))
-
-        # R5: bounds ride along implications i -> j, lower bounds from the
-        # least i and upper bounds from the least j
-        for i in range(n):
-            for j in _bits(imp[i]):
-                if fresh := low[i] & ~low[j]:
-                    for e in _bits(fresh):
-                        propose(("lower", j, e), ("R5", (("implies", i, j), ("lower", i, e)), ""))
-                if fresh := up[j] & ~up[i]:
-                    for e in _bits(fresh):
-                        propose(("upper", i, e), ("R5", (("implies", i, j), ("upper", j, e)), ""))
-
-        # R6: collapse coinciding bounds to an exact value
-        for i in range(n):
-            for e in _bits(low[i] & up[i] & ~exact[i]):
-                propose(("exact", i, e), ("R6", (("lower", i, e), ("upper", i, e)), ""))
 
         if not new:
             break
