@@ -153,21 +153,26 @@ def normalize_expr(e: CardinalExpr) -> CardinalExpr:
     return cls(tuple(unique))
 
 
+_DEPTH = 32  # the most min/max levels parse_expr takes: rendering recurses twice per level
+
+
 def parse_expr(text: str) -> CardinalExpr:
-    """Parse 'b', 'min{s,b}', 'max{b,s}', nested forms allowed. Normalizes."""
-    expr, rest = _parse_expr_prefix(text.strip())
+    """Parse 'b', 'min{s,b}', 'max{b,s}', nested forms allowed up to _DEPTH levels. Normalizes."""
+    expr, rest = _parse_expr_prefix(text.strip(), _DEPTH)
     if rest:
         raise MalformedExpr(f"trailing garbage after expression: {rest!r}")
     return normalize_expr(expr)
 
 
-def _parse_expr_prefix(text: str) -> tuple[CardinalExpr, str]:
+def _parse_expr_prefix(text: str, depth: int) -> tuple[CardinalExpr, str]:  # depth: the levels left
     for head, cls in (("min{", Min), ("max{", Max)):
         if text.startswith(head):
+            if not depth:
+                raise MalformedExpr(f"expression nests deeper than {_DEPTH} levels")
             rest = text[len(head):]
             args: list[CardinalExpr] = []
             while True:
-                e, rest = _parse_expr_prefix(rest)
+                e, rest = _parse_expr_prefix(rest, depth - 1)
                 args.append(e)
                 if rest.startswith(","):
                     rest = rest[1:]

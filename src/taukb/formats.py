@@ -321,7 +321,7 @@ def _load_facts(path, chain: tuple, origin: str | None = None) -> FactFile:
         try:
             decls.extend(_load_facts(target, chain + (target.resolve(),),
                                      os.path.normpath(os.path.join(os.path.dirname(origin or ""), d.path))).decls)
-        except (OSError, FactParseError) as e:  # reported at this file's include line
+        except (OSError, TaukbError) as e:  # reported at this file's include line
             why = e.strerror if isinstance(e, OSError) else e
             raise FactParseError([(d.line, 1, f"include {d.path}: {why}")]) from None
     return FactFile(tuple(decls))

@@ -331,6 +331,7 @@ def test_bad_input_file_exits_2_without_traceback(tmp_path, monkeypatch, args):
 
 
 _P0 = 'property 0 "S1(Gamma,Gamma)" non=b\n'
+_DEEP_CARD = "card 0 ge " + "".join(("min{b,", "max{b,")[k % 2] for k in range(500)) + "s" + "}" * 500
 # (flag, file text, the one stderr line); each file is refused before any closure
 _REFUSALS = [
     ("--facts", _P0 + 'property 0 "S1(Gamma,T)" non=b\n',
@@ -353,6 +354,7 @@ _REFUSALS = [
      "line 3, col 1: cite value must be double-quoted"),
     ("--facts", 'property 0 "S1(Gamma,Gamma)" non=min{b;s}\n', "line 1, col 1: expected ',' or '}' in 'min{b;s}'"),
     ("--facts", ",\n", "line 1, col 1: unknown declaration ','"),
+    ("--facts", _P0 + _DEEP_CARD + "\n", "line 2, col 1: expression nests deeper than 32 levels"),
     ("--models", "model m cite x\nlevel p 1\n", "line 1, col 9: citation must be double-quoted"),
     ("--models", 'model m cite "x"\nlevel b\n', "line 2, col 1: expected: level <atom> <integer>"),
     ("--models", 'model m cite "x"\nlevel b x\n', "line 2, col 1: level must be an integer, got 'x'"),
@@ -397,6 +399,8 @@ _FILE_REFUSALS = {
     "include-cycle": (["--facts", "main.txt", "table"],
                       {"main.txt": "include sub.txt\n", "sub.txt": "# back again\ninclude main.txt\n"},
                       "line 1, col 1: include sub.txt: line 2, col 1: include main.txt forms a cycle"),
+    "not-utf8-include": (["--facts", "main.txt", "table"], {"main.txt": "include sub.txt\n", "sub.txt": b"\xff\n"},
+                         "line 1, col 1: include sub.txt: sub.txt is not UTF-8 text: invalid start byte at byte 0"),
     "two-bad-family-lines": (["odiag", "fam.txt"], {"fam.txt": "01/1\nbogus\n\n2/1\n"},
                              "line 2: expected <word>/<tailbit>, got 'bogus'; "
                              "line 4: row must be a 0/1 word and a 0/1 tail, got '2' and 1"),
@@ -404,10 +408,11 @@ _FILE_REFUSALS = {
 
 
 @pytest.mark.parametrize("args, files, message", _FILE_REFUSALS.values(), ids=_FILE_REFUSALS)
-def test_refused_files_print_one_error_line(tmp_path, args, files, message):
+def test_refused_files_print_one_error_line(tmp_path, monkeypatch, args, files, message):
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    result = CliRunner().invoke(main, [str(tmp_path / a) if a in files else a for a in args])
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    monkeypatch.chdir(tmp_path)  # a message names an included file by its path from here
+    result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
     assert result.stderr == f"error: {message}\n"
 
@@ -422,7 +427,7 @@ _VOCAB = {
     "base_facts.txt": ["arrow 18 8", "arrow 0 21", "nonimp 0 18 model=ch", "nonimp 5 5 model=ghost",
                        "card 3 eq c", "card 6 le p", "card 0 ge od", 'property 3 "S1(T,T)" non=t',
                        "variant S1 O O borel", "include facts.txt", 'include "fam.txt"', "include nowhere",
-                       "arrow 0", 'cite="x"', '"'],
+                       "arrow 0", 'cite="x"', '"', _DEEP_CARD],
     "models.txt": ['model x cite "y"', "level p 2", "level c 1", "level od 9", "level covM 1", "level q 1",
                    "model", "level b"],
     "table1.txt": ["+" * 22, "-" * 22, "?" * 22, "frames 0 3", "frames 22", "+-?"],

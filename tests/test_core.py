@@ -97,6 +97,15 @@ def test_parse_expr_refuses_a_missing_operand(text, rest):
         parse_expr(text)
 
 
+def test_parse_expr_takes_32_nested_levels_and_refuses_33():
+    def nested(depth):  # min and max alternating, so normalizing flattens nothing
+        return "".join(("min{b,", "max{b,")[k % 2] for k in range(depth)) + "s" + "}" * depth
+
+    assert render_expr(parse_expr(nested(32))) == nested(32)
+    with pytest.raises(MalformedExpr, match="expression nests deeper than 32 levels"):
+        parse_expr(nested(33))
+
+
 def test_figure_properties_refuse_embedded_facts_that_lack_a_serial(monkeypatch):
     from taukb import core, formats
 

@@ -106,10 +106,11 @@ def test_stated_reflexive_fact_keeps_its_fact_step(default_kb):
     assert explain(close(kb), p, p) == f"S0 fact [stated]: {p.name} -> {p.name}"
 
 
-@pytest.mark.parametrize("rule", ["R2", "R3a", "R3b", "R5-lower", "R5-upper"])
+@pytest.mark.parametrize("rule", ["R2", "R3a", "R3b", "R5-lower", "R5-upper", "R3a-before-R3b", "R3b-before-R4"])
 def test_same_round_derivations_keep_the_least_premises(default_kb, rule):
     # two derivations of one statement in round 1, through middle properties
-    # lo < hi in canonical order; hi's facts come first, and lo's premises win
+    # lo < hi in canonical order; hi's facts come first, and lo's premises win.
+    # Across rules, the earlier pass wins: R3a before R3b before R4
     a, z = serial(0), serial(3)
     lo, hi = sorted((serial(1), serial(2)), key=lambda p: p.key)
     b = atom("b")
@@ -136,6 +137,11 @@ def test_same_round_derivations_keep_the_least_premises(default_kb, rule):
                      (z, b), bound("lower", z), [imp(lo, z), bound("lower", lo)]),
         "R5-upper": ([imp(a, hi), bound("upper", hi), imp(a, lo), bound("upper", lo), bound("lower", a)],
                      (a, b), bound("upper", a), [imp(a, lo), bound("upper", lo)]),
+        "R3a-before-R3b": ([imp(a, hi), non(z, hi), imp(lo, z), non(lo, a)], (z, a),
+                           non(z, a), [imp(a, hi), non(z, hi)]),
+        # cohen puts b below d, so R4 also derives z -/-> a
+        "R3b-before-R4": ([imp(lo, z), non(lo, a), bound("upper", a), Claim("lower", z, expr=atom("d"))], (z, a),
+                          non(z, a), [imp(lo, z), non(lo, a)]),
     }[rule]
     kb = engine.KnowledgeBase(default_kb.properties, tuple((c, "tie") for c in claims), default_kb.registry)
     result = close(kb)
