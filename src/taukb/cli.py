@@ -4,12 +4,15 @@ Exit codes: 0 success, 1 non-empty diff, 2 usage or parse errors (bad
 input files included), 3 contradiction in the fact base.  stdout carries
 payload only; diagnostics go to stderr.
 
-Each command imports the modules it runs and no other, because a child
-process that writes no bytecode compiles every module it imports.
+Each command imports the modules it runs and no other, because a child process that writes
+no bytecode compiles every module it imports.  Run as the program, it ends with ``os._exit``
+once its output is flushed, since a process about to end need not tear the interpreter down.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
 import sys
 
 import click
@@ -23,6 +26,22 @@ EXIT_CONTRADICTION = 3
 
 class _Group(click.Group):
     """The one error boundary: a contradiction exits 3, any other TaukbError 2."""
+
+    def __call__(self, *args, **kwargs):
+        """As the program, once click settles the exit code: run the atexit handlers, flush stdout and
+        stderr, and ``os._exit``, which waits for no thread (taukb starts none); ``main.main`` does not."""
+        try:
+            return self.main(*args, **kwargs)
+        except SystemExit as e:
+            if not (e.code is None or isinstance(e.code, int)) or kwargs.get("standalone_mode") is False:
+                raise
+            atexit._run_exitfuncs()  # private, but in CPython since 2.x; it clears the registry
+            try:
+                for stream in filter(None, (sys.stdout, sys.stderr)):  # None when fd 1 or 2 is closed
+                    stream.flush()
+            except OSError:
+                raise e from None  # Python ends the run as it would have
+            os._exit(e.code or 0)
 
     def invoke(self, ctx):
         try:
