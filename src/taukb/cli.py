@@ -25,7 +25,7 @@ EXIT_CONTRADICTION = 3
 
 
 class _Group(click.Group):
-    """The one error boundary: a contradiction exits 3, any other TaukbError 2."""
+    """The one error boundary: a contradiction exits 3; any other TaukbError, or an OSError but EPIPE, 2."""
 
     def __call__(self, *args, **kwargs):
         """As the program, once click settles the exit code: run the atexit handlers, flush stdout and
@@ -57,6 +57,12 @@ class _Group(click.Group):
             sys.exit(EXIT_CONTRADICTION)
         except TaukbError as e:
             click.echo(f"error: {e}", err=True)
+            sys.exit(EXIT_PARSE)
+        except BrokenPipeError:  # click's: exit 1 with an empty stderr
+            raise
+        except OSError as e:  # a full or failing stdout; an input file that cannot be opened names itself
+            click.echo(f"error: cannot {f'read {e.filename}' if e.filename else 'write output'}: {e.strerror}", err=True)
+            sys.stdout = sys.stdout if e.filename else None  # what a failed stdout holds cannot be written
             sys.exit(EXIT_PARSE)
 
 

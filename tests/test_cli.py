@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -479,3 +481,120 @@ def test_cli_fuzz_exits_with_a_documented_code(facts, models, table, family, fmt
         result = CliRunner().invoke(main, argv, catch_exceptions=False)
     assert result.exit_code in ((0, 1, 2, 3) if command[0] == "diff" else (0, 2, 3)), result.output
     assert "Traceback" not in result.output
+
+
+# How a run ends.  A child runs main() as the program, as the benchmark does,
+# and ends with os._exit once its output is flushed; main.main() and
+# standalone_mode=False, which CliRunner and embedders use, keep the process.
+_ENTRY = "import sys; from taukb.cli import main; sys.exit(main())"
+
+
+def _child(cwd, args, code=_ENTRY, **streams):
+    """ARGS run by a child through CODE; stdout and stderr are piped unless STREAMS says otherwise,
+    and a piped stdout is block-buffered, whatever PYTHONUNBUFFERED says here."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(taukb.__file__).resolve().parent.parent)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env, timeout=60, **streams)
+
+
+_EXIT_CASES = [(["table"], 0), (["--facts", "no_card0_eq.txt", "diff"], 1), (["card", "22"], 2),
+               (["--facts", "arrow_18_8.txt", "diff"], 3)]
+
+
+@pytest.mark.parametrize("fmt", ["table", "jsonl"])
+@pytest.mark.parametrize("args,code", _EXIT_CASES, ids=[" ".join(a) for a, _ in _EXIT_CASES])
+def test_a_child_ends_as_the_runner_does(tmp_path, monkeypatch, fmt, args, code):
+    from test_golden import _write_inputs
+
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--format", fmt, *args]
+    expected = CliRunner().invoke(main, argv)
+    proc = _child(tmp_path, argv)
+    assert expected.exit_code == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.stdout_bytes, expected.stderr_bytes)
+
+
+# the handler prints to stdout, which a pipe buffers, so the line shows only if the run flushes it
+_BYE = "import atexit; atexit.register(print, 'bye')\nfrom taukb.cli import main\nmain()\n"
+
+
+@pytest.mark.parametrize("args,code,output", [(["query", "18", "8"], 0, b"NotImplies\n"),
+                                              (["card", "22"], 2, b"error: no property with serial 22\n")])
+def test_an_atexit_handler_runs_once_after_the_output(tmp_path, args, code, output):
+    proc = _child(tmp_path, args, _BYE, stderr=subprocess.STDOUT)
+    assert (proc.returncode, proc.stdout) == (code, output + b"bye\n")
+
+
+@pytest.mark.parametrize("args,code", [(["query", "18", "8"], 0), (["card", "22"], 2)])
+def test_a_raising_atexit_handler_keeps_the_exit_code(tmp_path, args, code):
+    raising = "import atexit; atexit.register(lambda: 1 / 0)\n" + _ENTRY
+    proc = _child(tmp_path, args, raising)
+    assert proc.returncode == code
+    assert b"ZeroDivisionError" in proc.stderr
+
+
+def test_main_main_and_standalone_mode_false_keep_the_process(capsys, reference):
+    with pytest.raises(SystemExit) as e:
+        main.main(["table"])
+    assert e.value.code == 0
+    assert main(["table"], standalone_mode=False) is None
+    assert capsys.readouterr().out == 2 * formats.render_table([list(r) for r in reference.grid])
+
+
+# a child that runs `card 22`, which writes only to stderr, and reports the SystemExit it catches;
+# os._exit would end it before the report (in a child, since it would end this process too)
+_CAUGHT = ("import sys\n"
+           "from taukb.cli import main\n"
+           "try:\n"
+           "    main(['card', '22']{})\n"
+           "except SystemExit as e:\n"
+           "    sys.stdout = sys.__stdout__\n"
+           "    print('SystemExit', e.code)\n")
+_FULL = ("class Full:\n"
+         "    def write(self, s): return len(s)\n"
+         "    def flush(self): raise OSError(28, 'No space left on device')\n"
+         "sys.stdout = Full()\n")
+
+
+@pytest.mark.parametrize("code", [
+    _CAUGHT.format(", standalone_mode=False"),  # the error boundary's exit is raised, not taken
+    _CAUGHT.replace("from taukb", _FULL + "from taukb").format(""),  # a failing last flush leaves the exit to Python
+], ids=["standalone_mode=False", "failing flush"])
+def test_the_exit_is_raised_when_it_is_not_taken(tmp_path, code):
+    proc = _child(tmp_path, [], code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"SystemExit 2\n", b"error: no property with serial 22\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("args", [["table"], ["--format", "jsonl", "card", "5"], ["explain", "18", "19"]])
+def test_a_full_stdout_exits_2_with_one_error_line(tmp_path, args):
+    with open("/dev/full", "wb") as full:
+        proc = _child(tmp_path, args, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
+
+
+@pytest.mark.parametrize("args", [["table"], ["--format", "jsonl", "table"], ["explain", "18", "19"]])
+def test_a_closed_stdout_pipe_exits_1_with_an_empty_stderr(tmp_path, args):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _child(tmp_path, args, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="no unix sockets on this system")
+@pytest.mark.parametrize("args", [["--facts", "sock", "table"], ["--models", "sock", "table"], ["diff", "sock"],
+                                  ["odiag", "sock"]])
+def test_an_input_file_that_cannot_be_opened_exits_2_naming_it(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    with socket.socket(socket.AF_UNIX) as sock:  # a socket file exists, but open() refuses it
+        sock.bind("sock")
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: cannot read sock: ")
+    assert result.stderr.count("\n") == 1
