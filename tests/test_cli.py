@@ -489,13 +489,13 @@ def test_cli_fuzz_exits_with_a_documented_code(facts, models, table, family, fmt
 _ENTRY = "import sys; from taukb.cli import main; sys.exit(main())"
 
 
-def _child(cwd, args, code=_ENTRY, **streams):
-    """ARGS run by a child through CODE; stdout and stderr are piped unless STREAMS says otherwise,
+def _child(cwd, args, code=_ENTRY, **kwargs):
+    """ARGS run by a child through CODE; stdout and stderr are piped unless KWARGS says otherwise,
     and a piped stdout is block-buffered, whatever PYTHONUNBUFFERED says here."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(taukb.__file__).resolve().parent.parent)
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
-    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env, timeout=60, **streams)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env, timeout=60, **kwargs)
 
 
 _EXIT_CASES = [(["table"], 0), (["--facts", "no_card0_eq.txt", "diff"], 1), (["card", "22"], 2),
@@ -585,6 +585,14 @@ def test_a_closed_stdout_pipe_exits_1_with_an_empty_stderr(tmp_path, args):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("args,code,stderr", [(["table"], 0, b""),
+                                              (["card", "22"], 2, b"error: no property with serial 22\n")])
+def test_a_closed_stdout_fd_leaves_the_exit_code(tmp_path, args, code, stderr):
+    # with fd 1 closed when Python starts, sys.stdout is None, and the last flush skips it
+    proc = _child(tmp_path, args, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (code, stderr)
 
 
 @pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="no unix sockets on this system")
