@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 non-empty diff, 2 usage or parse errors (bad
-input files included), 3 contradiction in the fact base.  stdout carries
+Exit codes: 0 success, 1 non-empty diff, 2 usage or parse errors (bad input files and
+an unwritable stdout included), 3 contradiction in the fact base.  stdout carries
 payload only; diagnostics go to stderr.
 
 Each command imports the modules it runs and no other, because a child process that writes
