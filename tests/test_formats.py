@@ -1,3 +1,4 @@
+import os
 import re
 
 import pytest
@@ -312,6 +313,46 @@ def test_load_facts_refuses_include_cycle(tmp_path):
     (tmp_path / "b.txt").write_text("include ../" + tmp_path.name + "/a.txt\n", encoding="utf-8")
     with pytest.raises(FactParseError, match="cycle"):
         load_facts(tmp_path / "a.txt")
+
+
+def _symlink(target, link):
+    try:
+        os.symlink(target, link)
+    except (OSError, NotImplementedError) as e:  # no symlinks here, or no right to make one
+        pytest.skip(f"cannot make a symlink: {e}")
+
+
+def test_load_facts_refuses_a_cycle_closed_through_a_symlink(tmp_path):
+    from taukb.formats import load_facts
+
+    (tmp_path / "a.txt").write_text("arrow 0 1\ninclude b.txt\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("include alias.txt\n", encoding="utf-8")
+    _symlink(tmp_path / "a.txt", tmp_path / "alias.txt")
+    with pytest.raises(FactParseError, match="include alias.txt forms a cycle"):
+        load_facts(tmp_path / "a.txt")
+
+
+def test_a_file_included_through_a_symlinked_directory_is_cited_as_written(tmp_path):
+    from taukb.formats import load_facts
+
+    (tmp_path / "real").mkdir()
+    (tmp_path / "real" / "sub.txt").write_text("arrow 0 1\n", encoding="utf-8")
+    _symlink(tmp_path / "real", tmp_path / "link")
+    (tmp_path / "main.txt").write_text("include link/sub.txt\n", encoding="utf-8")
+    [decl] = load_facts(str(tmp_path / "main.txt")).decls
+    assert (decl, decl.line, decl.origin) == (ArrowDecl(SerialRef(0), SerialRef(1), None), 1, "link/sub.txt")
+
+
+def test_a_nested_parent_include_resolves_from_its_includer(tmp_path):
+    from taukb.formats import load_facts
+
+    (tmp_path / "a" / "b").mkdir(parents=True)
+    (tmp_path / "main.txt").write_text("include a/b/inc.txt\n", encoding="utf-8")
+    (tmp_path / "a" / "b" / "inc.txt").write_text("include ../../x.txt\ninclude ../y.txt\n", encoding="utf-8")
+    (tmp_path / "x.txt").write_text("arrow 0 1\n", encoding="utf-8")
+    (tmp_path / "a" / "y.txt").write_text("arrow 1 2\n", encoding="utf-8")
+    decls = load_facts(tmp_path / "main.txt").decls
+    assert [(d.src.serial, d.dst.serial, d.origin) for d in decls] == [(0, 1, "x.txt"), (1, 2, "a/y.txt")]
 
 
 # --- fuzz: every parser returns or raises a TaukbError -----------------------
