@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import re
-from pathlib import Path
 from typing import NamedTuple
 
 from . import BadShape, MalformedExpr, Record, TaukbError, _forward, read_text
@@ -301,13 +300,13 @@ def render_facts(ff: FactFile) -> str:
 
 def load_facts(path) -> FactFile:
     """Read a fact file from disk, resolving include declarations."""
-    path = Path(path)
-    return _load_facts(path, (path.resolve(),))
+    path = os.fspath(path)
+    return _load_facts(path, (os.path.realpath(path),))
 
 
-def _load_facts(path, chain: tuple, origin: str | None = None) -> FactFile:
-    # chain: the resolved paths of the files being read, to refuse include
-    # cycles; origin: its include path as written, on its includer's directory, normalised
+def _load_facts(path: str, chain: tuple, origin: str | None = None) -> FactFile:
+    # chain: the real paths of the files being read, to refuse include cycles;
+    # origin: its include path as written, on its includer's directory, normalised
     ff = parse_facts(read_text(path))
     decls: list[Decl] = []
     for d in ff.decls:
@@ -315,11 +314,11 @@ def _load_facts(path, chain: tuple, origin: str | None = None) -> FactFile:
             object.__setattr__(d, "origin", origin)  # d is fresh from the parse, seen by no one else
             decls.append(d)
             continue
-        target = path.parent / d.path
-        if target.resolve() in chain:
+        target = os.path.join(os.path.dirname(path), d.path)
+        if (real := os.path.realpath(target)) in chain:
             raise FactParseError([(d.line, 1, f"include {d.path} forms a cycle")])
         try:
-            decls.extend(_load_facts(target, chain + (target.resolve(),),
+            decls.extend(_load_facts(target, chain + (real,),
                                      os.path.normpath(os.path.join(os.path.dirname(origin or ""), d.path))).decls)
         except (OSError, TaukbError) as e:  # reported at this file's include line
             why = e.strerror if isinstance(e, OSError) else e
@@ -328,10 +327,8 @@ def _load_facts(path, chain: tuple, origin: str | None = None) -> FactFile:
 
 
 def data_text(name: str) -> str:
-    """The text of the embedded data file taukb/data/NAME."""
-    from importlib.resources import files
-
-    return files("taukb.data").joinpath(name).read_text(encoding="utf-8")
+    """The text of taukb/data/NAME, the data file installed beside this module, read as any input file is."""
+    return read_text(os.path.join(os.path.dirname(__file__), "data", name))
 
 
 def load_default_facts() -> FactFile:

@@ -25,7 +25,6 @@ refuses a nominal space (candidates per row ** rows) that is not desk scale.
 
 from __future__ import annotations
 
-import random
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -298,6 +297,8 @@ def random_gamma_family(seed: int, rows: int, col_bound: int, count: int,
     Words have length up to col_bound with 0s placed independently at the
     given density; tails are always 1.
     """
+    import random  # here, since no command runs it
+
     rng = random.Random(seed)
     members = []
     for _ in range(count):

@@ -5,7 +5,6 @@ import socket
 import subprocess
 import sys
 import tempfile
-from importlib.resources import files
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -185,9 +184,7 @@ def test_parse_error_exits_2(runner, tmp_path):
 
 
 def test_contradiction_exits_3(runner, tmp_path):
-    from importlib.resources import files
-
-    text = files("taukb.data").joinpath("base_facts.txt").read_text(encoding="utf-8")
+    text = formats.data_text("base_facts.txt")
     bad = tmp_path / "contradictory.txt"
     bad.write_text(text + "\narrow 18 8\n", encoding="utf-8")
     result = invoke(runner, "--facts", str(bad), "table")
@@ -280,9 +277,7 @@ def test_budget_guard_sums_nothing_for_a_family_with_no_rows(tmp_path):
                                    "nonimp 0 15 model=ghost", "nonimp 0 17 model=ch model=cohen",
                                    "nonimp 0 15 model="])
 def test_bad_fact_input_exits_2(runner, tmp_path, extra):
-    from importlib.resources import files
-
-    text = files("taukb.data").joinpath("base_facts.txt").read_text(encoding="utf-8")
+    text = formats.data_text("base_facts.txt")
     (tmp_path / "self.txt").write_text(text + extra + "\n", encoding="utf-8")
     (tmp_path / "other.txt").write_text("include self.txt\n", encoding="utf-8")
     result = invoke(runner, "--facts", str(tmp_path / "self.txt"), "table")
@@ -403,6 +398,10 @@ _FILE_REFUSALS = {
                       "line 1, col 1: include sub.txt: line 2, col 1: include main.txt forms a cycle"),
     "not-utf8-include": (["--facts", "main.txt", "table"], {"main.txt": "include sub.txt\n", "sub.txt": b"\xff\n"},
                          "line 1, col 1: include sub.txt: sub.txt is not UTF-8 text: invalid start byte at byte 0"),
+    # an included file is named by its includer's directory as written, "./" included
+    "not-utf8-include-from-dot-slash": (["--facts", "./main.txt", "table"],
+                                        {"main.txt": "include sub.txt\n", "sub.txt": b"\xff\n"},
+                                        "line 1, col 1: include sub.txt: ./sub.txt is not UTF-8 text: invalid start byte at byte 0"),
     "two-bad-family-lines": (["odiag", "fam.txt"], {"fam.txt": "01/1\nbogus\n\n2/1\n"},
                              "line 2: expected <word>/<tailbit>, got 'bogus'; "
                              "line 4: row must be a 0/1 word and a 0/1 tail, got '2' and 1"),
@@ -421,7 +420,7 @@ def test_refused_files_print_one_error_line(tmp_path, monkeypatch, args, files, 
 
 # --- fuzz: generated input files through every command --------------------
 
-_BASE = {name: files("taukb.data").joinpath(name).read_text(encoding="utf-8").splitlines()
+_BASE = {name: formats.data_text(name).splitlines()
          for name in ("base_facts.txt", "models.txt", "table1.txt")}
 # lines that, inserted into a base file, make it contradictory, redundant,
 # inconsistent, cyclic or malformed

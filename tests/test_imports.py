@@ -35,7 +35,7 @@ _CHILD = ("import atexit, sys\n"
           "from taukb.cli import main\n"
           "main()\n")
 
-_KB = "taukb taukb.cli taukb.core taukb.data taukb.engine taukb.formats taukb.models"
+_KB = "taukb taukb.cli taukb.core taukb.engine taukb.formats taukb.models"
 _GAMMA = "taukb taukb.cli taukb.gamma"
 
 
@@ -83,6 +83,37 @@ _CENSUS = [
 @pytest.mark.parametrize("args,dataclasses", _CENSUS, ids=[case[0][0] for case in _CENSUS])
 def test_cold_path_defines_only_the_pinned_dataclasses(tmp_path, args, dataclasses):
     assert _run_child(tmp_path, args, 0)[-2].split() == dataclasses.split()
+
+
+# No command imports a standard-library module it does not run.  The children start with
+# `python -S`, because a .pth file that site processes may import some of these modules itself
+# (one that imports certifi loads pathlib and importlib.resources), which would hide them here.
+_UNRUN = {"pathlib", "importlib.resources", "zipfile", "tempfile", "random"}
+_MODULES = "import atexit, sys\natexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+_STDLIB_CASES = [["table"], ["--facts", "main.txt", "table"], ["--format", "jsonl", "explain", "18", "8"],
+                 ["problems"], ["diag", "family.txt", "--col-bound", "3"], ["odiag", "family.txt", "--col-bound", "3"]]
+
+
+def _modules_without_site(cwd, code, args=()) -> set[str]:
+    """The modules that CODE, run with ARGS by `python -S`, has loaded when it exits."""
+    import click
+
+    path = os.pathsep.join((str(SRC), os.path.dirname(os.path.dirname(click.__file__))))
+    proc = subprocess.run([sys.executable, "-S", "-c", _MODULES + code, *args], capture_output=True, text=True,
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("args", _STDLIB_CASES, ids=" ".join)
+def test_a_command_imports_no_stdlib_module_it_does_not_run(tmp_path, args):
+    facts = (SRC / "taukb" / "data" / "base_facts.txt").read_text(encoding="utf-8")
+    (tmp_path / "main.txt").write_text(facts.replace("arrow 18 19\n", "", 1) + "include sub.txt\n", encoding="utf-8")
+    (tmp_path / "sub.txt").write_text("arrow 18 19\n", encoding="utf-8")
+    (tmp_path / "family.txt").write_text("01/1\n01/1\n\n10/1\n10/1\n", encoding="utf-8")
+    baseline = _modules_without_site(tmp_path, "import click\n")
+    loaded = _modules_without_site(tmp_path, "from taukb.cli import main\nmain()\n", args)
+    assert sorted((loaded - baseline) & _UNRUN) == []
 
 
 def test_import_taukb_loads_no_submodule():
