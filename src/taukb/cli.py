@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 non-empty diff, 2 usage or parse errors (bad input files and
-an unwritable stdout included), 3 contradiction in the fact base.  stdout carries
+Exit codes: 0 success, 1 non-empty diff, 2 usage or parse errors (bad input files, and output
+that cannot be written or whose pipe is closed, included), 3 contradiction in the fact base.  stdout carries
 payload only; diagnostics go to stderr.
 
 Each command imports the modules it runs and no other, because a child process that writes
@@ -12,6 +12,7 @@ once its output is flushed, since a process about to end need not tear the inter
 from __future__ import annotations
 
 import atexit
+import io
 import os
 import sys
 
@@ -25,7 +26,8 @@ EXIT_CONTRADICTION = 3
 
 
 class _Group(click.Group):
-    """The one error boundary: a contradiction exits 3; any other TaukbError, or an OSError but EPIPE, 2."""
+    """The one exit boundary: a contradiction exits 3; any other TaukbError, an OSError and output
+    that cannot be written, help and usage included, exit 2."""
 
     def __call__(self, *args, **kwargs):
         """As the program, once click settles the exit code: run the atexit handlers, flush stdout and
@@ -43,27 +45,28 @@ class _Group(click.Group):
                 raise e from None  # Python ends the run as it would have
             os._exit(e.code or 0)
 
-    def invoke(self, ctx):
+    def main(self, *args, **kwargs):
         try:
-            return super().invoke(ctx)
+            return super().main(*args, **kwargs)
+        except SystemExit as e:  # click's main exits 1 in the handler of a closed stdout pipe's error
+            if not isinstance(e.__context__, BrokenPipeError):
+                raise
+            code, text = EXIT_PARSE, ""
         except Contradiction as e:  # only the engine raises one, and it has loaded core
             from .core import render_trace
 
-            click.echo(f"contradiction: {e.src.name} vs {e.dst.name}", err=True)
-            click.echo("-- implies trace --", err=True)
-            click.echo(render_trace(e.implies_trace), err=True)
-            click.echo("-- does-not-imply trace --", err=True)
-            click.echo(render_trace(e.notimplies_trace), err=True)
-            sys.exit(EXIT_CONTRADICTION)
+            code, text = EXIT_CONTRADICTION, "\n".join((f"contradiction: {e.src.name} vs {e.dst.name}", "-- implies trace --",
+                render_trace(e.implies_trace), "-- does-not-imply trace --", render_trace(e.notimplies_trace), ""))
         except TaukbError as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(EXIT_PARSE)
-        except BrokenPipeError:  # click's: exit 1 with an empty stderr
-            raise
-        except OSError as e:  # a full or failing stdout; an input file that cannot be opened names itself
-            click.echo(f"error: cannot {f'read {e.filename}' if e.filename else 'write output'}: {e.strerror}", err=True)
-            sys.stdout = sys.stdout if e.filename else None  # what a failed stdout holds cannot be written
-            sys.exit(EXIT_PARSE)
+            code, text = EXIT_PARSE, f"error: {e}\n"
+        except OSError as e:  # a full or failing output stream; an input file that cannot be opened names itself
+            code, text = EXIT_PARSE, f"error: cannot {f'read {e.filename}' if e.filename else 'write output'}: {e.strerror}\n"
+            sys.stdout = sys.stdout if e.filename else io.StringIO()  # what a failed stdout holds cannot be written
+        try:
+            click.echo(text, err=True, nl=False)
+        except OSError:
+            sys.stderr = io.StringIO()  # nor what a failed stderr holds
+        sys.exit(code)
 
 
 def _close(ctx):
@@ -193,10 +196,7 @@ def diff(ctx, path):
     from . import engine, formats
 
     grid = _serial_grid(_close(ctx))
-    if path:
-        ref_grid, _ = formats.parse_table(read_text(path))
-    else:
-        ref_grid = [list(r) for r in formats.load_reference_table().grid]
+    ref_grid = formats.parse_table(read_text(path))[0] if path else formats.load_reference_table().grid
     delta = engine.diff(grid, ref_grid)
     if not delta:
         _emit(ctx, "identical\n", [{"identical": True}])

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import socket
@@ -575,15 +577,68 @@ def test_a_full_stdout_exits_2_with_one_error_line(tmp_path, args):
     assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
 
 
-@pytest.mark.parametrize("args", [["table"], ["--format", "jsonl", "table"], ["explain", "18", "19"]])
-def test_a_closed_stdout_pipe_exits_1_with_an_empty_stderr(tmp_path, args):
+@pytest.mark.parametrize("args", [["table"], ["--format", "jsonl", "table"], ["explain", "18", "19"], ["diff"]])
+def test_a_closed_stdout_pipe_exits_2_with_an_empty_stderr(tmp_path, args):
     read, write = os.pipe()
     os.close(read)
     try:
         proc = _child(tmp_path, args, stdout=write)
     finally:
         os.close(write)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+# help and usage text that cannot be written: (args, the stream that refuses it, the other stream's bytes)
+_FULL_HELP = [(["--help"], "stdout", f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()),
+              (["bogus"], "stderr", b"")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("args,full,other", _FULL_HELP, ids=["help to a full stdout", "usage to a full stderr"])
+def test_help_or_usage_that_cannot_be_written_exits_2(tmp_path, args, full, other):
+    with open("/dev/full", "wb") as stream:
+        proc = _child(tmp_path, args, **{full: stream})
+    assert (proc.returncode, proc.stderr if full == "stdout" else proc.stdout) == (2, other)
+
+
+class _Refusing(io.TextIOBase):
+    """A text stream that refuses every write with OSError(err)."""
+
+    encoding = "utf-8"
+
+    def __init__(self, err):
+        self.err = err
+
+    def write(self, s):
+        raise OSError(self.err, os.strerror(self.err))
+
+
+class _RefusingRunner(CliRunner):
+    """A CliRunner whose sys.stdout or sys.stderr, as stream names, refuses every write with err."""
+
+    def __init__(self, stream, err):
+        super().__init__()
+        self.stream, self.err = stream, err
+
+    @contextlib.contextmanager
+    def isolation(self, *args, **kwargs):
+        with super().isolation(*args, **kwargs) as streams:
+            setattr(sys, self.stream, _Refusing(self.err))
+            yield streams
+
+
+@pytest.mark.parametrize("args,stream,err,stderr", [
+    (["--help"], "stdout", errno.ENOSPC, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"),
+    (["table", "--help"], "stdout", errno.ENOSPC, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"),
+    (["bogus"], "stderr", errno.ENOSPC, ""),
+    (["--help"], "stdout", errno.EPIPE, ""),
+    (["table"], "stdout", errno.EPIPE, ""),
+    (["diff"], "stdout", errno.EPIPE, ""),
+], ids=["help to a full stdout", "command help to a full stdout", "usage to a full stderr", "help to a closed pipe",
+        "table to a closed pipe", "diff to a closed pipe"])
+def test_the_runner_exits_2_as_a_child_does_when_output_cannot_be_written(args, stream, err, stderr):
+    result = _RefusingRunner(stream, err).invoke(main, args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr)
 
 
 @pytest.mark.parametrize("args,code,stderr", [(["table"], 0, b""),
