@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 non-empty diff, 2 usage or parse errors (bad input files, and output
-that cannot be written or whose pipe is closed, included), 3 contradiction in the fact base.  stdout carries
-payload only; diagnostics go to stderr.
+Exit codes: 0 success, 1 non-empty diff, 2 usage or parse errors (bad input files, output that
+cannot be written and a closed stdout pipe included), 3 contradiction in the fact base.  stdout
+carries payload only; diagnostics go to stderr.
 
 Each command imports the modules it runs and no other, because a child process that writes
 no bytecode compiles every module it imports.  Run as the program, it ends with ``os._exit``
@@ -26,8 +26,7 @@ EXIT_CONTRADICTION = 3
 
 
 class _Group(click.Group):
-    """The one exit boundary: a contradiction exits 3; any other TaukbError, an OSError and output
-    that cannot be written, help and usage included, exit 2."""
+    """The one exit boundary: a contradiction exits 3; any other TaukbError or OSError, or a closed pipe, 2."""
 
     def __call__(self, *args, **kwargs):
         """As the program, once click settles the exit code: run the atexit handlers, flush stdout and
