@@ -3,9 +3,8 @@ diagram, with a desk-scale gamma-array diagonalization lab.
 
 The public names below are imported from their modules on first use
 (PEP 562), so that `import taukb` loads no module a caller does not use.
-The names that every command shares are defined here: the errors, `Record`,
-`DEFAULT_BUDGET` and `read_text`; `core` re-exports them.  So `diag` and
-`odiag` load `cli` and `gamma` beside the package, and no diagram type.
+The names every command shares (the errors, `Record`, `DEFAULT_BUDGET` and
+`read_text`) are defined here, so `diag` and `odiag` load no diagram type.
 """
 
 _HOMES = {

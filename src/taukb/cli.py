@@ -52,10 +52,10 @@ class _Group(click.Group):
                 raise
             code, text = EXIT_PARSE, ""
         except Contradiction as e:  # only the engine raises one, and it has loaded core
-            from .core import render_trace
+            from .core import render_steps
 
             code, text = EXIT_CONTRADICTION, "\n".join((f"contradiction: {e.src.name} vs {e.dst.name}", "-- implies trace --",
-                render_trace(e.implies_trace), "-- does-not-imply trace --", render_trace(e.notimplies_trace), ""))
+                render_steps(e.implies_trace.steps), "-- does-not-imply trace --", render_steps(e.notimplies_trace.steps), ""))
         except TaukbError as e:
             code, text = EXIT_PARSE, f"error: {e}\n"
         except OSError as e:  # a full or failing output stream; an input file that cannot be opened names itself

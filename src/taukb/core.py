@@ -18,10 +18,8 @@ import enum
 import functools
 from typing import NamedTuple
 
-# the names that the gamma path shares live in the package, so that it loads
-# no core; core re-exports them
-from . import (DEFAULT_BUDGET, BadShape, Contradiction, MalformedExpr, Record, TaukbError, UnknownProperty,
-               UnknownSerial, read_text)
+# the errors and Record live in the package, which the gamma path loads without core
+from . import MalformedExpr, Record, TaukbError, UnknownSerial
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +242,6 @@ def _figure_properties() -> tuple[Property, ...]:
     return tuple(d.to_property() for d in decls)
 
 
-def __getattr__(name: str):
-    # FIGURE_PROPERTIES: the 22 diagram properties in serial order
-    if name == "FIGURE_PROPERTIES":
-        return _figure_properties()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def property_by_serial(n: int) -> Property:
     """The unique open-variant diagram property with serial n (0..21), as
     declared in the embedded fact file."""
@@ -325,10 +316,6 @@ EMPTY_TRACE = ProofTrace()
 class Judgment(NamedTuple):
     verdict: Verdict
     trace: ProofTrace = EMPTY_TRACE
-
-
-def render_trace(trace: ProofTrace) -> str:
-    return render_steps(trace.steps)
 
 
 def render_steps(steps: tuple[RuleInstance, ...], memo: dict | None = None) -> str:

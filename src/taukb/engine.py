@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import Contradiction, TaukbError, UnknownProperty, _forward, formats
 from .core import (CardinalExpr, Claim, Judgment, ProofTrace, Property, RuleInstance, Verdict, normalize_expr,
-                   render_expr, render_steps, render_trace)
+                   render_expr, render_steps)
 from .models import ModelRegistry, load_default_registry
 
 

@@ -162,10 +162,6 @@ class ModelRegistry:
     def validate(self) -> dict[str, list[str]]:
         return {m.name: validate_model(m) for m in self.models}
 
-    def consistently_less(self, x: CardinalExpr, y: CardinalExpr) -> str | None:
-        """Name of the first registered model with eval(x) < eval(y), if any: less_table's one pair."""
-        return self.less_table([x, y]).get((0, 1))
-
     def less_table(self, exprs: list[CardinalExpr]) -> dict[tuple[int, int], str]:
         """(u, l) -> name of the first registered model with eval(exprs[u]) <
         eval(exprs[l]), for each pair that some model separates.  Each

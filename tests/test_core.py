@@ -10,7 +10,6 @@ from taukb.core import (
     Claim,
     CoverKind,
     CoverVariant,
-    FIGURE_PROPERTIES,
     MalformedExpr,
     Max,
     Min,
@@ -147,14 +146,13 @@ def test_property_by_serial_out_of_range():
 
 
 def test_serials_total_and_unique():
-    serials = [p.serial for p in FIGURE_PROPERTIES]
-    assert serials == list(range(22))
-    assert len({p.key for p in FIGURE_PROPERTIES}) == 22
+    figure = [property_by_serial(n) for n in range(22)]
+    assert [p.serial for p in figure] == list(range(22))
+    assert len({p.key for p in figure}) == 22
 
 
 def test_unknown_value_serials_are_6_and_7():
-    unlabeled = [p.serial for p in FIGURE_PROPERTIES if p.non is None]
-    assert unlabeled == [6, 7]
+    assert [n for n in range(22) if property_by_serial(n).non is None] == [6, 7]
 
 
 def test_structural_identity_ignores_metadata():
@@ -200,8 +198,9 @@ def test_figure_properties_read_from_fact_file_on_first_use():
         "opened = []",
         "sys.addaudithook(lambda e, a: opened.append(str(a[0])) if e == 'open' else None)",
         "import taukb.cli",
+        "from taukb.core import property_by_serial",
         "assert not any(p.endswith('base_facts.txt') for p in opened), opened",
-        "from taukb.core import FIGURE_PROPERTIES",
+        "property_by_serial(0)",
         "assert any(p.endswith('base_facts.txt') for p in opened), opened",
     ])
     subprocess.run([sys.executable, "-c", code], check=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from taukb import engine, formats, models
+from taukb import UnknownProperty, engine, formats, models
 from taukb.core import (
     Atom,
     CardinalAtom,
@@ -25,7 +25,6 @@ from taukb.core import (
     parse_expr,
     property_by_serial,
     render_steps,
-    render_trace,
 )
 from taukb.engine import (
     Contradiction,
@@ -80,7 +79,7 @@ def test_query_examples(closure):
 @pytest.mark.parametrize("ask", [lambda c, p: query(c, p, serial(0)), derive_cardinality],
                          ids=["query", "derive_cardinality"])
 def test_query_unregistered_property(closure, ask):
-    from taukb.core import CoverVariant, Property, UnknownProperty
+    from taukb.core import CoverVariant, Property
 
     ghost = Property(serial(0).kind, serial(0).source, serial(0).target, CoverVariant.CLOPEN)
     with pytest.raises(UnknownProperty):
@@ -300,7 +299,7 @@ def test_explain_renders_the_matrix_cell_trace(default_kb):
     for result in _default_and_od_ablated(default_kb):
         settled = [(cell, j) for cell, j in result.matrix.items() if j.verdict is not Verdict.UNKNOWN]
         for (a, b), judgment in settled:
-            assert explain(result, a, b) == render_trace(judgment.trace)
+            assert explain(result, a, b) == render_steps(judgment.trace.steps)
 
 
 def test_explain_memo_renders_what_no_memo_renders(default_kb):
@@ -532,10 +531,10 @@ def test_replay_refuses_tampered_step(default_kb, closure, case):
 
 def test_trace_with_a_replaced_conclusion_renders_and_replays_it(default_kb, closure):
     steps = query(closure, serial(0), serial(19)).trace.steps  # two arrow facts, then R2
-    assert render_trace(ProofTrace(steps)).endswith("S2 R2: S1(Gamma,Gamma) -> Ufin(Gamma,T) from S0, S1")
+    assert render_steps(steps).endswith("S2 R2: S1(Gamma,Gamma) -> Ufin(Gamma,T) from S0, S1")
     wrong = steps[-1].conclusion._replace(object=serial(18))
     tampered = ProofTrace(steps[:-1] + (steps[-1]._replace(conclusion=wrong),))
-    assert render_trace(tampered).splitlines()[-1] == f"S2 R2: {wrong.render()} from S0, S1"
+    assert render_steps(tampered.steps).splitlines()[-1] == f"S2 R2: {wrong.render()} from S0, S1"
     with pytest.raises(engine.ReplayError, match=re.escape(f"concluding {wrong.render()}: does not match R2")):
         engine.replay_trace(tampered, default_kb)
 
@@ -611,7 +610,7 @@ def test_interval_guard_message_is_independent_of_hash_seed():
     lambda p, q: [(Claim("upper", p, expr=atom("b")), "test")],
 ], ids=["Arrow", "NonImp", "NonValue", "NonLower", "NonUpper"])
 def test_fact_on_unregistered_property_is_refused(default_kb, make_facts):
-    from taukb.core import CoverVariant, Property, UnknownProperty
+    from taukb.core import CoverVariant, Property
 
     ghost = Property(serial(0).kind, serial(0).source, serial(0).target, CoverVariant.CLOPEN)
     kb = engine.KnowledgeBase(default_kb.properties, tuple(make_facts(ghost, serial(0))),

@@ -277,11 +277,11 @@ def test_reference_spot_cells():
 
 
 def test_embedded_properties_match_core_table():
-    from taukb.core import FIGURE_PROPERTIES
+    from taukb.core import property_by_serial
 
     decls = {d.serial: d for d in load_default_facts().decls if isinstance(d, PropertyDecl)}
     assert sorted(decls) == list(range(22))
-    for p in FIGURE_PROPERTIES:
+    for p in map(property_by_serial, range(22)):
         d = decls[p.serial]
         assert (d.kind, d.source, d.target) == (p.kind, p.source, p.target)
         assert d.non == p.non

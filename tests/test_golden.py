@@ -27,7 +27,7 @@ from click.testing import CliRunner
 
 from taukb import engine, formats
 from taukb.cli import main
-from taukb.core import Verdict, render_expr
+from taukb.core import Verdict, render_expr, render_steps
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -107,7 +107,7 @@ def trace_transcript(result: engine.ClosureResult | None = None) -> str:
         if judgment.verdict is not Verdict.UNKNOWN:
             out.append(f"### explain {p.name} {q.name}\n{engine.explain(result, p, q)}\n")
     for (p, e), trace in result.exact_traces.items():
-        out.append(f"### exact non({p.name}) = {render_expr(e)}\n{engine.render_trace(trace)}\n")
+        out.append(f"### exact non({p.name}) = {render_expr(e)}\n{render_steps(trace.steps)}\n")
     return "".join(out)
 
 

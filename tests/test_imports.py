@@ -150,9 +150,8 @@ def test_public_names_resolve_to_their_home_objects():
         taukb.no_such_name
 
 
-# the names the gamma path shares are defined in the package; core re-exports them
-_SHARED = ("TaukbError MalformedExpr UnknownSerial UnknownProperty BadShape Contradiction Record "
-           "DEFAULT_BUDGET read_text").split()
+# the names the gamma path shares are defined in the package; core imports the ones it uses
+_SHARED = "TaukbError MalformedExpr UnknownSerial Record".split()
 
 
 def test_shared_names_are_the_package_objects():

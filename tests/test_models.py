@@ -88,39 +88,37 @@ def test_shipped_laver_levels(registry):
         assert eval_expr(atom(name), laver) == 2
 
 
-def test_consistently_less_examples(registry):
-    assert registry.consistently_less(atom("p"), atom("b")) == "laver"
-    assert registry.consistently_less(atom("b"), atom("b")) is None
-    witness = registry.consistently_less(parse_expr("od"), parse_expr("min{h,min{s,b}}"))
+def test_less_table_examples(registry):
+    assert registry.less_table([atom("p"), atom("b")]) == {(0, 1): "laver"}
+    assert registry.less_table([atom("b"), atom("b")]) == {}
+    witness = registry.less_table([parse_expr("od"), parse_expr("min{h,min{s,b}}")]).get((0, 1))
     assert witness == "odsmall"
 
 
-def test_consistently_less_skips_models_missing_atoms(registry):
+def test_less_table_skips_models_missing_atoms(registry):
     # odsmall has no p level, so it can never witness anything about p
-    assert registry.consistently_less(atom("p"), atom("h")) is None
+    assert (0, 1) not in registry.less_table([atom("p"), atom("h")])
 
 
 def test_no_model_separates_covM_from_od(registry):
     # a witness either way would overstep what is actually known
-    assert registry.consistently_less(atom("covM"), atom("od")) is None
-    assert registry.consistently_less(atom("od"), atom("covM")) is None
+    assert registry.less_table([atom("covM"), atom("od")]) == {}
 
 
 @given(exprs)
-def test_consistently_less_irreflexive(e):
-    registry = load_default_registry()
-    assert registry.consistently_less(e, e) is None
+def test_less_table_irreflexive(e):
+    assert load_default_registry().less_table([e]) == {}
 
 
 @given(exprs, exprs)
 def test_witness_is_strict_by_at_least_one_level(x, y):
     registry = load_default_registry()
-    name = registry.consistently_less(x, y)
-    if name is not None:
+    pair = (x, y)
+    for (u, l), name in registry.less_table(list(pair)).items():
         m = registry.get(name)
-        assert eval_expr(x, m) + 1 <= eval_expr(y, m)
+        assert eval_expr(pair[u], m) + 1 <= eval_expr(pair[l], m)
         # antisymmetry inside the witnessing model
-        assert not eval_expr(y, m) < eval_expr(x, m)
+        assert not eval_expr(pair[l], m) < eval_expr(pair[u], m)
 
 
 def test_models_file_round_trip(registry):
