@@ -314,6 +314,8 @@ def _load_facts(path: str, chain: tuple, origin: str | None = None) -> FactFile:
             object.__setattr__(d, "origin", origin)  # d is fresh from the parse, seen by no one else
             decls.append(d)
             continue
+        if not d.path:  # refused here, before a join makes it its includer's directory
+            raise FactParseError([(d.line, 1, 'include "": empty path')])
         target = os.path.join(os.path.dirname(path), d.path)
         if (real := os.path.realpath(target)) in chain:
             raise FactParseError([(d.line, 1, f"include {d.path} forms a cycle")])

@@ -420,6 +420,22 @@ def test_refused_files_print_one_error_line(tmp_path, monkeypatch, args, files, 
     assert result.stderr == f"error: {message}\n"
 
 
+# an empty include path is refused at its own line, before it is joined onto
+# its includer's directory, so the message does not depend on how that is named
+@pytest.mark.parametrize("facts", ["main.txt", "./main.txt", "{tmp}/main.txt", "sub/main.txt"])
+@pytest.mark.parametrize("nested", [False, True], ids=["top", "nested"])
+def test_an_empty_include_path_is_one_error_however_its_includer_is_named(tmp_path, monkeypatch, facts, nested):
+    (tmp_path / "sub").mkdir()
+    for d in (tmp_path, tmp_path / "sub"):
+        (d / "main.txt").write_text("include inc.txt\n" if nested else 'include ""\n', encoding="utf-8")
+        (d / "inc.txt").write_text('arrow 0 1\ninclude ""\n', encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["--facts", facts.format(tmp=tmp_path), "table"])
+    assert result.exit_code == 2, result.output
+    where = "line 1, col 1: include inc.txt: line 2, col 1: " if nested else "line 1, col 1: "
+    assert result.stderr == f'error: {where}include "": empty path\n'
+
+
 # --- fuzz: generated input files through every command --------------------
 
 _BASE = {name: formats.data_text(name).splitlines()
