@@ -2,7 +2,7 @@ import os
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from taukb import formats
@@ -195,10 +195,16 @@ verdicts = st.sampled_from([Verdict.IMPLIES, Verdict.NOT_IMPLIES, Verdict.UNKNOW
 grids = st.lists(st.lists(verdicts, min_size=22, max_size=22), min_size=22, max_size=22)
 
 
+@given(grids)
+def test_table_round_trip(grid):
+    parsed, frames = parse_table(render_table(grid))
+    assert parsed == grid
+    assert frames == set()
+
+
 @given(grids, st.sets(st.tuples(st.integers(0, 21), st.integers(0, 21)), max_size=12))
-@example([[list(Verdict)[(i + j) % 3] for j in range(22)] for i in range(22)], set())
 def test_table_round_trip_with_frames(grid, frames):
-    # an empty draw, the example's on every run, renders through the no-frames call
+    # an empty draw renders through the no-frames call
     parsed, parsed_frames = parse_table(render_table(grid, frames or None))
     assert parsed == grid
     assert parsed_frames == frames
