@@ -154,6 +154,7 @@ def normalize_expr(e: CardinalExpr) -> CardinalExpr:
 _DEPTH = 32  # the most min/max levels parse_expr takes: rendering recurses twice per level
 
 
+@functools.lru_cache(maxsize=1024)  # pure, and an expression is immutable: fact and registry files repeat them
 def parse_expr(text: str) -> CardinalExpr:
     """Parse 'b', 'min{s,b}', 'max{b,s}', nested forms allowed up to _DEPTH levels. Normalizes."""
     expr, rest = _parse_expr_prefix(text.strip(), _DEPTH)
@@ -207,11 +208,11 @@ class Property(_Labels):
     def __init__(self, kind: SelectorKind, source: CoverKind, target: CoverKind,
                  variant: CoverVariant = CoverVariant.OPEN, serial: int | None = None,
                  non: CardinalExpr | None = None):
-        super().__init__(kind, source, target, variant)
         name = f"{kind.label}({source.label},{target.label})"
         if variant is not CoverVariant.OPEN:
             name = f"{name}[{variant.label}]"
-        for slot, value in zip(_Labels.__slots__, (serial, non, name, hash(self._key()))):
+        key = (kind, source, target, variant)  # the fields, as _key() reads them back
+        for slot, value in zip(self.__slots__ + _Labels.__slots__, (*key, serial, non, name, hash(key))):
             object.__setattr__(self, slot, value)
 
     @property

@@ -26,6 +26,7 @@ and column, and an included file's errors at its include line.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from typing import NamedTuple
@@ -60,6 +61,9 @@ def render_ref(ref: Ref) -> str:
     return ":".join((ref.kind.label, ref.source.label, ref.target.label, ref.variant.label))
 
 
+_set = object.__setattr__
+
+
 class _Decl(Record):
     """A declaration, the line it was read from (0 if it was not read) and
     the include path, as written, of the file that line is in (None for the
@@ -69,11 +73,16 @@ class _Decl(Record):
     __slots__ = ("line", "origin")
 
     def __init__(self, *values, line: int = 0):
-        if len(values) > len(self.__slots__):  # the line given last, by position
-            *values, line = values
-        super().__init__(*values)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "origin", None)
+        # Record.__init__'s work, done here: a fact file builds one declaration a line
+        names, got = self.__slots__, len(values)
+        if got > len(names):  # the line given last, by position
+            line, got = values[-1], got - 1
+        if got != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {got}")
+        for name, value in zip(names, values):
+            _set(self, name, value)
+        _set(self, "line", line)
+        _set(self, "origin", None)
 
 
 class PropertyDecl(_Decl):
@@ -137,8 +146,8 @@ _DIRECTIVES = {
     "include": (1, (), 'include (<path> | "<path>")'),
 }
 
-# a token, as runs of plain characters and whole quoted strings; a comment; a lone quote
-_TOKEN = re.compile(r'(?:[^\s"#]|"[^"]*")+|#.*|"')
+# a token, as runs of plain characters and whole quoted strings; a comment, to the end; a lone quote
+_TOKEN = re.compile(r'(?:[^\s"#]|"[^"]*")+|#.*|"', re.DOTALL)
 
 
 def split_line(line: str) -> list[str]:
@@ -147,13 +156,13 @@ def split_line(line: str) -> list[str]:
     A double-quoted string stays in its token, quotes included, as in
     cite="a b"; a '#' or a space inside it is text.
     """
-    tokens = []
-    for token in _TOKEN.findall(line):
-        if token[0] == "#":
-            break
-        if token == '"':
-            raise ValueError("unterminated quote")
-        tokens.append(token)
+    if '"' not in line and "#" not in line:  # str.split and the regex's \s agree on what a space is
+        return line.split()
+    tokens = _TOKEN.findall(line)
+    if tokens and tokens[-1][0] == "#":  # a comment runs to the end, so it can only be the last token
+        tokens.pop()
+    if '"' in tokens:
+        raise ValueError("unterminated quote")
     return tokens
 
 
@@ -206,12 +215,16 @@ def _take_options(args: list[str], allowed: tuple[str, ...]) -> dict:
     return options
 
 
+# parse_ref and _struct are pure and return immutable values, and a fact file
+# names each ref many times: each keeps what it returned (never an error)
+@functools.lru_cache(maxsize=1024)
 def _struct(kind: str, src: str, tgt: str, var: str) -> Property:
     if kind not in _KINDS or src not in _COVERS or tgt not in _COVERS or var not in _VARIANTS:
         raise ValueError(f"bad property coordinates {kind} {src} {tgt} {var}")
     return Property(_KINDS[kind], _COVERS[src], _COVERS[tgt], _VARIANTS[var])
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_ref(token: str) -> Ref:
     if token.isdecimal():
         return SerialRef(int(token))
@@ -244,6 +257,8 @@ def _parse_decl(head: str, args: list[str], line: int) -> Decl:
     options = _take_options(args, allowed)
     if len(args) != arity:
         raise ValueError(f"expected: {usage}")
+    if head == "arrow":  # the commonest first
+        return ArrowDecl(parse_ref(args[0]), parse_ref(args[1]), options.get("cite"), line)
     if head == "property":
         if not args[0].isdecimal() or int(args[0]) >= SERIAL_COUNT:
             raise ValueError(f"serial must be an integer in 0..{SERIAL_COUNT - 1}, got {args[0]!r}")
@@ -254,8 +269,6 @@ def _parse_decl(head: str, args: list[str], line: int) -> Decl:
     if head == "variant":
         s = _struct(*args)
         return VariantDecl(s.kind, s.source, s.target, s.variant, options.get("non"), line)
-    if head == "arrow":
-        return ArrowDecl(parse_ref(args[0]), parse_ref(args[1]), options.get("cite"), line)
     if head == "nonimp":
         if not options:
             raise ValueError("nonimp needs a model= or cite= justification")

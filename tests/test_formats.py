@@ -386,3 +386,127 @@ def test_a_comment_line_never_changes_what_a_file_says(parse, text):
     lines, want = text.splitlines(keepends=True), parse(text)
     for k in range(len(lines)):
         assert parse("".join(lines[:k] + ["# c\n"] + lines[k:])) == want, f"# c before line {k + 1}"
+
+
+# --- split_line against the token pattern read token by token ------------------
+
+_REFERENCE_TOKEN = re.compile(r'(?:[^\s"#]|"[^"]*")+|#.*|"')
+
+
+def _reference_split(line: str) -> list[str]:
+    """The tokens of line: every match of the token pattern up to the first
+    comment token; a lone double quote before it is an error."""
+    tokens = []
+    for token in _REFERENCE_TOKEN.findall(line):
+        if token[0] == "#":
+            break
+        if token == '"':
+            raise ValueError("unterminated quote")
+        tokens.append(token)
+    return tokens
+
+
+def _assert_splits_as_reference(line: str) -> None:
+    try:
+        want = _reference_split(line)
+    except ValueError:
+        with pytest.raises(ValueError, match="unterminated quote"):
+            formats.split_line(line)
+        return
+    assert formats.split_line(line) == want, repr(line)
+
+
+@pytest.mark.parametrize("name", ["base_facts.txt", "models.txt", "table1.txt"])
+def test_split_line_reads_every_data_file_line_as_the_token_pattern_does(name):
+    lines = data_text(name).splitlines()
+    assert lines
+    for line in lines:
+        _assert_splits_as_reference(line)
+
+
+# the whitespace that str.split and the pattern's \s must agree on, beyond the ASCII space and tab
+_SPACES = "\x1c\x1d\x1e\x1f\x85\u00a0\u1680\u2000\u2028\u2029\u202f\u3000\x0b\x0c\r\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_WORDS), max_size=30).map(" ".join),
+                 st.text(st.one_of(st.characters(), st.sampled_from(_SPACES + '"# =')))))
+def test_split_line_agrees_with_the_token_pattern(line):
+    _assert_splits_as_reference(line)
+
+
+@pytest.mark.parametrize("line, tokens", [
+    ('arrow 0 1 cite="a # b"  # a comment', ["arrow", "0", "1", 'cite="a # b"']),
+    ("arrow 0 1# a comment", ["arrow", "0", "1"]),
+    ('arrow 0 1 # a lone " in a comment', ["arrow", "0", "1"]),
+    ("arrow 0\x1c1 ", ["arrow", "0", "1"]),
+    ("# all comment\narrow 0 1", []),
+])
+def test_split_line_examples(line, tokens):
+    assert formats.split_line(line) == tokens
+
+
+@pytest.mark.parametrize("line", ['"', 'arrow 0 1 "', 'arrow 0 1 cite="a # b', 'a " b # c'])
+def test_split_line_refuses_a_lone_quote(line):
+    with pytest.raises(ValueError, match="unterminated quote"):
+        formats.split_line(line)
+
+
+# --- the parse memos keep values, never errors or declarations -----------------
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_expr, "min{b}"), (parse_expr, "frobnicate"), (parse_expr, "min{b,s} trailing"),
+    (formats.parse_ref, "S1:O:O"), (formats.parse_ref, "S1:X:O:open"), (formats.parse_ref, "S1:O:O:open:x"),
+])
+def test_a_malformed_expression_or_ref_raises_the_same_error_every_time(parse, text):
+    kept = parse.cache_info().currsize
+    messages = []
+    for _ in range(2):
+        with pytest.raises((TaukbError, ValueError)) as exc:
+            parse(text)
+        messages.append((type(exc.value), str(exc.value)))
+    assert messages[0] == messages[1]
+    assert parse.cache_info().currsize == kept  # the error was not kept
+
+
+def test_a_bad_fact_file_reads_the_same_errors_every_time():
+    text = "card 14 eq min{b}\narrow 0 S1:X:O:open\nvariant S1 X O open\n"
+    errors = []
+    for _ in range(2):
+        with pytest.raises(FactParseError) as exc:
+            parse_facts(text)
+        errors.append(exc.value.errors)
+    assert errors[0] == errors[1] and len(errors[0]) == 3
+
+
+def test_two_reads_of_one_text_are_equal_and_share_no_declaration():
+    text = data_text("base_facts.txt")
+    first, second = parse_facts(text), parse_facts(text)
+    assert first == second
+    assert not {id(d) for d in first.decls} & {id(d) for d in second.decls}
+
+
+def test_a_line_repeated_in_an_included_file_keeps_both_origins(tmp_path):
+    from taukb.core import Claim, property_by_serial
+    from taukb.engine import build_knowledge_base
+    from taukb.formats import load_facts
+    from taukb.models import load_default_registry
+
+    base = data_text("base_facts.txt")
+    n = base.splitlines().index("arrow 18 19") + 1
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "inc.txt").write_text("arrow 18 19\n", encoding="utf-8")
+    (tmp_path / "main.txt").write_text(base + "include sub/inc.txt\n", encoding="utf-8")
+    claim = Claim("implies", property_by_serial(18), property_by_serial(19))
+    for _ in range(2):  # the second read finds every ref and expression already parsed
+        ff = load_facts(tmp_path / "main.txt")
+        top, included = [d for d in ff.decls if d == ArrowDecl(SerialRef(18), SerialRef(19), None)]
+        assert top is not included
+        assert (top.origin, top.line, included.origin, included.line) == (None, n, "sub/inc.txt", 1)
+        kb = build_knowledge_base(ff, load_default_registry())
+        assert [cite for c, cite in kb.facts if c == claim] == [f"facts:{n}", "sub/inc.txt:1"]
+
+
+def test_each_parse_memo_is_bounded():
+    for memo in (parse_expr, formats.parse_ref, formats._struct):
+        assert memo.cache_info().maxsize is not None

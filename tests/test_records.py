@@ -127,6 +127,16 @@ def test_a_record_refuses_the_wrong_number_of_fields():
         models.Model("m", {})
 
 
+def test_a_declaration_refuses_the_wrong_number_of_fields():
+    # the line may follow the fields, by position or by name; nothing else may
+    ref = SerialRef(0)
+    assert formats.ArrowDecl(ref, ref, None).line == 0
+    assert formats.ArrowDecl(ref, ref, None, 7).line == formats.ArrowDecl(ref, ref, None, line=7).line == 7
+    for values, got in (((ref, ref), 2), ((ref, ref, None, 7, 8), 4)):
+        with pytest.raises(TypeError, match=f"ArrowDecl takes 3 fields, got {got}"):
+            formats.ArrowDecl(*values)
+
+
 def test_lazy_trace_equals_the_plain_trace_with_its_steps():
     lazy = _LazyTrace(lambda stmt: (_STEP,), ("implies", 0, 1))
     plain = ProofTrace((_STEP,))
