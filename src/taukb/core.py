@@ -157,7 +157,10 @@ _DEPTH = 32  # the most min/max levels parse_expr takes: rendering recurses twic
 @functools.lru_cache(maxsize=1024)  # pure, and an expression is immutable: fact and registry files repeat them
 def parse_expr(text: str) -> CardinalExpr:
     """Parse 'b', 'min{s,b}', 'max{b,s}', nested forms allowed up to _DEPTH levels. Normalizes."""
-    expr, rest = _parse_expr_prefix(text.strip(), _DEPTH)
+    text = text.strip()
+    if text in _ATOM_ALIASES:  # a bare atom, the commonest expression
+        return _ATOM_ALIASES[text]
+    expr, rest = _parse_expr_prefix(text, _DEPTH)
     if rest:
         raise MalformedExpr(f"trailing garbage after expression: {rest!r}")
     return normalize_expr(expr)
