@@ -5,7 +5,11 @@ cannot be written and a closed stdout pipe included), 3 contradiction in the fac
 carries payload only; diagnostics go to stderr.
 
 Each command imports the modules it runs and no other, because a child process that writes
-no bytecode compiles every module it imports.  Run as the program, it ends with ``os._exit``
+no bytecode compiles every module it imports.  So this module declares every command, and
+_run loads the module of the command's path and runs its body there: `kbcli` holds those of
+table, query and card, `proofs` explain's and `reference` diff's (each beside `core`,
+`formats`, `models` and `engine`), `gamma` those of diag and odiag, and `ledger` problems'.
+Run as the program, it ends with ``os._exit``
 once its output is flushed, since a process about to end need not tear the interpreter down.
 """
 
@@ -18,7 +22,7 @@ import sys
 
 import click
 
-from . import DEFAULT_BUDGET, Contradiction, TaukbError, read_text
+from . import DEFAULT_BUDGET, Contradiction, TaukbError
 
 EXIT_DIFF = 1
 EXIT_PARSE = 2
@@ -52,7 +56,7 @@ class _Group(click.Group):
                 raise
             code, text = EXIT_PARSE, ""
         except Contradiction as e:  # only the engine raises one, and it has loaded core
-            from .core import render_steps
+            from .proofs import render_steps
 
             code, text = EXIT_CONTRADICTION, "\n".join((f"contradiction: {e.src.name} vs {e.dst.name}", "-- implies trace --",
                 render_steps(e.implies_trace.steps), "-- does-not-imply trace --", render_steps(e.notimplies_trace.steps), ""))
@@ -66,36 +70,6 @@ class _Group(click.Group):
         except OSError:
             sys.stderr = io.StringIO()  # nor what a failed stderr holds
         sys.exit(code)
-
-
-def _close(ctx):
-    """The closure of the KB that --facts and --models name."""
-    from . import engine, formats, models
-
-    cfg = ctx.obj
-    facts = formats.load_facts(cfg["facts"]) if cfg["facts"] else formats.load_default_facts()
-    registry = (models.load_registry(read_text(cfg["models"])) if cfg["models"]
-                else models.load_default_registry())
-    return engine.close(engine.build_knowledge_base(facts, registry))
-
-
-def _serial_grid(result):
-    """The closure's 22x22 verdict grid; a fact file that leaves a serial
-    undeclared is a TaukbError naming each one."""
-    from .core import SERIAL_COUNT
-
-    declared = {p.serial for p in result.serial_properties()}
-    missing = [str(n) for n in range(SERIAL_COUNT) if n not in declared]
-    if missing:
-        raise TaukbError(f"the fact file declares no property with serial {', '.join(missing)}")
-    return result.serial_grid()
-
-
-def _serial(result, n: int):
-    for p in result.properties:
-        if p.serial == n:
-            return p
-    raise TaukbError(f"no property with serial {n}")
 
 
 @click.group(cls=_Group)
@@ -113,7 +87,14 @@ def main(ctx, facts, models, fmt, budget):
     ctx.obj = {"facts": facts, "models": models, "fmt": fmt, "budget": budget}
 
 
-def _emit(ctx, payload_text: str, payload_json: list[dict]):
+def _run(ctx, module: str):
+    """Run the command's body, <command>_command in taukb.<module>, on its parameters.  Print the text
+    it returns, or with --format jsonl each JSON object it returns on a line; then exit with the code
+    it returns third, if it does."""
+    from importlib import import_module
+
+    payload_text, payload_json, *code = getattr(import_module(f"{__package__}.{module}"),
+                                                f"{ctx.command.name}_command")(ctx, **ctx.params)
     if ctx.obj["fmt"] == "jsonl":
         import json
 
@@ -121,17 +102,15 @@ def _emit(ctx, payload_text: str, payload_json: list[dict]):
             click.echo(json.dumps(obj, sort_keys=True))
     else:
         click.echo(payload_text, nl=False)
+    if code:
+        sys.exit(*code)
 
 
 @main.command()
 @click.pass_context
 def table(ctx):
     """Print the closed 22x22 judgment table."""
-    from . import formats
-
-    text = formats.render_table(_serial_grid(_close(ctx)))
-    rows = [{"serial": i, "row": line} for i, line in enumerate(text.strip().splitlines())]
-    _emit(ctx, text, rows)
+    _run(ctx, "kbcli")
 
 
 @main.command()
@@ -140,11 +119,7 @@ def table(ctx):
 @click.pass_context
 def query(ctx, i, j):
     """Judgment for: does property I imply property J?"""
-    from . import engine
-
-    result = _close(ctx)
-    judgment = engine.query(result, _serial(result, i), _serial(result, j))
-    _emit(ctx, f"{judgment.verdict}\n", [{"row": i, "col": j, "verdict": str(judgment.verdict)}])
+    _run(ctx, "kbcli")
 
 
 @main.command()
@@ -153,12 +128,7 @@ def query(ctx, i, j):
 @click.pass_context
 def explain(ctx, i, j):
     """Proof trace for the (I, J) cell."""
-    from . import engine
-
-    result = _close(ctx)
-    text = engine.explain(result, _serial(result, i), _serial(result, j))
-    steps = [{"step": k, "line": line} for k, line in enumerate(text.splitlines())]
-    _emit(ctx, text + "\n", steps)
+    _run(ctx, "proofs")
 
 
 @main.command()
@@ -166,25 +136,7 @@ def explain(ctx, i, j):
 @click.pass_context
 def card(ctx, i):
     """Critical cardinality of property I: exact value or derived bounds."""
-    from . import engine
-    from .core import CardinalAtom, render_expr
-
-    result = _close(ctx)
-    prop = _serial(result, i)
-    report = engine.derive_cardinality(result, prop)
-    named_unknown = CardinalAtom.OD
-    if report.exact is not None and (prop.non is not None or report.exact != named_unknown):
-        text = f"non({prop.name}) = {render_expr(report.exact)}\n"
-        payload = {"serial": i, "exact": render_expr(report.exact)}
-    else:
-        lows = [render_expr(e) for e in report.lower if e != named_unknown]
-        ups = [render_expr(e) for e in report.upper if e != named_unknown]
-        # the interesting display bounds are the characteristic ones
-        lo = "cov(M)" if "cov(M)" in lows else (lows[0] if lows else "aleph1")
-        hi = "d" if "d" in ups else (ups[0] if ups else "c")
-        text = f"{lo} <= non({prop.name}) <= {hi}\n"
-        payload = {"serial": i, "lower": sorted(lows), "upper": sorted(ups)}
-    _emit(ctx, text, [payload])
+    _run(ctx, "kbcli")
 
 
 @main.command()
@@ -192,31 +144,14 @@ def card(ctx, i):
 @click.pass_context
 def diff(ctx, path):
     """Diff the computed table against the embedded reference (or PATH)."""
-    from . import engine, formats
-
-    grid = _serial_grid(_close(ctx))
-    ref_grid = formats.parse_table(read_text(path))[0] if path else formats.load_reference_table().grid
-    delta = engine.diff(grid, ref_grid)
-    if not delta:
-        _emit(ctx, "identical\n", [{"identical": True}])
-        return
-    lines = [f"({r},{c}) computed={va} reference={vb}" for r, c, va, vb in delta]
-    _emit(ctx, "\n".join(lines) + "\n",
-          [{"row": r, "col": c, "computed": str(va), "reference": str(vb)} for r, c, va, vb in delta])
-    sys.exit(EXIT_DIFF)
+    _run(ctx, "reference")
 
 
 @main.command()
 @click.pass_context
 def problems(ctx):
     """The monthly problem registry with current statuses."""
-    from . import ledger
-
-    entries = ledger.list_problems()
-    text = "\n".join(ledger.render_problem(p) for p in entries) + "\n"
-    payload = [{"issue": p.issue, "statement": p.statement, **ledger.problem_status(p.status)}
-               for p in entries]
-    _emit(ctx, text, payload)
+    _run(ctx, "ledger")
 
 
 @main.command()
@@ -228,18 +163,7 @@ def problems(ctx):
 @click.pass_context
 def diag(ctx, family_file, col_bound, size_bound, hit_quota, exceptions):
     """Search a finite tau-diagonalization of the family in FAMILY_FILE."""
-    from . import gamma
-
-    fam = gamma.GammaFamily(tuple(gamma.parse_family_file(read_text(family_file))))
-    bound = col_bound if col_bound is not None else fam.max_word_length() + 1
-    witness = gamma.finitely_tau_diagonalizable(
-        fam, bound, size_bound, hit_quota, exceptions, budget=ctx.obj["budget"])
-    if witness is None:
-        _emit(ctx, "not finitely tau-diagonalizable within the bounds\n", [{"diagonalizable": False}])
-    else:
-        sets = [sorted(s) for s in witness.sets]
-        _emit(ctx, "selector: " + " ".join("{" + ",".join(map(str, s)) + "}" for s in sets) + "\n",
-              [{"diagonalizable": True, "sets": sets}])
+    _run(ctx, "gamma")
 
 
 @main.command()
@@ -248,16 +172,7 @@ def diag(ctx, family_file, col_bound, size_bound, hit_quota, exceptions):
 @click.pass_context
 def odiag(ctx, family_file, col_bound):
     """Search an o-diagonalization of the arrays in FAMILY_FILE."""
-    from . import gamma
-
-    arrays = gamma.parse_family_file(read_text(family_file))
-    bound = col_bound if col_bound is not None else gamma.max_word_length(arrays) + 1
-    witness = gamma.o_diagonalizable(arrays, bound, budget=ctx.obj["budget"])
-    if witness is None:
-        _emit(ctx, "not o-diagonalizable within the bounds\n", [{"diagonalizable": False}])
-    else:
-        _emit(ctx, "g = " + " ".join(map(str, witness.choices)) + "\n",
-              [{"diagonalizable": True, "g": list(witness.choices)}])
+    _run(ctx, "gamma")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import functools
 from typing import NamedTuple
 
 # the errors and Record live in the package, which the gamma path loads without core
-from . import MalformedExpr, Record, TaukbError, UnknownSerial
+from . import MalformedExpr, Record, TaukbError, UnknownSerial, _forward
 
 
 # ---------------------------------------------------------------------------
@@ -232,28 +232,6 @@ class Property(_Labels):
 SERIAL_COUNT = 22
 
 
-@functools.cache
-def _figure_properties() -> tuple[Property, ...]:
-    # The property lines of the embedded fact file are the one statement of
-    # the 22 nodes and their labels.  They are read on first use, so that
-    # importing the package reads no file.
-    from .formats import PropertyDecl, load_default_facts
-
-    decls = sorted((d for d in load_default_facts().decls if isinstance(d, PropertyDecl)),
-                   key=lambda d: d.serial)
-    if [d.serial for d in decls] != list(range(SERIAL_COUNT)):
-        raise TaukbError(f"embedded facts must declare each serial 0..{SERIAL_COUNT - 1} once")
-    return tuple(d.to_property() for d in decls)
-
-
-def property_by_serial(n: int) -> Property:
-    """The unique open-variant diagram property with serial n (0..21), as
-    declared in the embedded fact file."""
-    if not isinstance(n, int) or n < 0 or n >= SERIAL_COUNT:
-        raise UnknownSerial(f"serial must be in 0..{SERIAL_COUNT - 1}, got {n!r}")
-    return _figure_properties()[n]
-
-
 # ---------------------------------------------------------------------------
 # Judgments and proof traces
 
@@ -322,24 +300,5 @@ class Judgment(NamedTuple):
     trace: ProofTrace = EMPTY_TRACE
 
 
-def render_steps(steps: tuple[RuleInstance, ...], memo: dict | None = None) -> str:
-    """One line per step: index, rule, citation or witnessing model, conclusion, premises.
-
-    memo, {id(step): (step, text)}, keeps each premise-free exact
-    RuleInstance's text after its index; an entry counts only for the very
-    step it holds, which it keeps alive, so its id names no other step.
-    """
-    lines = []
-    for i, step in enumerate(steps):
-        hit = memo.get(id(step)) if memo is not None else None
-        if hit is not None and hit[0] is step:
-            lines.append(f"S{i} {hit[1]}")
-            continue
-        rule, premises, conclusion, note = step
-        src = " from S" + ", S".join(map(str, premises)) if premises else ""
-        note = f" [model {note}]" if rule == "R4" else (f" [{note}]" if note else "")
-        text = f"{rule}{note}: {conclusion.render()}{src}"
-        if memo is not None and not premises and type(step) is RuleInstance:
-            memo[id(step)] = (step, text)
-        lines.append(f"S{i} {text}")
-    return "\n".join(lines)
+# names that live in modules a KB command loads only if it runs them
+__getattr__ = _forward(globals(), {"reference": "_figure_properties property_by_serial", "proofs": "render_steps"})

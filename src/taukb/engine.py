@@ -25,17 +25,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import Contradiction, TaukbError, UnknownProperty, _forward, formats
-from .core import (CardinalExpr, Claim, Judgment, ProofTrace, Property, RuleInstance, Verdict, normalize_expr,
-                   render_expr, render_steps)
+from .core import CardinalExpr, Claim, Judgment, ProofTrace, Property, Verdict, normalize_expr, render_expr
 from .models import ModelRegistry, load_default_registry
-
-
-class NothingToExplain(TaukbError):
-    """Asked to explain an Unknown cell."""
-
-
-class ShapeMismatch(TaukbError):
-    """Judgment matrices with different index sets cannot be diffed."""
 
 
 class KnowledgeBase:
@@ -169,51 +160,6 @@ class CardinalityReport(NamedTuple):
         return self.exacts[0] if self.exacts else None
 
 
-class _Traces:
-    """The proof traces of one closure, built from its provenance on demand.
-
-    A statement's trace lists, in DFS postorder, the statements its proof
-    uses: its first premise's order, then its second premise's order minus
-    what is already listed, then the statement itself.  Every listed set is
-    closed under premises, so this is the order of one DFS from the
-    statement, and the first premise's steps are a prefix of its steps.
-    Each statement's order and steps are built together, at most once, from
-    its premises' entries: that prefix plus fresh steps.  A fact or R1 step
-    names no position, so it is built once per statement and shared.
-    """
-
-    def __init__(self, prov: dict, props: tuple, exprs: list):
-        self.prov = prov  # stmt -> (rule, premises, note)
-        self.props, self.exprs = props, exprs
-        self._memo: dict[tuple, tuple] = {}  # stmt -> (the statements its steps conclude, its steps)
-        self.texts: dict[int, tuple] = {}  # explain's render_steps memo: {id(step): (step, text)}
-
-    def steps(self, stmt: tuple) -> tuple[RuleInstance, ...]:
-        return self._trace(stmt)[1]
-
-    def _trace(self, stmt: tuple) -> tuple[tuple, tuple[RuleInstance, ...]]:
-        """stmt's DFS postorder, the statements its steps conclude in step order, and its steps."""
-        entry = self._memo.get(stmt)
-        if entry is None:
-            rule, premises, note = self.prov[stmt]  # none or, for a derived statement, two premises
-            if premises:
-                (order, steps), (later, _) = self._trace(premises[0]), self._trace(premises[1])
-                order = tuple(dict.fromkeys(order + later + (stmt,)))  # a listed statement keeps its place
-                for s in order[len(steps):]:  # a fresh step finds its premises' positions in order
-                    rule, premises, note = self.prov[s]
-                    steps += (RuleInstance(rule, (order.index(premises[0]), order.index(premises[1])),
-                                           self._claim(s), note) if premises else self.steps(s)[0],)
-            else:
-                order, steps = (stmt,), (RuleInstance(rule, (), self._claim(stmt), note),)
-            entry = self._memo[stmt] = order, steps
-        return entry
-
-    def _claim(self, stmt: tuple) -> Claim:
-        kind, i, x = stmt
-        return (Claim(kind, self.props[i], self.props[x]) if kind in _EDGE_KINDS
-                else Claim(kind, self.props[i], expr=self.exprs[x]))
-
-
 class _BuiltOnRead:
     """A _LazyTrace's steps, built by build(stmt) on first read into its dict, where later reads look first."""
 
@@ -236,22 +182,35 @@ class ClosureResult:
     """Immutable outcome of close(): judgment matrix, one cardinality report
     per property, traces.
 
-    The closure keeps its implies and notimplies bit rows and its provenance,
-    and _cell is the one reader of a cell's bits.  matrix, a Judgment per
-    ordered pair, is built through it the first time it is read; serial_grid,
-    query and explain read cells through it and build none of matrix.  Each
-    trace in matrix and exact_traces builds its steps from the provenance the
-    first time they are read.
+    The closure keeps its implies, notimplies and exact bit rows and its
+    provenance, and _cell is the one reader of a cell's bits.  matrix, a
+    Judgment per ordered pair, is built through it the first time it is read;
+    serial_grid, query and explain read cells through it and build none of
+    matrix.  Each trace in matrix and exact_traces builds its steps from the
+    provenance the first time they are read, by _traces, whose first read
+    loads taukb.proofs.
     """
 
-    def __init__(self, kb, rows, traces, cards, exact_traces, iterations):
+    def __init__(self, kb, rows, prov, exprs, cards, iterations):
         self.properties: tuple[Property, ...] = kb.properties
         self._index: dict[Property, int] = kb._index  # the KB's own index, not a copy
-        self._implies, self._notimplies = rows  # bit j of row i: properties[i] (does not) imply properties[j]
-        self._traces: _Traces = traces
+        # bit j of row i: properties[i] (does not) imply properties[j]; of _exact[i]: non(properties[i]) = exprs[j]
+        self._implies, self._notimplies, self._exact = rows
+        self._prov, self._exprs = prov, exprs  # stmt -> (rule, premises, note); the expressions, in rendered order
         self.cards: dict[Property, CardinalityReport] = cards
-        self.exact_traces: dict[tuple[Property, CardinalExpr], ProofTrace] = exact_traces
         self.iterations = iterations
+
+    @cached_property
+    def _traces(self):
+        from .proofs import _Traces
+
+        return _Traces(self._prov, self.properties, self._exprs)
+
+    @cached_property
+    def exact_traces(self) -> dict[tuple[Property, CardinalExpr], ProofTrace]:
+        build = self._traces.steps
+        return {(p, self._exprs[k]): _LazyTrace(build, ("exact", i, k))
+                for i, p in enumerate(self.properties) for k in _bits(self._exact[i])}
 
     @cached_property
     def matrix(self) -> dict[tuple[Property, Property], Judgment]:
@@ -311,7 +270,6 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     above = [sum(1 << l for l in range(len(exprs)) if (u, l) in less) for u in range(len(exprs))]
 
     prov: dict[tuple, tuple] = {}  # stmt -> (rule, premises, note)
-    traces = _Traces(prov, props, exprs)
     rows = {kind: [0] * n for kind in ("implies", "notimplies", "lower", "upper", "exact")}
     imp, non, low, up, exact = rows.values()
     # under[l] has bit i set iff bit l of above[u] is set for some upper bound u of non(i)
@@ -355,7 +313,9 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     while True:  # each rule proposes only what is not installed, so a round that goes on installs something new
         for i in range(n):  # each round starts from a state with no pair judged both ways
             if both := imp[i] & non[i]:
-                j = _bits(both)[0]
+                from .proofs import _Traces  # the report's traces: a closure that ends loads no trace builder
+
+                j, traces = _bits(both)[0], _Traces(prov, props, exprs)
                 raise Contradiction(props[i], props[j], ProofTrace(traces.steps(("implies", i, j))),
                                     ProofTrace(traces.steps(("notimplies", i, j))))
         iterations += 1
@@ -416,9 +376,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
         return tuple(exprs[k] for k in _bits(mask))
 
     cards = {p: CardinalityReport(values(exact[i]), values(low[i]), values(up[i])) for i, p in enumerate(props)}
-    exact_traces = {(props[i], exprs[k]): _LazyTrace(traces.steps, ("exact", i, k))
-                    for i in range(n) for k in _bits(exact[i])}
-    return ClosureResult(kb, (imp, non), traces, cards, exact_traces, iterations)
+    return ClosureResult(kb, (imp, non, exact), prov, exprs, cards, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +385,8 @@ def close(kb: KnowledgeBase) -> ClosureResult:
 
 def query(result: ClosureResult, p: Property, q: Property) -> Judgment:
     """The cell's judgment, equal to result.matrix[(p, q)]."""
-    stmt = result._settled(p, q)
-    return Judgment(_VERDICT[stmt[0]], _LazyTrace(result._traces.steps, stmt)) if stmt else _UNKNOWN
-
-
-def explain(result: ClosureResult, p: Property, q: Property) -> str:
-    """Human-readable linearization of the cell's proof trace."""
-    stmt = result._settled(p, q)
-    if stmt is None:
-        raise NothingToExplain(f"{p.name} vs {q.name} is unsettled; nothing to explain")
-    return render_steps(result._traces.steps(stmt), result._traces.texts)
+    stmt = result._settled(p, q)  # its trace reads result._traces only when its steps are read
+    return Judgment(_VERDICT[stmt[0]], _LazyTrace(lambda s: result._traces.steps(s), stmt)) if stmt else _UNKNOWN
 
 
 def derive_cardinality(result: ClosureResult, p: Property) -> CardinalityReport:
@@ -448,17 +398,6 @@ def derive_cardinality(result: ClosureResult, p: Property) -> CardinalityReport:
         raise UnknownProperty(f"{p.name} is not registered") from None
 
 
-def diff(a: list[list[Verdict]], b: list[list[Verdict]]) -> list[tuple[int, int, Verdict, Verdict]]:
-    """All differing cells of two same-shape verdict grids, sorted by (row, col)."""
-    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
-        raise ShapeMismatch("matrices have different index sets")
-    out = []
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        for j, (va, vb) in enumerate(zip(ra, rb)):
-            if va is not vb:
-                out.append((i, j, va, vb))
-    return out
-
-
-# the replay checker's names, which live in taukb.replay: no KB command loads it
-__getattr__ = _forward(globals(), {"replay": "ReplayError replay_trace replay_all"})
+# names that live in modules a KB command loads only if it runs them
+__getattr__ = _forward(globals(), {"proofs": "NothingToExplain explain", "reference": "ShapeMismatch diff",
+                                   "replay": "ReplayError replay_trace replay_all"})

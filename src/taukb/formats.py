@@ -55,12 +55,6 @@ class SerialRef(NamedTuple):
 Ref = SerialRef | Property
 
 
-def render_ref(ref: Ref) -> str:
-    if isinstance(ref, SerialRef):
-        return str(ref.serial)
-    return ":".join((ref.kind.label, ref.source.label, ref.target.label, ref.variant.label))
-
-
 _set = object.__setattr__
 
 
@@ -173,25 +167,6 @@ def unquote(token: str, what: str) -> str:
     raise ValueError(f"{what} must be double-quoted")
 
 
-def quote(value: str, what: str) -> str:
-    """value in double quotes, as unquote reads it back; what names the value
-    in the error.  No escape exists, so a '"' or a line break is refused."""
-    if '"' in value or "".join(value.splitlines()) != value:
-        raise TaukbError(f"{what} {value!r} cannot be written: it holds a double quote or a line break")
-    return f'"{value}"'
-
-
-def bare(value: str, what: str) -> str:
-    """value as it stands, if split_line reads it back as that one token;
-    what names the value in the error."""
-    try:
-        if split_line(value) == [value]:
-            return value
-    except ValueError:  # a lone double quote
-        pass
-    raise TaukbError(f"{what} {value!r} cannot be written: it does not read back as one token")
-
-
 def _model_name(value: str) -> str:
     if not value:
         raise ValueError("model= needs a model name")
@@ -282,35 +257,6 @@ def _parse_decl(head: str, args: list[str], line: int) -> Decl:
     return IncludeDecl(unquote(path, "include path") if path.startswith('"') else path, line)
 
 
-def render_decl(d: Decl) -> str:
-    if isinstance(d, PropertyDecl):
-        out = f'property {d.serial} "{d.to_property().name}"'
-    elif isinstance(d, VariantDecl):
-        out = f"variant {d.kind.label} {d.source.label} {d.target.label} {d.variant.label}"
-    elif isinstance(d, ArrowDecl):
-        out = f"arrow {render_ref(d.src)} {render_ref(d.dst)}"
-    elif isinstance(d, NonImpDecl):
-        out = f"nonimp {render_ref(d.src)} {render_ref(d.dst)}"
-    elif isinstance(d, CardDecl):
-        out = f"card {render_ref(d.ref)} {d.rel} {render_expr(d.expr)}"
-    elif isinstance(d, IncludeDecl):
-        plain = re.fullmatch(r'[^\s#"]+', d.path)
-        return f"include {d.path if plain else quote(d.path, 'include path')}"
-    else:
-        raise TypeError(f"not a declaration: {d!r}")
-    if getattr(d, "non", None) is not None:
-        out += f" non={render_expr(d.non)}"
-    if getattr(d, "model", None) is not None:
-        out += f" model={bare(d.model, 'model name')}"
-    if getattr(d, "cite", None) is not None:
-        out += f" cite={quote(d.cite, 'cite value')}"
-    return out
-
-
-def render_facts(ff: FactFile) -> str:
-    return "\n".join(render_decl(d) for d in ff.decls) + "\n"
-
-
 def load_facts(path) -> FactFile:
     """Read a fact file from disk, resolving include declarations."""
     path = os.fspath(path)
@@ -354,26 +300,7 @@ def load_default_facts() -> FactFile:
 # Judgment table codec
 
 
-class BadSymbol(TaukbError):
-    pass
-
-
-class CorruptReferenceData(TaukbError):
-    pass
-
-
 _SYMBOL = {Verdict.IMPLIES: "+", Verdict.NOT_IMPLIES: "-", Verdict.UNKNOWN: "?"}
-_VERDICT = {v: k for k, v in _SYMBOL.items()}
-
-Grid = list[list[Verdict]]
-
-
-class ReferenceTable(NamedTuple):
-    grid: tuple[tuple[Verdict, ...], ...]
-    frames: frozenset[tuple[int, int]]
-
-    def verdict(self, i: int, j: int) -> Verdict:
-        return self.grid[i][j]
 
 
 def render_table(grid, frames: set[tuple[int, int]] | None = None) -> str:
@@ -395,53 +322,8 @@ def render_table(grid, frames: set[tuple[int, int]] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_table(text: str) -> tuple[Grid, set[tuple[int, int]]]:
-    """Inverse of render_table; '#' comments and blank lines are skipped."""
-    grid: Grid = []
-    frames: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("frames"):
-            if not grid:
-                raise BadShape(f"line {lineno}: frames line before any row")
-            row = len(grid) - 1
-            for tok in line.split()[1:]:
-                if not re.fullmatch(r"\d+", tok) or int(tok) >= SERIAL_COUNT:
-                    raise BadShape(f"line {lineno}: bad frame column {tok!r}")
-                frames.add((row, int(tok)))
-            continue
-        if len(line) != SERIAL_COUNT:
-            raise BadShape(f"line {lineno}: expected {SERIAL_COUNT} symbols, got {len(line)}")
-        row_verdicts = []
-        for ch in line:
-            if ch not in _VERDICT:
-                raise BadSymbol(f"line {lineno}: bad symbol {ch!r}")
-            row_verdicts.append(_VERDICT[ch])
-        grid.append(row_verdicts)
-    if len(grid) != SERIAL_COUNT:
-        raise BadShape(f"expected {SERIAL_COUNT} rows, got {len(grid)}")
-    return grid, frames
-
-
-def load_reference_table() -> ReferenceTable:
-    """The embedded known-implications table, structurally checked at load."""
-    grid, frames = parse_table(data_text("table1.txt"))
-    ref = ReferenceTable(tuple(tuple(r) for r in grid), frozenset(frames))
-    for i in range(SERIAL_COUNT):
-        if ref.grid[i][i] is not Verdict.IMPLIES:
-            raise CorruptReferenceData(f"diagonal cell ({i},{i}) is not Implies")
-    unknown = sum(row.count(Verdict.UNKNOWN) for row in ref.grid)
-    if unknown != 55:
-        raise CorruptReferenceData(f"expected 55 Unknown cells, found {unknown}")
-    if len(ref.frames) != 21:
-        raise CorruptReferenceData(f"expected 21 framed cells, found {len(ref.frames)}")
-    for (r, c) in ref.frames:
-        if ref.grid[r][c] is not Verdict.NOT_IMPLIES:
-            raise CorruptReferenceData(f"framed cell ({r},{c}) is not NotImplies")
-    return ref
-
-
-# the problem ledger's names, which live in taukb.ledger
-__getattr__ = _forward(globals(), {"ledger": "Open Solved PartiallySolved list_problems"})
+# names that live in modules a KB command loads only if it runs them
+__getattr__ = _forward(globals(), {"writers": "bare quote render_decl render_facts render_ref",
+                                   "reference": "BadSymbol CorruptReferenceData Grid ReferenceTable "
+                                                "load_reference_table parse_table",
+                                   "ledger": "Open Solved PartiallySolved list_problems"})

@@ -26,11 +26,11 @@ refuses a nominal space (candidates per row ** rows) that is not desk scale.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from . import DEFAULT_BUDGET, BadShape, Record, TaukbError
+from . import DEFAULT_BUDGET, BadShape, Record, TaukbError, _forward, read_text
 
 
 class SearchSpaceTooLarge(TaukbError):
@@ -69,10 +69,6 @@ class GammaArray(Record):
         return self.rows[n].entry(m)
 
 
-def array(rows: list[tuple[str, int]]) -> GammaArray:
-    return GammaArray(tuple(Row(w, t) for w, t in rows))
-
-
 def is_gamma_array(a: GammaArray) -> bool:
     """True iff every row is eventually all 1s."""
     return all(r.tail == 1 for r in a.rows)
@@ -98,10 +94,6 @@ class GammaFamily(Record):
 def max_word_length(arrays) -> int:
     """The first column past every word (each row repeats its tail bit from there); BadShape on unequal row counts."""
     return _shape(arrays)[1]
-
-
-def family(*arrays: GammaArray) -> GammaFamily:
-    return GammaFamily(tuple(arrays))
 
 
 def _shape(members) -> tuple[int, int]:
@@ -132,45 +124,6 @@ class Diagonalizer(NamedTuple):
 
 def _mask(columns) -> int:
     return sum(1 << m for m in columns)
-
-
-def _fits(members, per_row, what: str, columns, col_bound: int) -> None:
-    """BadShape unless the members share a row count, per_row has one entry per
-    row (any count fits no members), and each of columns is in range(col_bound).
-    what is the message's subject, with {} for the number of entries."""
-    rows = _shape(members)[0]
-    if members and len(per_row) != rows:
-        raise BadShape(f"{what.format(len(per_row))} for {rows} rows")
-    for m in columns:
-        if not (0 <= m < col_bound):
-            raise BadShape(f"column {m} outside bound {col_bound}")
-
-
-def verify_selector(fam, selector: Selector, col_bound: int) -> bool:
-    """Check conditions (a) and (b) for the selector against the family."""
-    members, (sets, hit_quota, exceptions) = tuple(fam), selector
-    _fits(members, sets, "selector has {} sets", (m for f in sets for m in f), col_bound)
-    sets = tuple(map(_mask, sets))  # one column mask per row
-    # (a): each member hits a selected column in at least hit_quota rows
-    for a in members:
-        if sum(1 for r, f in zip(a.rows, sets) if r.bits & f) < hit_quota:
-            return False
-    # (b): each ordered pair is comparable on F_n in one direction, with at
-    # most `exceptions` bad rows for that direction.  The test reads the same
-    # for (a, b) and (b, a), so each unordered pair, a member with itself
-    # included, is checked once
-    for a, b in combinations_with_replacement(members, 2):
-        if (sum(1 for ra, rb, f in zip(a.rows, b.rows, sets) if ra.bits & ~rb.bits & f) > exceptions
-                and sum(1 for ra, rb, f in zip(a.rows, b.rows, sets) if rb.bits & ~ra.bits & f) > exceptions):
-            return False
-    return True
-
-
-def verify_diagonalizer(fam, g: Diagonalizer, col_bound: int) -> bool:
-    """True iff every member has a 1 at (n, g(n)) for some row n."""
-    members = tuple(fam)
-    _fits(members, g.choices, "diagonalizer has {} choices", g.choices, col_bound)
-    return all(any(r.bits >> c & 1 for r, c in zip(a.rows, g.choices)) for a in members)
 
 
 @cache
@@ -290,27 +243,6 @@ def o_diagonalizable(fam, col_bound: int, budget: int = DEFAULT_BUDGET):
     return None if path is None else Diagonalizer(tuple(path))
 
 
-def random_gamma_family(seed: int, rows: int, col_bound: int, count: int,
-                        zero_density: float) -> GammaFamily:
-    """Deterministic-in-seed family of gamma arrays.
-
-    Words have length up to col_bound with 0s placed independently at the
-    given density; tails are always 1.
-    """
-    import random  # here, since no command runs it
-
-    rng = random.Random(seed)
-    members = []
-    for _ in range(count):
-        arr_rows = []
-        for _ in range(rows):
-            length = rng.randint(0, col_bound)
-            word = "".join("0" if rng.random() < zero_density else "1" for _ in range(length))
-            arr_rows.append(Row(word, 1))
-        members.append(GammaArray(tuple(arr_rows)))
-    return GammaFamily(tuple(members))
-
-
 # ---------------------------------------------------------------------------
 # Family file format: one array per block, rows as "<word>/<tailbit>", blocks
 # separated by blank lines, '#' comments; a comment-only line ends no block.
@@ -341,8 +273,31 @@ def parse_family_file(text: str) -> list[GammaArray]:
     return arrays
 
 
-def render_family_file(arrays: list[GammaArray]) -> str:
-    blocks = []
-    for a in arrays:
-        blocks.append("\n".join(f"{r.word}/{r.tail}" for r in a.rows))
-    return "\n\n".join(blocks) + "\n"
+# ---------------------------------------------------------------------------
+# The bodies of `taukb diag` and `taukb odiag`, which taukb.cli declares
+
+
+def diag_command(ctx, family_file, col_bound, size_bound, hit_quota, exceptions):
+    fam = GammaFamily(tuple(parse_family_file(read_text(family_file))))
+    bound = col_bound if col_bound is not None else fam.max_word_length() + 1
+    witness = finitely_tau_diagonalizable(
+        fam, bound, size_bound, hit_quota, exceptions, budget=ctx.obj["budget"])
+    if witness is None:
+        return "not finitely tau-diagonalizable within the bounds\n", [{"diagonalizable": False}]
+    sets = [sorted(s) for s in witness.sets]
+    return ("selector: " + " ".join("{" + ",".join(map(str, s)) + "}" for s in sets) + "\n",
+            [{"diagonalizable": True, "sets": sets}])
+
+
+def odiag_command(ctx, family_file, col_bound):
+    arrays = parse_family_file(read_text(family_file))
+    bound = col_bound if col_bound is not None else max_word_length(arrays) + 1
+    witness = o_diagonalizable(arrays, bound, budget=ctx.obj["budget"])
+    if witness is None:
+        return "not o-diagonalizable within the bounds\n", [{"diagonalizable": False}]
+    return "g = " + " ".join(map(str, witness.choices)) + "\n", [{"diagonalizable": True, "g": list(witness.choices)}]
+
+
+# the checkers and builders that no command runs, which live in taukb.gammalab
+__getattr__ = _forward(globals(), {"gammalab": "array family random_gamma_family render_family_file "
+                                               "verify_diagonalizer verify_selector"})

@@ -64,3 +64,11 @@ def render_problem(p: ProblemEntry) -> str:
     name, *values = problem_status(p.status).values()
     detail = (f": {values[0]}" + "".join(f" ({v})" for v in values[1:])) if values else ""
     return f"issue {p.issue}: {p.statement} [{name}{detail}]"
+
+
+def problems_command(ctx):  # the body of `taukb problems`, which taukb.cli declares
+    entries = list_problems()
+    text = "\n".join(render_problem(p) for p in entries) + "\n"
+    payload = [{"issue": p.issue, "statement": p.statement, **problem_status(p.status)}
+               for p in entries]
+    return text, payload

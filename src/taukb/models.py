@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import MalformedExpr, Record, TaukbError
+from . import MalformedExpr, Record, TaukbError, _forward
 from .core import CardinalAtom, CardinalExpr, Min, atom, parse_expr, render_expr
-from .formats import FactParseError, bare, data_text, quote, split_line, unquote
+from .formats import FactParseError, data_text, split_line, unquote
 
 
 class UnknownAtom(TaukbError):
@@ -251,19 +251,13 @@ def parse_models(text: str) -> list[Model]:
     return models
 
 
-def render_models(models: list[Model]) -> str:
-    blocks = []
-    for m in models:
-        lines = [f"model {bare(m.name, 'model name')} cite {quote(m.citation, 'citation')}"]
-        lines += [f"level {a.value if a is not CardinalAtom.COV_M else 'covM'} {m.levels[a]}"
-                  for a in sorted(m.levels, key=lambda a: a.value)]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
-
-
 def load_registry(text: str) -> ModelRegistry:
     return ModelRegistry(parse_models(text))
 
 
 def load_default_registry() -> ModelRegistry:
     return load_registry(data_text("models.txt"))
+
+
+# the registry writer, which lives in taukb.writers: no command runs it
+__getattr__ = _forward(globals(), {"writers": "render_models"})

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from taukb import UnknownProperty, engine, formats, models
+from taukb import UnknownProperty, engine, formats, models, proofs
 from taukb.core import (
     Atom,
     CardinalAtom,
@@ -264,7 +264,7 @@ def test_r4_never_contradicts_an_implication(closure):
 
 def test_traces_are_built_on_first_read(default_kb, monkeypatch):
     built = []
-    monkeypatch.setattr(engine, "RuleInstance", lambda *step: built.append(step) or RuleInstance(*step))
+    monkeypatch.setattr(proofs, "RuleInstance", lambda *step: built.append(step) or RuleInstance(*step))
     result = close(default_kb)
     result.serial_grid()
     assert built == []
