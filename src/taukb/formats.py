@@ -66,16 +66,18 @@ class _Decl(Record):
 
     __slots__ = ("line", "origin")
 
-    def __init__(self, *values, line: int = 0):
+    def __init__(self, *values, line: int | None = None):
         # Record.__init__'s work, done here: a fact file builds one declaration a line
         names, got = self.__slots__, len(values)
         if got > len(names):  # the line given last, by position
+            if line is not None:
+                raise TypeError(f"{type(self).__name__} got its line both by position and as line=")
             line, got = values[-1], got - 1
         if got != len(names):
             raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {got}")
         for name, value in zip(names, values):
             _set(self, name, value)
-        _set(self, "line", line)
+        _set(self, "line", 0 if line is None else line)
         _set(self, "origin", None)
 
 

@@ -137,6 +137,14 @@ def test_a_declaration_refuses_the_wrong_number_of_fields():
             formats.ArrowDecl(*values)
 
 
+def test_a_declaration_refuses_its_line_both_by_position_and_by_name():
+    ref = SerialRef(0)
+    with pytest.raises(TypeError, match="ArrowDecl got its line both by position and as line="):
+        formats.ArrowDecl(ref, ref, None, 7, line=1)
+    with pytest.raises(TypeError, match="ArrowDecl got its line both by position and as line="):
+        formats.ArrowDecl(ref, ref, None, 7, line=7)
+
+
 def test_lazy_trace_equals_the_plain_trace_with_its_steps():
     lazy = _LazyTrace(lambda stmt: (_STEP,), ("implies", 0, 1))
     plain = ProofTrace((_STEP,))
