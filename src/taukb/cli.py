@@ -9,8 +9,9 @@ no bytecode compiles every module it imports.  So this module declares every com
 _run loads the module of the command's path and runs its body there: `kbcli` holds those of
 table, query and card, `proofs` explain's and `reference` diff's (each beside `core`,
 `formats`, `models` and `engine`), `gamma` those of diag and odiag, and `ledger` problems'.
-Run as the program, it ends with ``os._exit``
-once its output is flushed, since a process about to end need not tear the interpreter down.
+
+Run as the program, it ends with ``os._exit`` once its output is flushed, since a process
+about to end need not tear the interpreter down.
 """
 
 from __future__ import annotations
