@@ -35,17 +35,17 @@ _CHILD = ("import atexit, sys\n"
           "from taukb.cli import main\n"
           "main()\n")
 
-_KB = "taukb taukb.cli taukb.core taukb.engine taukb.formats taukb.models"
+_KB = "taukb taukb.cli taukb.core taukb.engine taukb.formats taukb.kbcli taukb.models"
 _GAMMA = "taukb taukb.cli taukb.gamma"
 
 
 _CASES = [
     (["table"], 0, _KB),
-    (["diff"], 0, _KB),
+    (["diff"], 0, _KB + " taukb.reference"),
     (["query", "18", "8"], 0, _KB),
-    (["explain", "18", "8"], 0, _KB),
+    (["explain", "18", "8"], 0, _KB + " taukb.proofs"),
     (["card", "6"], 0, _KB),
-    (["--facts", "contradiction.txt", "table"], 3, _KB),
+    (["--facts", "contradiction.txt", "table"], 3, _KB + " taukb.proofs"),
     (["problems"], 0, "taukb taukb.cli taukb.ledger"),
     (["diag", "family.txt", "--col-bound", "3"], 0, _GAMMA),
     (["odiag", "family.txt", "--col-bound", "3"], 0, _GAMMA),
