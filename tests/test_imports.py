@@ -11,6 +11,7 @@ checks that no command path defines one.
 import ast
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -54,12 +55,16 @@ _CASES = [
 ]
 
 
-def _run_child(tmp_path, args, code) -> list[str]:
-    """The child's stderr lines, after checking its exit code."""
+def _write_inputs(tmp_path):
     facts = (SRC / "taukb" / "data" / "base_facts.txt").read_text(encoding="utf-8")
     (tmp_path / "contradiction.txt").write_text(facts + "arrow 18 8\n", encoding="utf-8")
     (tmp_path / "family.txt").write_text("01/1\n01/1\n\n10/1\n10/1\n", encoding="utf-8")
     (tmp_path / "malformed.txt").write_text("01/1\n012/1\n", encoding="utf-8")
+
+
+def _run_child(tmp_path, args, code) -> list[str]:
+    """The child's stderr lines, after checking its exit code."""
+    _write_inputs(tmp_path)
     proc = subprocess.run([sys.executable, "-c", _CHILD, *args], capture_output=True, text=True,
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert proc.returncode == code, proc.stderr
@@ -69,6 +74,79 @@ def _run_child(tmp_path, args, code) -> list[str]:
 @pytest.mark.parametrize("args,code,modules", _CASES, ids=[" ".join(case[0]) for case in _CASES])
 def test_subcommand_loads_only_its_modules(tmp_path, args, code, modules):
     assert _run_child(tmp_path, args, code)[-1].split() == modules.split()
+
+
+# A census of what each command compiles: a child profiles every call, and when it exits reports
+# whether it still writes no bytecode, the called code objects and the files of the taukb modules
+# loaded.  Compiling costs about the same per AST node, so a command's cost is the nodes of those
+# modules, and its waste the nodes of each def it never enters (a nested def counts with its own).
+_PROFILED = ("import atexit, sys\n"
+             "called = set()\n"
+             "def profile(frame, event, arg):\n"
+             "    if event == 'call':\n"
+             "        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno, frame.f_code.co_name))\n"
+             "def report():\n"
+             "    sys.setprofile(None)\n"
+             "    print(sys.dont_write_bytecode, sorted(called), sorted(m.__file__ for n, m in sys.modules.items()\n"
+             "          if n.split('.')[0] == 'taukb'), sep='\\n', file=sys.stderr)\n"
+             "atexit.register(report)\n"
+             "sys.setprofile(profile)\n"
+             "from taukb.cli import main\n"
+             "main()\n")
+
+# (nodes compiled, nodes in defs never called) per command: the figures of this layout plus about 5%.
+# Before it, every KB command compiled 13,448 nodes, 3,951-4,724 of them in defs it never called,
+# and diag and odiag 5,237, 2,633 and 3,188 of them.
+_CENSUS_BOUNDS = {
+    "table": (11_390, 2_170),
+    "diff": (12_540, 2_590),
+    "query 18 8": (11_390, 2_310),
+    "explain 18 8": (12_250, 2_360),
+    "card 6": (11_390, 2_330),
+    "--facts contradiction.txt table": (12_250, 2_470),
+    "problems": (2_120, 910),
+    "diag family.txt --col-bound 3": (4_040, 1_300),
+    "odiag family.txt --col-bound 3": (4_040, 1_890),
+    "diag malformed.txt": (4_040, 2_390),
+    "--help": (1_720, 1_170),
+}
+
+
+def _census(files: list[str], called: set) -> tuple[int, int]:
+    """The AST nodes of files, and those in the defs whose code objects called does not hold."""
+    total = cold = 0
+    for path in files:
+        tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+        total += sum(1 for _ in ast.walk(tree))
+        stack = [tree]
+        while stack:
+            for node in ast.iter_child_nodes(stack.pop()):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    # a decorated def's code object starts at its first decorator
+                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    if (path, first, node.name) not in called:
+                        cold += sum(1 for _ in ast.walk(node))
+                        continue
+                stack.append(node)
+    return total, cold
+
+
+@pytest.mark.parametrize("args,code", [case[:2] for case in _CASES], ids=[" ".join(case[0]) for case in _CASES])
+def test_a_command_compiles_little_that_it_does_not_run(tmp_path, args, code):
+    # from a copy of the package, which only this child imports, so any bytecode there is its own
+    copy = tmp_path / "src"
+    shutil.copytree(SRC / "taukb", copy / "taukb", ignore=shutil.ignore_patterns("__pycache__"))
+    _write_inputs(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _PROFILED, *args], capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1"), timeout=60)
+    assert proc.returncode == code, proc.stderr
+    writes_none, called, files = proc.stderr.splitlines()[-3:]
+    assert writes_none == "True"
+    assert list(copy.rglob("__pycache__")) == []
+    total, cold = _census(ast.literal_eval(files), set(ast.literal_eval(called)))
+    print(f"{' '.join(args)}: {total} nodes compiled, {cold} ({cold / total:.1%}) in defs never called")
+    bound = _CENSUS_BOUNDS[" ".join(args)]
+    assert total <= bound[0] and cold <= bound[1], (total, cold)
 
 
 # taukb defines no dataclass: its records are NamedTuples or taukb.Record
@@ -170,22 +248,38 @@ def test_shared_names_are_the_package_objects():
     assert isinstance(gamma.Row("01", 1), core.Record)
 
 
-# the replay checker and the problem ledger have their own modules, which no
-# KB command loads; engine and formats re-export their names on first read
+# every name that moved off a command path, by the module it was defined in and its home now: each
+# command loads only the homes it runs, and the old module re-exports the names on first read.  Among
+# them are the ones that tests/test_acceptance.py, perfbench/ and the README's library example read
+# through their old modules: engine's diff and explain, formats' load_reference_table, core's
+# property_by_serial and gamma's random_gamma_family, verify_diagonalizer and verify_selector
+_MOVED = {
+    ("core", "proofs"): "render_steps",
+    ("core", "reference"): "_figure_properties property_by_serial",
+    ("engine", "proofs"): "NothingToExplain explain",
+    ("engine", "reference"): "ShapeMismatch diff",
+    ("engine", "replay"): "ReplayError replay_trace replay_all",
+    ("formats", "writers"): "bare quote render_decl render_facts render_ref",
+    ("formats", "reference"): "BadSymbol CorruptReferenceData Grid ReferenceTable load_reference_table parse_table",
+    ("formats", "ledger"): "Open Solved PartiallySolved list_problems",
+    ("models", "writers"): "render_models",
+    ("gamma", "gammalab"): "array family random_gamma_family render_family_file verify_diagonalizer verify_selector",
+}
+
+
 def test_moved_names_are_the_objects_of_their_new_modules():
-    from taukb import engine, formats, ledger, replay
-
-    for name in "ReplayError replay_trace replay_all".split():
-        assert getattr(engine, name) is getattr(replay, name), name
-    for name in "Open Solved PartiallySolved list_problems".split():
-        assert getattr(formats, name) is getattr(ledger, name), name
-    from taukb.engine import replay_all
-    from taukb.formats import list_problems
-
-    assert replay_all is replay.replay_all and list_problems is ledger.list_problems
-    for module in (engine, formats):
+    for (old, new), names in _MOVED.items():
+        home = importlib.import_module(f"taukb.{new}")
+        for name in names.split():
+            namespace = {}
+            exec(f"from taukb.{old} import {name}", namespace)
+            assert getattr(importlib.import_module(f"taukb.{old}"), name) is namespace[name] is getattr(home, name), name
+    # the README's library example imports these two from the package
+    assert taukb.explain is importlib.import_module("taukb.proofs").explain
+    assert taukb.property_by_serial is importlib.import_module("taukb.reference").property_by_serial
+    for old in {old for old, _ in _MOVED}:
         with pytest.raises(AttributeError):
-            module.no_such_name
+            getattr(importlib.import_module(f"taukb.{old}"), "no_such_name")
 
 
 def _imports(path: Path) -> list[tuple[str, tuple]]:
