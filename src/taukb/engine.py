@@ -313,7 +313,7 @@ def close(kb: KnowledgeBase) -> ClosureResult:
     while True:  # each rule proposes only what is not installed, so a round that goes on installs something new
         for i in range(n):  # each round starts from a state with no pair judged both ways
             if both := imp[i] & non[i]:
-                from .proofs import _Traces  # the report's traces: a closure that ends loads no trace builder
+                from .proofs import _Traces  # only a contradiction builds traces here, and loads their builder
 
                 j, traces = _bits(both)[0], _Traces(prov, props, exprs)
                 raise Contradiction(props[i], props[j], ProofTrace(traces.steps(("implies", i, j))),
