@@ -26,6 +26,15 @@ __all__ = sorted([*" ".join(_HOMES.values()).split(), "Contradiction"])  # the o
 __version__ = "0.1.0"
 
 
+def _load(module: str):
+    """taukb.<module>, imported as an import statement imports it, so that -X importtime reports it
+    (importlib.import_module takes a path that it does not time)."""
+    import sys
+
+    __import__(f"{__name__}.{module}")
+    return sys.modules[f"{__name__}.{module}"]
+
+
 def _forward(namespace: dict, homes: dict):
     """A PEP 562 __getattr__ for the module whose globals are namespace.  homes
     maps a module of taukb to the names it holds, space-separated, as _HOMES
@@ -36,9 +45,7 @@ def _forward(namespace: dict, homes: dict):
     def __getattr__(name: str):
         if name not in home:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        from importlib import import_module
-
-        value = namespace[name] = getattr(import_module(f"{__name__}.{home[name]}"), name)
+        value = namespace[name] = getattr(_load(home[name]), name)
         return value
 
     return __getattr__

@@ -23,7 +23,7 @@ import sys
 
 import click
 
-from . import DEFAULT_BUDGET, Contradiction, TaukbError
+from . import DEFAULT_BUDGET, Contradiction, TaukbError, _load
 
 EXIT_DIFF = 1
 EXIT_PARSE = 2
@@ -92,9 +92,7 @@ def _run(ctx, module: str):
     """Run the command's body, <command>_command in taukb.<module>, on its parameters.  Print the text
     it returns, or with --format jsonl each JSON object it returns on a line; then exit with the code
     it returns third, if it does."""
-    name = f"{__package__}.{module}"
-    __import__(name)  # the import statement's own call, which -X importtime reports and import_module is not
-    payload_text, payload_json, *code = getattr(sys.modules[name], f"{ctx.command.name}_command")(ctx, **ctx.params)
+    payload_text, payload_json, *code = getattr(_load(module), f"{ctx.command.name}_command")(ctx, **ctx.params)
     if ctx.obj["fmt"] == "jsonl":
         import json
 

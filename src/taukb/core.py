@@ -18,7 +18,8 @@ import enum
 import functools
 from typing import NamedTuple
 
-# the errors and Record live in the package, which the gamma path loads without core
+# the errors and Record live in the package, which the gamma path loads without core; callers read
+# TaukbError and UnknownSerial from core too
 from . import MalformedExpr, Record, TaukbError, UnknownSerial, _forward
 
 

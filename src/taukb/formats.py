@@ -1,9 +1,11 @@
 """Parsers and serializers for the knowledge-base file formats.
 
 Everything is line-oriented UTF-8 with '#' comments.  Two formats live
-here: the fact DSL and the judgment-table codec.  The model registry format
-is owned by taukb.models and the family file format by taukb.gamma; the
-problem ledger lives in taukb.ledger, and this module re-exports some names.
+here: the fact DSL's reader and the judgment-table writer.  The fact
+writers live in taukb.writers and the table reader in taukb.reference,
+which only their callers load; the model registry format is owned by
+taukb.models and the family file format by taukb.gamma; the problem ledger
+lives in taukb.ledger, and this module re-exports some names of each.
 
 Fact DSL grammar, one declaration per line:
 
@@ -32,8 +34,7 @@ import re
 from typing import NamedTuple
 
 from . import BadShape, MalformedExpr, Record, TaukbError, _forward, read_text
-from .core import (SERIAL_COUNT, CoverKind, CoverVariant, Property, SelectorKind, Verdict, parse_expr,
-                   render_expr)
+from .core import SERIAL_COUNT, CoverKind, CoverVariant, Property, SelectorKind, Verdict, parse_expr
 
 # ---------------------------------------------------------------------------
 # Fact DSL

@@ -98,17 +98,17 @@ _PROFILED = ("import atexit, sys\n"
 # Before it, every KB command compiled 13,448 nodes, 3,951-4,724 of them in defs it never called,
 # and diag and odiag 5,237, 2,633 and 3,188 of them.
 _CENSUS_BOUNDS = {
-    "table": (11_390, 2_170),
-    "diff": (12_540, 2_590),
-    "query 18 8": (11_390, 2_310),
-    "explain 18 8": (12_250, 2_360),
-    "card 6": (11_390, 2_330),
-    "--facts contradiction.txt table": (12_250, 2_470),
-    "problems": (2_120, 910),
-    "diag family.txt --col-bound 3": (4_040, 1_300),
-    "odiag family.txt --col-bound 3": (4_040, 1_890),
-    "diag malformed.txt": (4_040, 2_390),
-    "--help": (1_720, 1_170),
+    "table": (11_410, 2_170),
+    "diff": (12_570, 2_590),
+    "query 18 8": (11_410, 2_310),
+    "explain 18 8": (12_270, 2_360),
+    "card 6": (11_410, 2_330),
+    "--facts contradiction.txt table": (12_270, 2_470),
+    "problems": (2_140, 910),
+    "diag family.txt --col-bound 3": (4_060, 1_290),
+    "odiag family.txt --col-bound 3": (4_060, 1_880),
+    "diag malformed.txt": (4_060, 2_380),
+    "--help": (1_740, 1_190),
 }
 
 
