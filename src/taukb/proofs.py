@@ -91,7 +91,7 @@ def render_steps(steps: tuple[RuleInstance, ...], memo: dict | None = None) -> s
 
 
 def explain_command(ctx, i, j):  # the body of `taukb explain`, which taukb.cli declares
-    from .kbcli import _close, _serial
+    from .kbcli import _close, _serial  # which a library reader of this module does not load
 
     result = _close(ctx)
     text = explain(result, _serial(result, i), _serial(result, j))

@@ -1,7 +1,8 @@
-"""The paper's reference data: the diagram's properties by serial, the judgment
-table reader with the embedded table's checks, the diff of two verdict grids,
-and the body of `taukb diff`, the one command that runs them.  taukb.core,
-taukb.formats and taukb.engine re-export their names on first read."""
+"""The paper's reference data: the diagram's properties by serial, which no
+command runs, and the judgment table reader with the embedded table's checks
+and the diff of two verdict grids, which only `taukb diff` runs, beside its
+body.  taukb.core, taukb.formats and taukb.engine re-export their names on
+first read."""
 
 from __future__ import annotations
 
@@ -119,7 +120,7 @@ def diff(a: list[list[Verdict]], b: list[list[Verdict]]) -> list[tuple[int, int,
 
 
 def diff_command(ctx, path):  # the body of `taukb diff`, which taukb.cli declares
-    from .cli import EXIT_DIFF
+    from .cli import EXIT_DIFF  # the CLI's modules, which a library reader of this module does not load
     from .kbcli import _close, _serial_grid
 
     grid = _serial_grid(_close(ctx))
