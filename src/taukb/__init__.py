@@ -9,15 +9,16 @@ The names every command shares (the errors, `Record`, `DEFAULT_BUDGET` and
 
 _HOMES = {
     "core": "Atom CardinalAtom CardinalExpr CoverKind CoverVariant Judgment Max Min "
-            "ProofTrace Property SelectorKind Verdict normalize_expr parse_expr property_by_serial "
-            "render_expr",
-    "engine": "ClosureResult KnowledgeBase build_knowledge_base close derive_cardinality diff explain "
-              "load_default_kb query",
-    "formats": "FactFile ReferenceTable load_default_facts load_reference_table parse_facts parse_table "
-               "render_facts render_table",
+            "ProofTrace Property SelectorKind Verdict normalize_expr parse_expr render_expr",
+    "engine": "ClosureResult KnowledgeBase build_knowledge_base close derive_cardinality load_default_kb query",
+    "formats": "FactFile load_default_facts parse_facts render_table",
+    "reference": "ReferenceTable diff load_reference_table parse_table property_by_serial",
+    "proofs": "explain",
+    "writers": "render_facts",
     "ledger": "list_problems",
     "gamma": "Diagonalizer GammaArray GammaFamily Selector finitely_tau_diagonalizable is_gamma_array "
-             "o_diagonalizable random_gamma_family verify_selector",
+             "o_diagonalizable",
+    "gammalab": "random_gamma_family verify_selector",
     "models": "Model ModelRegistry ZfcConstraint eval_expr load_default_registry validate_model",
     "replay": "replay_all",
 }
@@ -27,12 +28,9 @@ __version__ = "0.1.0"
 
 
 def _load(module: str):
-    """taukb.<module>, imported as an import statement imports it, so that -X importtime reports it
-    (importlib.import_module takes a path that it does not time)."""
-    import sys
-
-    __import__(f"{__name__}.{module}")
-    return sys.modules[f"{__name__}.{module}"]
+    """taukb.<module>, imported and read off the package as `import taukb.<module>` does, so that
+    -X importtime reports it (importlib.import_module takes a path that it does not time)."""
+    return getattr(__import__(f"{__name__}.{module}"), module)
 
 
 def _forward(namespace: dict, homes: dict):

@@ -301,5 +301,5 @@ class Judgment(NamedTuple):
     trace: ProofTrace = EMPTY_TRACE
 
 
-# names that live in modules a KB command loads only if it runs them
-__getattr__ = _forward(globals(), {"reference": "_figure_properties property_by_serial", "proofs": "render_steps"})
+# the one name of taukb.reference that readers still take from here
+__getattr__ = _forward(globals(), {"reference": "property_by_serial"})

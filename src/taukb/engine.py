@@ -86,7 +86,9 @@ def build_knowledge_base(fact_file: formats.FactFile, registry: ModelRegistry) -
             return p
         p = props.get(ref)
         if p is None:
-            errors.append(f"{place(d)}: property {formats.render_ref(ref)} is not declared")
+            from .writers import render_ref  # the fact writer, which only this error loads
+
+            errors.append(f"{place(d)}: property {render_ref(ref)} is not declared")
         return p
 
     facts: list[tuple[Claim, str]] = []
@@ -398,6 +400,5 @@ def derive_cardinality(result: ClosureResult, p: Property) -> CardinalityReport:
         raise UnknownProperty(f"{p.name} is not registered") from None
 
 
-# names that live in modules a KB command loads only if it runs them
-__getattr__ = _forward(globals(), {"proofs": "NothingToExplain explain", "reference": "ShapeMismatch diff",
-                                   "replay": "ReplayError replay_trace replay_all"})
+# the names of modules a KB command loads only if it runs them, which readers still take from here
+__getattr__ = _forward(globals(), {"proofs": "explain", "reference": "diff", "replay": "replay_trace replay_all"})

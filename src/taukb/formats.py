@@ -4,8 +4,8 @@ Everything is line-oriented UTF-8 with '#' comments.  Two formats live
 here: the fact DSL's reader and the judgment-table writer.  The fact
 writers live in taukb.writers and the table reader in taukb.reference,
 which only their callers load; the model registry format is owned by
-taukb.models and the family file format by taukb.gamma; the problem ledger
-lives in taukb.ledger, and this module re-exports some names of each.
+taukb.models, the family file format by taukb.gamma and the problem ledger
+by taukb.ledger.  The end of this module forwards five of their names.
 
 Fact DSL grammar, one declaration per line:
 
@@ -67,18 +67,16 @@ class _Decl(Record):
 
     __slots__ = ("line", "origin")
 
-    def __init__(self, *values, line: int | None = None):
+    def __init__(self, *values):
         # Record.__init__'s work, done here: a fact file builds one declaration a line
-        names, got = self.__slots__, len(values)
+        names, got, line = self.__slots__, len(values), 0
         if got > len(names):  # the line given last, by position
-            if line is not None:
-                raise TypeError(f"{type(self).__name__} got its line both by position and as line=")
             line, got = values[-1], got - 1
         if got != len(names):
             raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {got}")
         for name, value in zip(names, values):
             _set(self, name, value)
-        _set(self, "line", 0 if line is None else line)
+        _set(self, "line", line)
         _set(self, "origin", None)
 
 
@@ -325,8 +323,6 @@ def render_table(grid, frames: set[tuple[int, int]] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-# names that live in modules a KB command loads only if it runs them
-__getattr__ = _forward(globals(), {"writers": "bare quote render_decl render_facts render_ref",
-                                   "reference": "BadSymbol CorruptReferenceData Grid ReferenceTable "
-                                                "load_reference_table parse_table",
+# the names of modules a KB command loads only if it runs them, which readers still take from here
+__getattr__ = _forward(globals(), {"reference": "load_reference_table",
                                    "ledger": "Open Solved PartiallySolved list_problems"})

@@ -88,17 +88,13 @@ class GammaFamily(Record):
         return iter(self.members)
 
     def max_word_length(self) -> int:
-        return max_word_length(self.members)
-
-
-def max_word_length(arrays) -> int:
-    """The first column past every word (each row repeats its tail bit from there); BadShape on unequal row counts."""
-    return _shape(arrays)[1]
+        """The first column past every word (each row repeats its tail bit from there)."""
+        return _shape(self.members)[1]
 
 
 def _shape(members) -> tuple[int, int]:
-    """The row count the members share, 0 when there are none, and
-    L = max_word_length(members), from one walk over the rows."""
+    """The row count the members share, 0 when there are none, and L, the
+    first column past every word, from one walk over the rows."""
     counts, words = set(), 0
     for a in members:
         counts.add(len(a.rows))
@@ -291,13 +287,12 @@ def diag_command(ctx, family_file, col_bound, size_bound, hit_quota, exceptions)
 
 def odiag_command(ctx, family_file, col_bound):
     arrays = parse_family_file(read_text(family_file))
-    bound = col_bound if col_bound is not None else max_word_length(arrays) + 1
+    bound = col_bound if col_bound is not None else _shape(arrays)[1] + 1
     witness = o_diagonalizable(arrays, bound, budget=ctx.obj["budget"])
     if witness is None:
         return "not o-diagonalizable within the bounds\n", [{"diagonalizable": False}]
     return "g = " + " ".join(map(str, witness.choices)) + "\n", [{"diagonalizable": True, "g": list(witness.choices)}]
 
 
-# the checkers and builders that no command runs, which live in taukb.gammalab
-__getattr__ = _forward(globals(), {"gammalab": "array family random_gamma_family render_family_file "
-                                               "verify_diagonalizer verify_selector"})
+# the checkers and the builder of taukb.gammalab that readers still take from here
+__getattr__ = _forward(globals(), {"gammalab": "random_gamma_family verify_diagonalizer verify_selector"})

@@ -1,5 +1,5 @@
 """The gamma lab's witness verifiers, array and family builders and family file
-writer, which no command runs: taukb.gamma re-exports their names on first read."""
+writer, which no command runs; taukb.gamma forwards three of these names."""
 
 from __future__ import annotations
 

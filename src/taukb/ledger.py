@@ -1,7 +1,7 @@
 """The monthly problem ledger: one entry per past issue, with its status.
 
 It imports no other taukb module, so `taukb problems` loads it beside the
-package and the CLI alone; taukb.formats re-exports its names.
+package and the CLI alone; taukb.formats forwards four of its names.
 """
 
 from typing import NamedTuple

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import MalformedExpr, Record, TaukbError, _forward
+from . import MalformedExpr, Record, TaukbError
 from .core import CardinalAtom, CardinalExpr, Min, atom, parse_expr, render_expr
 from .formats import FactParseError, data_text, split_line, unquote
 
@@ -257,7 +257,3 @@ def load_registry(text: str) -> ModelRegistry:
 
 def load_default_registry() -> ModelRegistry:
     return load_registry(data_text("models.txt"))
-
-
-# the registry writer, which lives in taukb.writers: no command runs it
-__getattr__ = _forward(globals(), {"writers": "render_models"})

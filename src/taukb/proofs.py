@@ -1,7 +1,7 @@
 """Proof traces, built from a closure's provenance, their rendering, and the body
 of `taukb explain`.  Only explain, the contradiction report and the readers of
-ClosureResult.matrix or exact_traces run them; taukb.engine and taukb.core
-re-export their names on first read."""
+ClosureResult.matrix or exact_traces run them; taukb.engine forwards explain
+on first read."""
 
 from __future__ import annotations
 

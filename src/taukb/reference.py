@@ -1,8 +1,8 @@
 """The paper's reference data: the diagram's properties by serial, which no
 command runs, and the judgment table reader with the embedded table's checks
 and the diff of two verdict grids, which only `taukb diff` runs, beside its
-body.  taukb.core, taukb.formats and taukb.engine re-export their names on
-first read."""
+body.  taukb.core forwards property_by_serial, taukb.formats
+load_reference_table and taukb.engine diff, each on first read."""
 
 from __future__ import annotations
 

@@ -1,8 +1,8 @@
 """Trace replay: re-check proof traces against the rule definitions.
 
 The checker reads the rules R1..R6 from _rule_conclusion alone, not from the
-engine's closure.  No KB command runs it: taukb.engine re-exports its names,
-and loads this module the first time one of them is read.
+engine's closure.  No KB command runs it: taukb.engine forwards replay_trace
+and replay_all, and loads this module the first time one of them is read.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Writers of the fact and registry formats, which no command runs: taukb.formats
-and taukb.models re-export their names on first read."""
+"""Writers of the fact and registry formats, which no command runs; only a fact
+file that names an undeclared property loads this module, for render_ref."""
 
 from __future__ import annotations
 

@@ -6,7 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ablations import one_line_ablations
-from taukb import engine, formats
+from taukb import engine
+from taukb.reference import load_reference_table
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +22,7 @@ def closure(default_kb):
 
 @pytest.fixture(scope="session")
 def reference():
-    return formats.load_reference_table()
+    return load_reference_table()
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 import taukb
 from taukb import formats
 from taukb.cli import main
-from taukb.formats import CardDecl, render_facts
+from taukb.formats import CardDecl
+from taukb.writers import render_facts
 
 
 @pytest.fixture()

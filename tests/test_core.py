@@ -20,9 +20,9 @@ from taukb.core import (
     atom,
     normalize_expr,
     parse_expr,
-    property_by_serial,
     render_expr,
 )
+from taukb.reference import property_by_serial
 
 atoms = st.sampled_from(list(CardinalAtom)).map(Atom)
 exprs = st.recursive(
@@ -106,17 +106,17 @@ def test_parse_expr_takes_32_nested_levels_and_refuses_33():
 
 
 def test_figure_properties_refuse_embedded_facts_that_lack_a_serial(monkeypatch):
-    from taukb import core, formats
+    from taukb import formats, reference
 
     base = formats.data_text("base_facts.txt")
-    core._figure_properties.cache_clear()
+    reference._figure_properties.cache_clear()
     try:
         with monkeypatch.context() as m:
             m.setattr(formats, "data_text", lambda name: base.replace('property 5 "S1(T,T)" non=t\n', "", 1))
             with pytest.raises(TaukbError, match="embedded facts must declare each serial 0..21 once"):
-                core._figure_properties()
+                reference._figure_properties()
     finally:
-        core._figure_properties.cache_clear()  # no other test sees the bad cache
+        reference._figure_properties.cache_clear()  # no other test sees the bad cache
 
 
 def test_property_by_serial_8():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from taukb import UnknownProperty, engine, formats, models, proofs
+from taukb import UnknownProperty, engine, formats, models, proofs, replay
 from taukb.core import (
     Atom,
     CardinalAtom,
@@ -23,23 +23,14 @@ from taukb.core import (
     Verdict,
     atom,
     parse_expr,
-    property_by_serial,
-    render_steps,
 )
-from taukb.engine import (
-    Contradiction,
-    NothingToExplain,
-    ShapeMismatch,
-    build_knowledge_base,
-    close,
-    derive_cardinality,
-    diff,
-    explain,
-    query,
-    replay_all,
-)
+from taukb.engine import Contradiction, build_knowledge_base, close, derive_cardinality, query
 from taukb.formats import CardDecl, NonImpDecl, SerialRef, parse_facts
 from taukb.models import eval_expr
+from taukb.proofs import NothingToExplain, explain, render_steps
+from taukb.reference import ShapeMismatch, diff, property_by_serial
+from taukb.replay import replay_all
+from taukb.writers import render_decl
 
 
 def serial(n):
@@ -411,7 +402,7 @@ def test_sandwich_rederivation(default_kb):
     assert report.exact == atom("b")
     trace = result.exact_traces[(serial(12), atom("b"))]
     assert {"R5", "R6"} <= trace.rules_used()
-    engine.replay_trace(trace, kb)
+    replay.replay_trace(trace, kb)
 
 
 def test_od_ablation_reverts_expected_cells_to_unknown(default_kb, closure, reference):
@@ -449,7 +440,7 @@ def test_the_fact_lines_each_settled_cell_cannot_lose(closure, ablations):
     assert (len(settled), len(needs), len(alone)) == (625, 298, 174)
     assert Counter(type(d).__name__ for d in alone.values()) == {"CardDecl": 89, "ArrowDecl": 76, "NonImpDecl": 9}
     assert len(set().union(*needs.values())) == 59  # of the 79 lines, those some cell cannot lose
-    assert {(a.serial, b.serial): formats.render_decl(d).split(" cite=")[0]
+    assert {(a.serial, b.serial): render_decl(d).split(" cite=")[0]
             for (a, b), d in alone.items() if d.cite == "legacy:Table1"} == _LEGACY_ALONE
 
 
@@ -522,11 +513,11 @@ def test_replay_refuses_tampered_step(default_kb, closure, case):
     if case == "final-cell-stray-expr":  # replay_all checks the cell's whole claim first
         tampered = copy.copy(closure)
         tampered.matrix = {**closure.matrix, (serial(0), serial(19)): Judgment(Verdict.IMPLIES, trace)}
-        with pytest.raises(engine.ReplayError, match="does not conclude the cell"):
+        with pytest.raises(replay.ReplayError, match="does not conclude the cell"):
             replay_all(tampered, default_kb)
     else:
-        with pytest.raises(engine.ReplayError):
-            engine.replay_trace(trace, default_kb)
+        with pytest.raises(replay.ReplayError):
+            replay.replay_trace(trace, default_kb)
 
 
 def test_trace_with_a_replaced_conclusion_renders_and_replays_it(default_kb, closure):
@@ -535,8 +526,8 @@ def test_trace_with_a_replaced_conclusion_renders_and_replays_it(default_kb, clo
     wrong = steps[-1].conclusion._replace(object=serial(18))
     tampered = ProofTrace(steps[:-1] + (steps[-1]._replace(conclusion=wrong),))
     assert render_steps(tampered.steps).splitlines()[-1] == f"S2 R2: {wrong.render()} from S0, S1"
-    with pytest.raises(engine.ReplayError, match=re.escape(f"concluding {wrong.render()}: does not match R2")):
-        engine.replay_trace(tampered, default_kb)
+    with pytest.raises(replay.ReplayError, match=re.escape(f"concluding {wrong.render()}: does not match R2")):
+        replay.replay_trace(tampered, default_kb)
 
 
 def _r4_steps_between_variants(default_kb, upper, lower):
@@ -680,12 +671,12 @@ def test_replay_refuses_every_step_with_a_junk_field(default_kb):
                     except engine.TaukbError:
                         ok = False
                     if ok:
-                        engine.replay_trace(ProofTrace((*head, bad)), kb)
+                        replay.replay_trace(ProofTrace((*head, bad)), kb)
                         continue
                 try:
-                    engine.replay_trace(ProofTrace((*head, bad)), kb)
+                    replay.replay_trace(ProofTrace((*head, bad)), kb)
                     escaped.append((bad, "replays"))
-                except engine.ReplayError:
+                except replay.ReplayError:
                     pass
                 except Exception as e:
                     escaped.append((bad, type(e).__name__))
@@ -714,9 +705,9 @@ def test_replay_refuses_a_step_with_subject_and_object_both_changed(default_kb, 
                 c = step.conclusion._replace(subject=subject, object=obj)
                 tried += 1
                 try:
-                    engine.replay_trace(ProofTrace((*head, step._replace(conclusion=c))), default_kb)
+                    replay.replay_trace(ProofTrace((*head, step._replace(conclusion=c))), default_kb)
                     escaped.append((rule, c))
-                except engine.ReplayError:
+                except replay.ReplayError:
                     pass
     assert tried == 750
     assert escaped == []
@@ -725,7 +716,7 @@ def test_replay_refuses_a_step_with_subject_and_object_both_changed(default_kb, 
 def test_replay_all_refuses_a_settled_cell_with_an_empty_trace(default_kb, closure):
     tampered = copy.copy(closure)
     tampered.matrix = {**closure.matrix, (serial(0), serial(19)): Judgment(Verdict.IMPLIES, ProofTrace(()))}
-    with pytest.raises(engine.ReplayError, match="does not conclude the cell"):
+    with pytest.raises(replay.ReplayError, match="does not conclude the cell"):
         replay_all(tampered, default_kb)
 
 
@@ -742,9 +733,9 @@ def test_replay_refuses_a_step_that_is_not_a_rule_instance(default_kb, closure, 
         # the plain tuple of a step's fields, which the step itself equals
         "tuple-last": (*steps[:-1], tuple(steps[-1])),
     }[case])
-    with pytest.raises(engine.ReplayError):
+    with pytest.raises(replay.ReplayError):
         if via == "replay_trace":
-            engine.replay_trace(trace, default_kb)
+            replay.replay_trace(trace, default_kb)
         else:
             tampered = copy.copy(closure)
             tampered.matrix = {**closure.matrix, (serial(0), serial(19)): Judgment(Verdict.IMPLIES, trace)}
@@ -757,10 +748,10 @@ def test_replay_checks_citations_and_notes(default_kb, closure, case):
     trace = next(j.trace for j in closure.matrix.values()
                  if j.verdict is not Verdict.UNKNOWN and j.trace.steps[-1].rule == rule)
     *head, step = trace.steps
-    engine.replay_trace(trace, default_kb)
+    replay.replay_trace(trace, default_kb)
     forged = ProofTrace((*head, step._replace(note=step.note + " (forged)")))
-    with pytest.raises(engine.ReplayError):
-        engine.replay_trace(forged, default_kb)
+    with pytest.raises(replay.ReplayError):
+        replay.replay_trace(forged, default_kb)
 
 
 def test_a_fact_read_from_an_include_cites_its_file_and_replays_only_so(tmp_path):
@@ -772,6 +763,6 @@ def test_a_fact_read_from_an_include_cites_its_file_and_replays_only_so(tmp_path
     result = close(kb)
     assert explain(result, serial(18), serial(19)) == "S0 fact [sub.txt:3]: Ufin(Gamma,Gamma) -> Ufin(Gamma,T)"
     steps = query(result, serial(18), serial(19)).trace.steps
-    engine.replay_trace(ProofTrace(steps), kb)
-    with pytest.raises(engine.ReplayError, match="no matching base fact"):  # line 3 of main.txt is a comment
-        engine.replay_trace(ProofTrace((steps[0]._replace(note="facts:3"),)), kb)
+    replay.replay_trace(ProofTrace(steps), kb)
+    with pytest.raises(replay.ReplayError, match="no matching base fact"):  # line 3 of main.txt is a comment
+        replay.replay_trace(ProofTrace((steps[0]._replace(note="facts:3"),)), kb)

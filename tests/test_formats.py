@@ -11,29 +11,22 @@ from taukb.core import (CardinalAtom, CoverKind, CoverVariant, Property, Selecto
 from taukb.formats import (
     ArrowDecl,
     BadShape,
-    BadSymbol,
     CardDecl,
-    CorruptReferenceData,
     FactParseError,
     IncludeDecl,
     NonImpDecl,
-    Open,
-    PartiallySolved,
     PropertyDecl,
     SerialRef,
-    Solved,
     data_text,
-    list_problems,
     load_default_facts,
-    load_reference_table,
     parse_facts,
-    parse_table,
-    render_decl,
-    render_facts,
     render_table,
 )
 from taukb.gamma import parse_family_file
-from taukb.models import Model, parse_models, render_models
+from taukb.ledger import Open, PartiallySolved, Solved, list_problems
+from taukb.models import Model, parse_models
+from taukb.reference import BadSymbol, CorruptReferenceData, load_reference_table, parse_table
+from taukb.writers import render_decl, render_facts, render_models
 
 # --- fact DSL -----------------------------------------------------------------
 
@@ -277,7 +270,7 @@ def test_reference_spot_cells():
 
 
 def test_embedded_properties_match_core_table():
-    from taukb.core import property_by_serial
+    from taukb.reference import property_by_serial
 
     decls = {d.serial: d for d in load_default_facts().decls if isinstance(d, PropertyDecl)}
     assert sorted(decls) == list(range(22))
@@ -487,7 +480,8 @@ def test_two_reads_of_one_text_are_equal_and_share_no_declaration():
 
 
 def test_a_line_repeated_in_an_included_file_keeps_both_origins(tmp_path):
-    from taukb.core import Claim, property_by_serial
+    from taukb.core import Claim
+    from taukb.reference import property_by_serial
     from taukb.engine import build_knowledge_base
     from taukb.formats import load_facts
     from taukb.models import load_default_registry

@@ -17,17 +17,12 @@ from taukb.gamma import (
     Row,
     SearchSpaceTooLarge,
     Selector,
-    array,
-    family,
     finitely_tau_diagonalizable,
     is_gamma_array,
     o_diagonalizable,
     parse_family_file,
-    random_gamma_family,
-    render_family_file,
-    verify_diagonalizer,
-    verify_selector,
 )
+from taukb.gammalab import array, family, random_gamma_family, render_family_file, verify_diagonalizer, verify_selector
 
 
 def sel(sets, q, e):

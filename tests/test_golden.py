@@ -3,7 +3,7 @@
 The expected bytes live in tests/golden/.  cli.txt holds, for each command
 below in both output formats, the exit code, stdout and (when non-empty)
 stderr; the commands include --help of the group and of every subcommand.
-traces.txt holds engine.explain for every settled cell of the default
+traces.txt holds proofs.explain for every settled cell of the default
 closure and the rendering of every exact-value trace.  ablations.txt holds,
 for each default fact file with one arrow, card or nonimp line removed, the
 serial grid, each serial's exact values and bound sets, and a sha256 of that
@@ -27,7 +27,9 @@ from click.testing import CliRunner
 
 from taukb import engine, formats
 from taukb.cli import main
-from taukb.core import Verdict, render_expr, render_steps
+from taukb.core import Verdict, render_expr
+from taukb.proofs import explain, render_steps
+from taukb.writers import render_decl, render_facts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,8 +83,8 @@ def _write_inputs(workdir: Path) -> None:
     ff = formats.load_default_facts()
     ablated = ff.without(lambda d: isinstance(d, formats.CardDecl)
                          and d.ref == formats.SerialRef(0) and d.rel == "eq")
-    (workdir / "no_card0_eq.txt").write_text(formats.render_facts(ablated), encoding="utf-8")
-    (workdir / "arrow_18_8.txt").write_text(formats.render_facts(ff) + "arrow 18 8\n", encoding="utf-8")
+    (workdir / "no_card0_eq.txt").write_text(render_facts(ablated), encoding="utf-8")
+    (workdir / "arrow_18_8.txt").write_text(render_facts(ff) + "arrow 18 8\n", encoding="utf-8")
 
 
 def cli_transcript(workdir: Path) -> str:
@@ -105,7 +107,7 @@ def trace_transcript(result: engine.ClosureResult | None = None) -> str:
     out = []
     for (p, q), judgment in result.matrix.items():
         if judgment.verdict is not Verdict.UNKNOWN:
-            out.append(f"### explain {p.name} {q.name}\n{engine.explain(result, p, q)}\n")
+            out.append(f"### explain {p.name} {q.name}\n{explain(result, p, q)}\n")
     for (p, e), trace in result.exact_traces.items():
         out.append(f"### exact non({p.name}) = {render_expr(e)}\n{render_steps(trace.steps)}\n")
     return "".join(out)
@@ -115,7 +117,7 @@ def ablation_transcript(ablated) -> str:
     """The transcript of one_line_ablations(), given as ablated."""
     out = []
     for d, _, result in ablated:
-        out.append(f"### without line {d.line}: {formats.render_decl(d)}\n")
+        out.append(f"### without line {d.line}: {render_decl(d)}\n")
         out.append(formats.render_table(result.serial_grid()))
         for p in result.serial_properties():
             r = engine.derive_cardinality(result, p)

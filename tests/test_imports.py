@@ -201,25 +201,32 @@ def test_import_taukb_loads_no_submodule():
     assert [m for m in proc.stdout.split() if m.startswith("taukb")] == ["taukb"]
 
 
-# every name the package exported eagerly before it resolved them lazily,
-# by the module it was imported from
+# every name the package exports, by the module that defines it: the package's lazy names resolve there in one step
 _EXPORTS = {
-    "core": "Atom CardinalAtom CardinalExpr CoverKind CoverVariant Judgment Max Min ProofTrace Property "
-            "SelectorKind Verdict normalize_expr parse_expr property_by_serial render_expr",
-    "engine": "ClosureResult Contradiction KnowledgeBase build_knowledge_base close derive_cardinality diff "
-              "explain load_default_kb query replay_all",
-    "formats": "FactFile ReferenceTable list_problems load_default_facts load_reference_table parse_facts "
-               "parse_table render_facts render_table",
-    "gamma": "Diagonalizer GammaArray GammaFamily Selector finitely_tau_diagonalizable is_gamma_array "
-             "o_diagonalizable random_gamma_family verify_selector",
-    "models": "Model ModelRegistry ZfcConstraint eval_expr load_default_registry validate_model",
+    "taukb": "Contradiction",
+    "taukb.core": "Atom CardinalAtom CardinalExpr CoverKind CoverVariant Judgment Max Min ProofTrace Property "
+                  "SelectorKind Verdict normalize_expr parse_expr render_expr",
+    "taukb.engine": "ClosureResult KnowledgeBase build_knowledge_base close derive_cardinality load_default_kb query",
+    "taukb.formats": "FactFile load_default_facts parse_facts render_table",
+    "taukb.reference": "ReferenceTable diff load_reference_table parse_table property_by_serial",
+    "taukb.proofs": "explain",
+    "taukb.writers": "render_facts",
+    "taukb.ledger": "list_problems",
+    "taukb.gamma": "Diagonalizer GammaArray GammaFamily Selector finitely_tau_diagonalizable is_gamma_array "
+                   "o_diagonalizable",
+    "taukb.gammalab": "random_gamma_family verify_selector",
+    "taukb.models": "Model ModelRegistry ZfcConstraint eval_expr load_default_registry validate_model",
+    "taukb.replay": "replay_all",
 }
 
 
 def test_public_names_resolve_to_their_home_objects():
     names = {name: module for module, names in _EXPORTS.items() for name in names.split()}
     for name, module in names.items():
-        assert getattr(taukb, name) is getattr(importlib.import_module(f"taukb.{module}"), name), name
+        assert getattr(taukb, name) is getattr(importlib.import_module(module), name), name
+        assert name in _top_level(module.partition(".")[2] or "__init__", imported=False), name
+    for module, homed in taukb._HOMES.items():  # each lazy name is imported from the module that defines it
+        assert {names[name] for name in homed.split()} == {f"taukb.{module}"}, module
     assert set(taukb.__all__) == set(names)
     namespace = {}
     exec("from taukb import *", namespace)
@@ -248,22 +255,16 @@ def test_shared_names_are_the_package_objects():
     assert isinstance(gamma.Row("01", 1), core.Record)
 
 
-# every name that moved off a command path, by the module it was defined in and its home now: each
-# command loads only the homes it runs, and the old module re-exports the names on first read.  Among
-# them are the ones that tests/test_acceptance.py, perfbench/ and the README's library example read
-# through their old modules: engine's diff and explain, formats' load_reference_table, core's
-# property_by_serial and gamma's random_gamma_family, verify_diagonalizer and verify_selector
+# the names that tests/test_acceptance.py and perfbench/ read through the module they were once defined in, by
+# that module and the module that defines them now: the old module forwards each on first read, and no other
 _MOVED = {
-    ("core", "proofs"): "render_steps",
-    ("core", "reference"): "_figure_properties property_by_serial",
-    ("engine", "proofs"): "NothingToExplain explain",
-    ("engine", "reference"): "ShapeMismatch diff",
-    ("engine", "replay"): "ReplayError replay_trace replay_all",
-    ("formats", "writers"): "bare quote render_decl render_facts render_ref",
-    ("formats", "reference"): "BadSymbol CorruptReferenceData Grid ReferenceTable load_reference_table parse_table",
+    ("core", "reference"): "property_by_serial",
+    ("engine", "proofs"): "explain",
+    ("engine", "reference"): "diff",
+    ("engine", "replay"): "replay_trace replay_all",
+    ("formats", "reference"): "load_reference_table",
     ("formats", "ledger"): "Open Solved PartiallySolved list_problems",
-    ("models", "writers"): "render_models",
-    ("gamma", "gammalab"): "array family random_gamma_family render_family_file verify_diagonalizer verify_selector",
+    ("gamma", "gammalab"): "random_gamma_family verify_diagonalizer verify_selector",
 }
 
 
@@ -274,12 +275,51 @@ def test_moved_names_are_the_objects_of_their_new_modules():
             namespace = {}
             exec(f"from taukb.{old} import {name}", namespace)
             assert getattr(importlib.import_module(f"taukb.{old}"), name) is namespace[name] is getattr(home, name), name
-    # the README's library example imports these two from the package
-    assert taukb.explain is importlib.import_module("taukb.proofs").explain
-    assert taukb.property_by_serial is importlib.import_module("taukb.reference").property_by_serial
     for old in {old for old, _ in _MOVED}:
         with pytest.raises(AttributeError):
             getattr(importlib.import_module(f"taukb.{old}"), "no_such_name")
+
+
+_OLD = ("core", "engine", "formats", "models", "gamma")
+_NEW = ("proofs", "reference", "writers", "gammalab", "replay", "ledger")
+
+
+def _top_level(module: str, imported: bool) -> set[str]:
+    """The names that taukb/<module>.py defines at its top level, and with imported, those it imports there too."""
+    names = set()
+    for node in ast.parse((SRC / "taukb" / f"{module}.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif imported and isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def test_the_old_modules_forward_exactly_what_the_acceptance_suite_and_the_benchmark_read():
+    # their reads, `from taukb.<old> import name` and `<old>.name`, walked as AST nodes: perfbench/run.py also
+    # holds metric names such as "engine.settled_cells", which are strings
+    root = Path(__file__).resolve().parent.parent
+    reads = set()
+    for path in [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module in {f"taukb.{m}" for m in _OLD}:
+                reads.update((node.module.split(".")[1], a.name) for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in _OLD:
+                reads.add((node.value.id, node.attr))
+    bound = {old: _top_level(old, imported=True) for old in _OLD}
+    moved = {(old, name) for (old, _), names in _MOVED.items() for name in names.split()}
+    assert {(old, name) for old, name in reads if name not in bound[old]} == moved
+    for old, name in moved:
+        getattr(importlib.import_module(f"taukb.{old}"), name)
+    # every other name of the modules that took names off the command paths is read from its own module only
+    for new in _NEW:
+        for name in _top_level(new, imported=False):
+            for old in _OLD:
+                if name not in bound[old] and (old, name) not in moved:
+                    assert not hasattr(importlib.import_module(f"taukb.{old}"), name), (old, name)
 
 
 def _imports(path: Path) -> list[tuple[str, tuple]]:

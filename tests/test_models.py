@@ -21,9 +21,9 @@ from taukb.models import (
     eval_expr,
     load_default_registry,
     parse_models,
-    render_models,
     validate_model,
 )
+from taukb.writers import render_models
 
 atoms = st.sampled_from(list(CardinalAtom)).map(Atom)
 exprs = st.recursive(

@@ -12,6 +12,8 @@ import pytest
 from taukb import engine, formats
 from taukb.core import Verdict, render_expr
 from taukb.models import ModelRegistry, UnknownAtom, eval_expr, load_default_registry
+from taukb.replay import replay_all
+from taukb.writers import render_decl
 
 # the fact lines whose removal leaves the closure's statements unchanged
 REDUNDANT = {
@@ -36,7 +38,7 @@ def _agree(kb, result):
 
 def test_closure_agrees_with_naive_oracle_on_every_one_line_ablation(default_kb, closure, ablations):
     default = _agree(default_kb, closure)
-    redundant = {formats.render_decl(d).split(" cite=")[0]
+    redundant = {render_decl(d).split(" cite=")[0]
                  for d, kb, result in ablations if _agree(kb, result) == default}
     assert len(ablations) == 79
     assert redundant == REDUNDANT
@@ -56,7 +58,7 @@ def test_closure_agrees_with_naive_oracle_on_seeded_multi_line_ablations():
         kb = engine.build_knowledge_base(formats.FactFile(tuple(decls)), registry)
         result = engine.close(kb)
         _agree(kb, result)
-        settled.append(engine.replay_all(result, kb))
+        settled.append(replay_all(result, kb))
         assert settled[-1] == sum(j.verdict is not Verdict.UNKNOWN for j in result.matrix.values())
     assert (min(settled), max(settled), len(set(settled))) == (552, 619, 31)
 
@@ -76,7 +78,7 @@ def test_closure_agrees_with_naive_oracle_under_each_registry_ablation(names):
     kb = engine.build_knowledge_base(formats.load_default_facts(), registry)
     result = engine.close(kb)
     _agree(kb, result)
-    assert engine.replay_all(result, kb) == SETTLED_UNDER[names]
+    assert replay_all(result, kb) == SETTLED_UNDER[names]
 
 
 def _first_less(x, y, registry):

@@ -10,7 +10,7 @@ import pytest
 
 from taukb import engine, replay
 from taukb.core import Judgment, ProofTrace, RuleInstance, Verdict
-from taukb.engine import ReplayError, replay_all, replay_trace
+from taukb.replay import ReplayError, replay_all, replay_trace
 
 
 def _settled(closure):
