@@ -5,10 +5,14 @@ cannot be written and a closed stdout pipe included), 3 contradiction in the fac
 carries payload only; diagnostics go to stderr.
 
 Each command imports the modules it runs and no other, because a child process that writes
-no bytecode compiles every module it imports.  So this module declares every command, and
-_run loads the module of the command's path and runs its body there: `kbcli` holds those of
-table, query and card, `proofs` explain's and `reference` diff's (each beside `core`,
-`formats`, `models` and `engine`), `gamma` those of diag and odiag, and `ledger` problems'.
+no bytecode compiles every module it imports.  So this module declares every command once, as
+data: _COMMANDS gives each one's name, the module that holds its body, its help and its
+parameters, and the click group is built from that.  _run loads the module of the command's
+path and runs ``<command>_command(options, **params)`` there; options is the plain dict of the
+group's options (facts, models, fmt, budget), so no body touches a click object.  `kbcli`
+holds the bodies of table, query and card, `proofs` explain's and `reference` diff's (each
+beside `core`, `formats`, `models` and `engine`), `gamma` those of diag and odiag, and
+`ledger` problems'.
 
 Run as the program, it ends with ``os._exit`` once its output is flushed, since a process
 about to end need not tear the interpreter down.
@@ -17,6 +21,7 @@ about to end need not tear the interpreter down.
 from __future__ import annotations
 
 import atexit
+import functools
 import io
 import os
 import sys
@@ -73,27 +78,46 @@ class _Group(click.Group):
         sys.exit(code)
 
 
-@click.group(cls=_Group)
-@click.option("--facts", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Fact file (defaults to the embedded base facts).")
-@click.option("--models", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Model registry file (defaults to the embedded registry).")
-@click.option("--format", "fmt", type=click.Choice(["table", "jsonl"]), default="table",
-              help="Output mode.")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help="Search budget for the combinatorial commands.")
-@click.pass_context
-def main(ctx, facts, models, fmt, budget):
-    """Implication knowledge base for the tau-cover Scheepers diagram."""
-    ctx.obj = {"facts": facts, "models": models, "fmt": fmt, "budget": budget}
+# The CLI, declared once: the parameters that commands share (a parameter keeps no parse state), the group's
+# options, then for each command its name, the module that holds its body, its help and its parameters.
+_FILE = click.Path(exists=True, dir_okay=False)
+_I, _J = click.Argument(["i"], type=int), click.Argument(["j"], type=int)
+_FAMILY_FILE = click.Argument(["family_file"], type=_FILE)
+_COL_BOUND = click.Option(["--col-bound"], type=int, default=None,
+                          help="Column bound M (default: max word length + 1).")
+
+_OPTIONS = [
+    click.Option(["--facts"], type=_FILE, default=None, help="Fact file (defaults to the embedded base facts)."),
+    click.Option(["--models"], type=_FILE, default=None,
+                 help="Model registry file (defaults to the embedded registry)."),
+    click.Option(["--format", "fmt"], type=click.Choice(["table", "jsonl"]), default="table", help="Output mode."),
+    click.Option(["--budget"], type=int, default=DEFAULT_BUDGET, show_default=True,
+                 help="Search budget for the combinatorial commands."),
+]
+_COMMANDS = [
+    ("table", "kbcli", "Print the closed 22x22 judgment table.", []),
+    ("query", "kbcli", "Judgment for: does property I imply property J?", [_I, _J]),
+    ("explain", "proofs", "Proof trace for the (I, J) cell.", [_I, _J]),
+    ("card", "kbcli", "Critical cardinality of property I: exact value or derived bounds.", [_I]),
+    ("diff", "reference", "Diff the computed table against the embedded reference (or PATH).",
+     [click.Argument(["path"], type=_FILE, required=False)]),
+    ("problems", "ledger", "The monthly problem registry with current statuses.", []),
+    ("diag", "gamma", "Search a finite tau-diagonalization of the family in FAMILY_FILE.",
+     [_FAMILY_FILE, _COL_BOUND, click.Option(["--size-bound"], type=int, default=1, show_default=True),
+      click.Option(["--hit-quota"], type=int, default=1, show_default=True),
+      click.Option(["--exceptions"], type=int, default=0, show_default=True)]),
+    ("odiag", "gamma", "Search an o-diagonalization of the arrays in FAMILY_FILE.", [_FAMILY_FILE, _COL_BOUND]),
+]
 
 
-def _run(ctx, module: str):
-    """Run the command's body, <command>_command in taukb.<module>, on its parameters.  Print the text
-    it returns, or with --format jsonl each JSON object it returns on a line; then exit with the code
-    it returns third, if it does."""
-    payload_text, payload_json, *code = getattr(_load(module), f"{ctx.command.name}_command")(ctx, **ctx.params)
-    if ctx.obj["fmt"] == "jsonl":
+def _run(module: str, **params):
+    """Run the command's body, <command>_command in taukb.<module>, on the group's options and the
+    command's parameters.  Print the text it returns, or with --format jsonl each JSON object it returns
+    on a line; then exit with the code it returns third, if it does."""
+    ctx = click.get_current_context()
+    options = ctx.parent.params
+    payload_text, payload_json, *code = getattr(_load(module), f"{ctx.command.name}_command")(options, **params)
+    if options["fmt"] == "jsonl":
         import json
 
         for obj in payload_json:
@@ -104,73 +128,9 @@ def _run(ctx, module: str):
         sys.exit(*code)
 
 
-@main.command()
-@click.pass_context
-def table(ctx):
-    """Print the closed 22x22 judgment table."""
-    _run(ctx, "kbcli")
-
-
-@main.command()
-@click.argument("i", type=int)
-@click.argument("j", type=int)
-@click.pass_context
-def query(ctx, i, j):
-    """Judgment for: does property I imply property J?"""
-    _run(ctx, "kbcli")
-
-
-@main.command()
-@click.argument("i", type=int)
-@click.argument("j", type=int)
-@click.pass_context
-def explain(ctx, i, j):
-    """Proof trace for the (I, J) cell."""
-    _run(ctx, "proofs")
-
-
-@main.command()
-@click.argument("i", type=int)
-@click.pass_context
-def card(ctx, i):
-    """Critical cardinality of property I: exact value or derived bounds."""
-    _run(ctx, "kbcli")
-
-
-@main.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False), required=False)
-@click.pass_context
-def diff(ctx, path):
-    """Diff the computed table against the embedded reference (or PATH)."""
-    _run(ctx, "reference")
-
-
-@main.command()
-@click.pass_context
-def problems(ctx):
-    """The monthly problem registry with current statuses."""
-    _run(ctx, "ledger")
-
-
-@main.command()
-@click.argument("family_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--col-bound", type=int, default=None, help="Column bound M (default: max word length + 1).")
-@click.option("--size-bound", type=int, default=1, show_default=True)
-@click.option("--hit-quota", type=int, default=1, show_default=True)
-@click.option("--exceptions", type=int, default=0, show_default=True)
-@click.pass_context
-def diag(ctx, family_file, col_bound, size_bound, hit_quota, exceptions):
-    """Search a finite tau-diagonalization of the family in FAMILY_FILE."""
-    _run(ctx, "gamma")
-
-
-@main.command()
-@click.argument("family_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--col-bound", type=int, default=None, help="Column bound M (default: max word length + 1).")
-@click.pass_context
-def odiag(ctx, family_file, col_bound):
-    """Search an o-diagonalization of the arrays in FAMILY_FILE."""
-    _run(ctx, "gamma")
+main = _Group("main", params=_OPTIONS, help="Implication knowledge base for the tau-cover Scheepers diagram.",
+              commands=[click.Command(name, callback=functools.partial(_run, module), params=params, help=doc)
+                        for name, module, doc, params in _COMMANDS])
 
 
 if __name__ == "__main__":

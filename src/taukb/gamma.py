@@ -273,11 +273,11 @@ def parse_family_file(text: str) -> list[GammaArray]:
 # The bodies of `taukb diag` and `taukb odiag`, which taukb.cli declares
 
 
-def diag_command(ctx, family_file, col_bound, size_bound, hit_quota, exceptions):
+def diag_command(options, family_file, col_bound, size_bound, hit_quota, exceptions):
     fam = GammaFamily(tuple(parse_family_file(read_text(family_file))))
     bound = col_bound if col_bound is not None else fam.max_word_length() + 1
     witness = finitely_tau_diagonalizable(
-        fam, bound, size_bound, hit_quota, exceptions, budget=ctx.obj["budget"])
+        fam, bound, size_bound, hit_quota, exceptions, budget=options["budget"])
     if witness is None:
         return "not finitely tau-diagonalizable within the bounds\n", [{"diagonalizable": False}]
     sets = [sorted(s) for s in witness.sets]
@@ -285,10 +285,10 @@ def diag_command(ctx, family_file, col_bound, size_bound, hit_quota, exceptions)
             [{"diagonalizable": True, "sets": sets}])
 
 
-def odiag_command(ctx, family_file, col_bound):
+def odiag_command(options, family_file, col_bound):
     arrays = parse_family_file(read_text(family_file))
     bound = col_bound if col_bound is not None else _shape(arrays)[1] + 1
-    witness = o_diagonalizable(arrays, bound, budget=ctx.obj["budget"])
+    witness = o_diagonalizable(arrays, bound, budget=options["budget"])
     if witness is None:
         return "not o-diagonalizable within the bounds\n", [{"diagonalizable": False}]
     return "g = " + " ".join(map(str, witness.choices)) + "\n", [{"diagonalizable": True, "g": list(witness.choices)}]

@@ -7,11 +7,10 @@ from . import TaukbError, engine, formats, models, read_text
 from .core import SERIAL_COUNT, CardinalAtom, render_expr
 
 
-def _close(ctx):
-    """The closure of the KB that --facts and --models name."""
-    cfg = ctx.obj
-    facts = formats.load_facts(cfg["facts"]) if cfg["facts"] else formats.load_default_facts()
-    registry = (models.load_registry(read_text(cfg["models"])) if cfg["models"]
+def _close(options):
+    """The closure of the KB that the options' facts and models name."""
+    facts = formats.load_facts(options["facts"]) if options["facts"] else formats.load_default_facts()
+    registry = (models.load_registry(read_text(options["models"])) if options["models"]
                 else models.load_default_registry())
     return engine.close(engine.build_knowledge_base(facts, registry))
 
@@ -33,20 +32,20 @@ def _serial(result, n: int):
     raise TaukbError(f"no property with serial {n}")
 
 
-def table_command(ctx):
-    text = formats.render_table(_serial_grid(_close(ctx)))
+def table_command(options):
+    text = formats.render_table(_serial_grid(_close(options)))
     rows = [{"serial": i, "row": line} for i, line in enumerate(text.strip().splitlines())]
     return text, rows
 
 
-def query_command(ctx, i, j):
-    result = _close(ctx)
+def query_command(options, i, j):
+    result = _close(options)
     judgment = engine.query(result, _serial(result, i), _serial(result, j))
     return f"{judgment.verdict}\n", [{"row": i, "col": j, "verdict": str(judgment.verdict)}]
 
 
-def card_command(ctx, i):
-    result = _close(ctx)
+def card_command(options, i):
+    result = _close(options)
     prop = _serial(result, i)
     report = engine.derive_cardinality(result, prop)
     named_unknown = CardinalAtom.OD

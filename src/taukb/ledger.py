@@ -66,7 +66,7 @@ def render_problem(p: ProblemEntry) -> str:
     return f"issue {p.issue}: {p.statement} [{name}{detail}]"
 
 
-def problems_command(ctx):  # the body of `taukb problems`, which taukb.cli declares
+def problems_command(options):  # the body of `taukb problems`, which taukb.cli declares
     entries = list_problems()
     text = "\n".join(render_problem(p) for p in entries) + "\n"
     payload = [{"issue": p.issue, "statement": p.statement, **problem_status(p.status)}

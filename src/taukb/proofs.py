@@ -90,10 +90,10 @@ def render_steps(steps: tuple[RuleInstance, ...], memo: dict | None = None) -> s
     return "\n".join(lines)
 
 
-def explain_command(ctx, i, j):  # the body of `taukb explain`, which taukb.cli declares
+def explain_command(options, i, j):  # the body of `taukb explain`, which taukb.cli declares
     from .kbcli import _close, _serial  # which a library reader of this module does not load
 
-    result = _close(ctx)
+    result = _close(options)
     text = explain(result, _serial(result, i), _serial(result, j))
     steps = [{"step": k, "line": line} for k, line in enumerate(text.splitlines())]
     return text + "\n", steps

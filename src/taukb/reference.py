@@ -119,11 +119,11 @@ def diff(a: list[list[Verdict]], b: list[list[Verdict]]) -> list[tuple[int, int,
     return out
 
 
-def diff_command(ctx, path):  # the body of `taukb diff`, which taukb.cli declares
+def diff_command(options, path):  # the body of `taukb diff`, which taukb.cli declares
     from .cli import EXIT_DIFF  # the CLI's modules, which a library reader of this module does not load
     from .kbcli import _close, _serial_grid
 
-    grid = _serial_grid(_close(ctx))
+    grid = _serial_grid(_close(options))
     ref_grid = parse_table(read_text(path))[0] if path else load_reference_table().grid
     delta = diff(grid, ref_grid)
     if not delta:

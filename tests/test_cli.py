@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import importlib
 import io
 import json
 import os
@@ -209,6 +210,29 @@ def test_diag_and_odiag_commands(runner, tmp_path):
     result = invoke(runner, "odiag", str(disjoint), "--col-bound", "4")
     assert result.exit_code == 0
     assert "not o-diagonalizable" in result.output
+
+
+# a body takes the group's options as a plain dict and touches no click object, so it runs without the CLI:
+# (its module, its parameters, the argv of the same command)
+_BODIES = [
+    ("kbcli", {}, ["table"]),
+    ("kbcli", {"i": 6}, ["card", "6"]),
+    ("ledger", {}, ["problems"]),
+    ("gamma", {"family_file": "family.txt", "col_bound": 3, "size_bound": 1, "hit_quota": 2, "exceptions": 0},
+     ["diag", "family.txt", "--col-bound", "3", "--hit-quota", "2"]),
+]
+
+
+@pytest.mark.parametrize("module, params, argv", _BODIES, ids=[argv[0] for _, _, argv in _BODIES])
+def test_a_body_on_plain_options_returns_what_the_cli_prints(runner, tmp_path, monkeypatch, module, params, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "family.txt").write_text("01/1\n01/1\n\n10/1\n10/1\n", encoding="utf-8")
+    options = {"facts": None, "models": None, "fmt": "table", "budget": taukb.DEFAULT_BUDGET}
+    text, objects = getattr(importlib.import_module(f"taukb.{module}"), f"{argv[0]}_command")(options, **params)
+    result = invoke(runner, *argv)
+    assert (result.exit_code, result.stdout) == (0, text)
+    result = invoke(runner, "--format", "jsonl", *argv)
+    assert (result.exit_code, result.stdout) == (0, "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects))
 
 
 def test_a_comment_line_ends_no_family_block(runner, tmp_path):

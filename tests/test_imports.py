@@ -96,19 +96,21 @@ _PROFILED = ("import atexit, sys\n"
 
 # (nodes compiled, nodes in defs never called) per command: the figures of this layout plus about 5%.
 # Before it, every KB command compiled 13,448 nodes, 3,951-4,724 of them in defs it never called,
-# and diag and odiag 5,237, 2,633 and 3,188 of them.
+# and diag and odiag 5,237, 2,633 and 3,188 of them.  While cli declared each command as a decorated
+# function, table, query and card compiled 10,811 (2,070-2,216 never called), explain 11,633 (2,251),
+# diff 11,915 (2,464), problems 2,038 (863), diag and odiag 3,856 (1,224-2,260) and --help 1,653 (1,124).
 _CENSUS_BOUNDS = {
-    "table": (11_410, 2_170),
-    "diff": (12_570, 2_590),
-    "query 18 8": (11_410, 2_310),
-    "explain 18 8": (12_270, 2_360),
-    "card 6": (11_410, 2_330),
-    "--facts contradiction.txt table": (12_270, 2_470),
-    "problems": (2_140, 910),
-    "diag family.txt --col-bound 3": (4_060, 1_290),
-    "odiag family.txt --col-bound 3": (4_060, 1_880),
-    "diag malformed.txt": (4_060, 2_380),
-    "--help": (1_740, 1_190),
+    "table": (11_240, 1_840),
+    "diff": (12_390, 2_270),
+    "query 18 8": (11_240, 2_000),
+    "explain 18 8": (12_100, 2_050),
+    "card 6": (11_240, 2_000),
+    "--facts contradiction.txt table": (12_100, 2_130),
+    "problems": (2_030, 570),
+    "diag family.txt --col-bound 3": (3_940, 1_020),
+    "odiag family.txt --col-bound 3": (3_940, 1_560),
+    "diag malformed.txt": (3_940, 2_110),
+    "--help": (1_630, 710),
 }
 
 
